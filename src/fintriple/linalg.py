@@ -10,10 +10,15 @@ for square a, b of compatible sizes.  Every other module reuses vec/unvec and
 kron_action rather than restating the flattening order.
 
 Rank decisions use one relative rule throughout: a singular value sigma is
-treated as zero when sigma <= tol * max(m, n) * sigma_max.  Kernel solvers
-accept explicit constraint matrices; large constraint systems are reduced to
-a Gram (normal-equations) eigenproblem, with the threshold squared so the
-same rule applies.
+treated as zero when sigma <= tol * max(m, n) * sigma_max
+(singular_value_cut; sigma_max is raised to a known operator norm where the
+system may be pure roundoff), applied to the singular values of an explicit
+constraint matrix and never squared.  The solvers proper live in subspaces
+(commutant) and morita (real commutant with the real structure).
+kernel_from_gram and real_null_space are dense Gram-eigenproblem kernels on
+all n^2 (or 2 n^2 real) unknowns, with the threshold squared; nothing in
+the package calls them, and the test-suite uses them as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-# Stacked constraint systems below this many rows go through a direct SVD;
-# larger ones through the Gram eigensolver.
-_DIRECT_SVD_ROWS = 4096
 
 
 def ensure_operator(x, dim=None):
@@ -127,12 +128,20 @@ class AntilinearOperator:
         return float(np.linalg.norm(x @ self.matrix - self.matrix @ np.conj(x)))
 
 
-def rank_from_singular_values(sigma, shape, tol):
-    """Number of singular values above tol * max(shape) * sigma_max."""
-    if len(sigma) == 0:
-        return 0
-    cut = tol * max(shape) * sigma[0]
-    return int(np.sum(sigma > cut))
+def singular_value_cut(sigma, shape, tol, scale=0.0):
+    """Rank cut tol * max(shape) * max(sigma_max, scale).
+
+    Singular values at or below the cut count as zero.  scale is a known
+    norm of the operator, for systems that may be zero up to roundoff
+    (commutators with a scalar), where sigma_max is noise.
+    """
+    top = max(sigma[0] if len(sigma) else 0.0, scale)
+    return tol * max(shape) * top
+
+
+def rank_from_singular_values(sigma, shape, tol, scale=0.0):
+    """Number of singular values above singular_value_cut(sigma, shape, tol, scale)."""
+    return int(np.sum(sigma > singular_value_cut(sigma, shape, tol, scale)))
 
 
 def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
@@ -170,7 +179,7 @@ def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
 
 
 def kernel_from_gram(gram, scale, tol):
-    """Orthonormal kernel rows of a PSD Gram matrix.
+    """Orthonormal kernel rows of a PSD Gram matrix (dense reference kernel).
 
     The Gram eigenvalues are squared singular values of the stacked
     constraint matrix, so the rank threshold is squared as well; scale plays
@@ -184,31 +193,6 @@ def kernel_from_gram(gram, scale, tol):
     cut = (tol * scale) ** 2 * top
     keep = w <= cut
     return u[:, keep].T
-
-
-def null_space(constraints, n_unknowns, tol=DEFAULT_TOL):
-    """Orthonormal basis (rows) of the common kernel over C.
-
-    constraints is a sequence of (m_i, n_unknowns) matrices; an empty
-    sequence returns the full space.
-    """
-    mats = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in constraints]
-    mats = [m for m in mats if m.size]
-    if not mats:
-        return np.eye(n_unknowns, dtype=complex)
-    for m in mats:
-        if m.shape[1] != n_unknowns:
-            raise ValueError(f"constraint has {m.shape[1]} columns, expected {n_unknowns}")
-    rows = sum(m.shape[0] for m in mats)
-    if rows <= _DIRECT_SVD_ROWS:
-        stacked = np.vstack(mats)
-        _, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
-        r = rank_from_singular_values(sigma, stacked.shape, tol)
-        return vh[r:]
-    gram = np.zeros((n_unknowns, n_unknowns), dtype=complex)
-    for m in mats:
-        gram += m.conj().T @ m
-    return kernel_from_gram(gram, max(rows, n_unknowns), tol)
 
 
 def realify_gram(gram):
@@ -234,6 +218,9 @@ def _realify_constraint(lin, anti):
 
 def real_null_space(linear, antilinear, n_unknowns, tol=DEFAULT_TOL, linear_gram=None):
     """Real-linear common kernel of mixed linear/antilinear constraints.
+
+    Dense reference kernel: one eigensolve of the 2n x 2n real Gram form,
+    with the rank threshold squared.
 
     linear: sequence of (m_i, n) complex matrices L, constraint L v = 0.
     antilinear: sequence of (L, M) pairs, constraint L v + M conj(v) = 0

@@ -135,13 +135,16 @@ def _orthogonal_witness(commutant_space, opposite):
     return linalg.unvec(w, commutant_space.n, commutant_space.n)
 
 
-def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None):
+def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
+               commutant_odd=None):
     """Morita check: does the Clifford commutant equal the opposite algebra?
 
     Requires the order conditions; raises OrderConditionError otherwise.
-    The even-side commutant is computed from the odd Clifford basis plus the
-    grading (same commutant as the closed even algebra), and the even
-    Clifford dimension via the bicommutant.
+    clifford_odd and its commutant commutant_odd may be passed in to avoid
+    recomputation.  The even-side commutant is computed from the odd
+    Clifford basis plus the grading (same commutant as the closed even
+    algebra), and the even Clifford dimension via the bicommutant (for a
+    non-unital Clifford algebra the star closure would miss the identity).
     """
     z = zeroth_order_violation(t)
     f = first_order_violation(t)
@@ -151,7 +154,9 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None):
     if with_grading and t.grading is None:
         raise ValueError("with_grading requires an even triple")
     cl = clifford(t, even=False, tol=tol) if clifford_odd is None else clifford_odd
-    comm_odd = subspaces.commutant(cl.basis_matrices(), tol=tol)
+    comm_odd = commutant_odd
+    if comm_odd is None:
+        comm_odd = subspaces.commutant(cl.basis_matrices(), tol=tol)
     opp = opposite_span(t, tol=tol, unitalized=True)
     holds_odd = subspaces.equals(comm_odd, opp)
 
@@ -238,20 +243,32 @@ class IrreducibilityVerdict:
 
 
 def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol):
+    """Real space of X commuting with gens, extra_ops and J (X K = K conj(X)).
+
+    The complex commutant of gens plus the normalized extra_ops is solved
+    first; with X = sum (a_j + i b_j) B_j over its orthonormal basis B, the
+    condition on J is the real 2n^2 x 2d system
+    sum a_j (B_j K - K conj(B_j)) + b_j i (B_j K + K conj(B_j)) = 0, whose
+    kernel is read off a thin SVD.  The map (a, b) -> X is an isometry onto
+    Re <., .>, so the orthonormal kernel gives an orthonormal real basis.
+    """
     mats = [np.asarray(g, dtype=complex) for g in gens]
-    reduced = linalg.orthonormal_rows(
-        np.array([linalg.vec(g) for g in mats]), tol=tol)
-    gen_mats = [linalg.unvec(row, n, n) for row in reduced]
     for op in extra_ops:
         op = np.asarray(op, dtype=complex)
         nrm = linalg.hs_norm(op)
         if nrm > 0.0:
-            gen_mats.append(op / nrm)
-    gram = subspaces.commutator_gram(gen_mats)
-    eye = np.eye(n, dtype=complex)
-    lin = np.kron(k_matrix.T.astype(complex), eye)
-    anti = -np.kron(eye, k_matrix.astype(complex))
-    flat = linalg.real_null_space([], [(lin, anti)], n * n, tol=tol, linear_gram=gram)
+            mats.append(op / nrm)
+    comm = subspaces.commutant(mats, tol=tol, n=n)
+    b = np.array(comm.basis_matrices()).reshape(-1, n, n)
+    k = np.asarray(k_matrix, dtype=complex)
+    twisted = k @ b.conj()
+    cols = np.vstack([(b @ k - twisted).reshape(-1, n * n),
+                      1j * (b @ k + twisted).reshape(-1, n * n)]).T
+    system = np.vstack([cols.real, cols.imag])
+    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+    combos = vh[linalg.rank_from_singular_values(sigma, system.shape, tol):]
+    d = comm.dim
+    flat = (combos[:, :d] + 1j * combos[:, d:]) @ comm.flat
     return OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
 
 

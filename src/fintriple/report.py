@@ -13,7 +13,9 @@ places, ties in flat index order, and write parts below the floor as 0.
 The witnesses they describe are chosen canonically (see
 morita.MoritaVerdict and morita.irreducible).  A check's status reflects
 the mathematical outcome (a failing Morita property is a 'fail' even when
-that is the expected result); --expect manifests map outcomes to exit codes.
+that is the expected result); a check that raises is an 'error', never a
+'fail', and an error never matches a --expect manifest.  Manifests map
+outcomes to exit codes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from . import catalog, layout, linalg, morita, star_algebra, subspaces, triple
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
+ERROR = "error"
 
 #: Expected commutant dimensions per algebra: (algebra commutant, opposite
 #: commutant, center of the complexified opposite algebra).
@@ -155,7 +158,7 @@ class _Runner:
         try:
             fn(record)
         except Exception as exc:  # keep the report complete on any failure
-            record.status = FAIL
+            record.status = ERROR
             record.details = f"error: {exc}"
         record.wall_time_s = time.perf_counter() - start
         self.records.append(record)
@@ -344,8 +347,13 @@ def run_all(cfg):
         runner.run("gamma_in_clifford_odd", gamma_membership)
 
         def property_m_check(rec):
-            verdict = morita.property_m(t, with_grading=False, tol=tol,
-                                        clifford_odd=cache.get("clifford_odd"))
+            cl = cache.get("clifford_odd")
+            if cl is not None:
+                cache["clifford_odd_commutant"] = subspaces.commutant(
+                    cl.basis_matrices(), tol=tol)
+            verdict = morita.property_m(
+                t, with_grading=False, tol=tol, clifford_odd=cl,
+                commutant_odd=cache.get("clifford_odd_commutant"))
             cache["morita_odd"] = verdict
             rec.dims["clifford_odd"] = verdict.clifford_odd_dim
             rec.dims["commutant_odd"] = verdict.commutant_odd_dim
@@ -360,8 +368,9 @@ def run_all(cfg):
             runner.skip("property_m_with_grading", "odd triple")
         else:
             def property_m_grading(rec):
-                verdict = morita.property_m(t, with_grading=True, tol=tol,
-                                            clifford_odd=cache.get("clifford_odd"))
+                verdict = morita.property_m(
+                    t, with_grading=True, tol=tol, clifford_odd=cache.get("clifford_odd"),
+                    commutant_odd=cache.get("clifford_odd_commutant"))
                 rec.dims["clifford_even"] = verdict.clifford_even_dim
                 rec.dims["commutant_even"] = verdict.commutant_even_dim
                 rec.dims["opposite"] = verdict.opposite_dim
@@ -530,7 +539,7 @@ def render_text(report):
         "-" * 72,
     ]
     for rec in report.checks:
-        mark = {"pass": "PASS", "fail": "FAIL", "skipped": "skip"}[rec.status]
+        mark = {PASS: "PASS", FAIL: "FAIL", SKIPPED: "skip", ERROR: "ERR"}[rec.status]
         extras = []
         for k, v in rec.dims.items():
             extras.append(f"{k}={v}")
@@ -541,19 +550,25 @@ def render_text(report):
         if rec.details:
             lines.append(f"      {rec.details}")
     counts = {s: sum(1 for r in report.checks if r.status == s)
-              for s in (PASS, FAIL, SKIPPED)}
+              for s in (PASS, FAIL, SKIPPED, ERROR)}
     lines.append("-" * 72)
-    lines.append(f"{counts[PASS]} pass, {counts[FAIL]} fail, {counts[SKIPPED]} skipped")
+    summary = f"{counts[PASS]} pass, {counts[FAIL]} fail, {counts[SKIPPED]} skipped"
+    if counts[ERROR]:
+        summary += f", {counts[ERROR]} error"
+    lines.append(summary)
     return "\n".join(lines) + "\n"
 
 
 def compare_with_expectations(report, expectations):
-    """Mismatches between non-skipped checks and an expectations mapping."""
+    """Mismatches between non-skipped checks and an expectations mapping.
+
+    A check with status 'error' is always a mismatch.
+    """
     mismatches = []
     for rec in report.checks:
         if rec.status == SKIPPED:
             continue
         expected = expectations.get(rec.name)
-        if expected != rec.status:
+        if rec.status == ERROR or expected != rec.status:
             mismatches.append((rec.name, expected, rec.status))
     return mismatches

@@ -10,6 +10,7 @@ dimension monotonicity in the ambient n^2-dimensional operator space.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +97,11 @@ def _closure_defects(flat, n, tol):
     worst = 0.0
     offenders = []
     adj_rows = np.conj(flat.reshape(d, n, n).transpose(0, 2, 1).reshape(d, n * n))
-    batches = [adj_rows]
     step = max(1, _PRODUCT_CHUNK // max(d, 1))
-    for start in range(0, d, step):
-        batches.append(_pairwise_product_rows(mats[start:start + step], mats, n))
-    for rows in batches:
+    # one chunk of products alive at a time, not all d^2 of them
+    products = (_pairwise_product_rows(mats[start:start + step], mats, n)
+                for start in range(0, d, step))
+    for rows in itertools.chain([adj_rows], products):
         resid = rows - (rows @ flat.conj().T) @ flat
         norms = np.linalg.norm(resid, axis=1)
         scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
@@ -173,7 +174,7 @@ def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
 def center(algebra, tol=None):
     """Z(A) = A intersected with its commutant."""
     tol = algebra.space.tol if tol is None else tol
-    comm = subspaces.commutant(algebra.basis_matrices(), field="complex", tol=tol)
+    comm = subspaces.commutant(algebra.basis_matrices(), tol=tol)
     return subspaces.intersect(algebra.space, comm)
 
 

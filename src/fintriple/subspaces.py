@@ -5,6 +5,15 @@ n x n operators, either over C or over R (real spans arise from antilinear
 constraints; the basis matrices are still complex, orthonormal for the real
 part of the HS inner product).  Sum, intersection, complement, membership and
 commutant all reduce subspace questions to the single rank rule in linalg.
+
+commutant is an eigenblock solver (block-diagonalization of a matrix
+*-algebra by a generic element, Murota, Kanno, Kojima and Kojima, Japan J.
+Indust. Appl. Math. 27 (2010)).  It is sound because it imposes only
+constraints that every commutant element satisfies, so its solution space
+contains the commutant, and a certificate against every generator then
+proves the reverse inclusion.  No n^2 x n^2 matrix is formed.
+commutator_gram is the dense Gram operator of the same problem, kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +22,11 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL
+
+
+#: Seed of the random elements h1, h2 of the commutant solver, fixed per call
+#: so that the result never depends on call order.
+_COMMUTANT_SEED = 0xC0C0A1D
 
 
 class FieldMismatchError(ValueError):
@@ -178,6 +192,8 @@ def complement(s):
 def commutator_gram(gens):
     """Hermitian Gram operator of the map X -> ([X, g])_g on vec(X).
 
+    Dense n^2 x n^2 reference for commutant; the solver does not use it.
+
     Sum over generators of M_g* M_g with M_g = g^T (x) 1 - 1 (x) g, expanded
     so only n x n kroneckers are formed.
     """
@@ -196,40 +212,112 @@ def commutator_gram(gens):
     return gram
 
 
-def commutant(gens, field="complex", tol=DEFAULT_TOL, extra_gram=None, n=None):
-    """All X with [X, g] = 0 for every generator, over the chosen field.
+def _hermitian_elements(flat, n, tol):
+    """Real basis (vec rows) of the Hermitian elements of the complex span of flat.
 
-    Commutation constraints are C-linear in X, so the real-field variant
-    simply doubles the span (useful only in combination with antilinear
-    constraints elsewhere).  Generators are span-reduced first so the cost is
-    governed by the dimension of the generated space, not the list length.
-    extra_gram, if given, is added to the constraint Gram operator (used to
-    impose further linear conditions such as commutation with a grading).
+    With coefficients c = a + i b on the rows G_j, sum c_j G_j is Hermitian
+    exactly when sum a_j (G_j - G_j*) + b_j i (G_j + G_j*) = 0: a real
+    2n^2 x 2k system whose kernel is read off a thin SVD.
+    """
+    k = flat.shape[0]
+    adj = np.conj(flat.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n))
+    cols = np.vstack([flat - adj, 1j * (flat + adj)]).T
+    system = np.vstack([cols.real, cols.imag])
+    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+    combos = vh[linalg.rank_from_singular_values(sigma, system.shape, tol):]
+    return (combos[:, :k] + 1j * combos[:, k:]) @ flat
+
+
+def _eigenblocks(h, n, tol):
+    """Eigenbasis of a Hermitian h and the index pairs of its eigenblocks.
+
+    Eigenvalues closer than tol * n * ||h|| are merged into one cluster; the
+    returned (rows, cols) list every entry of every diagonal block.
+    """
+    vals, u = np.linalg.eigh(h)
+    top = float(np.abs(vals).max())
+    splits = np.nonzero(np.diff(vals) > tol * n * top)[0] + 1
+    rows, cols = [], []
+    for block in np.split(np.arange(n), splits):
+        r, c = np.meshgrid(block, block, indexing="ij")
+        rows.append(r.ravel(order="F"))
+        cols.append(c.ravel(order="F"))
+    return u, np.concatenate(rows), np.concatenate(cols)
+
+
+def _commutator_columns(h, rows, cols, n):
+    """n^2 x m matrix whose column j is vec([E_j, h]), E_j the unit at (rows_j, cols_j)."""
+    out = np.zeros((n * n, rows.size), dtype=complex)
+    idx = np.arange(n)[:, None]
+    j = np.arange(rows.size)
+    out[rows + n * idx, j] = h[cols, :].T   # E_ab h puts row b of h in row a
+    out[idx + n * cols, j] -= h[:, rows]    # h E_ab puts column a of h in column b
+    return out
+
+
+def commutant(gens, tol=DEFAULT_TOL, n=None):
+    """All X with [X, g] = 0 for every generator, as a complex subspace.
+
+    Eigenblock solver with a certificate.  The generators are span-reduced
+    to an orthonormal set G.  A random Hermitian element h1 of span(G) is
+    diagonalized, and X is sought block-diagonal in its eigenbasis (clusters
+    closer than tol * n * ||h1|| merged); [X, h2] = 0 is then imposed for a
+    random element h2 of span(G) by a thin SVD over the block entries.  Both
+    steps impose only conditions that every commutant element satisfies,
+    since h1 and h2 lie in span(G), so the solution space contains the
+    commutant.  The certificate proves the reverse inclusion: every basis
+    element is tested against every g in G at the cut of the last rank
+    decision, each failing generator's exact constraint is appended and the
+    system re-solved, until a sweep is clean.  Random draws come from a fixed seed per call.  No n^2 x n^2
+    matrix is formed, and every rank decision is
+    linalg.rank_from_singular_values on singular values.  Raises
+    RuntimeError when a generator already imposed still fails the sweep.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
-    if not gens and extra_gram is not None:
-        n = int(round(np.sqrt(extra_gram.shape[0])))
-    if not gens and extra_gram is None:
-        if n is None:
-            raise ValueError("empty generator list needs an explicit ambient n")
-        full = np.eye(n * n, dtype=complex)
-        if field == "real":
-            full = np.vstack([full, 1j * full])
-        return OperatorSubspace(full, n, field=field, tol=tol, orthonormal=(field == "complex"))
     if gens:
         n = gens[0].shape[0]
-        reduced = linalg.orthonormal_rows(np.array([linalg.vec(g) for g in gens]), tol=tol)
-        gen_mats = [linalg.unvec(row, n, n) for row in reduced]
-        gram = commutator_gram(gen_mats)
-        scale = (len(gen_mats) + 1) * n * n
-    else:
-        gram = np.zeros((n * n, n * n), dtype=complex)
-        scale = n * n
-    if extra_gram is not None:
-        gram = gram + extra_gram
-        gram = 0.5 * (gram + gram.conj().T)
-    if field == "complex":
-        kernel = linalg.kernel_from_gram(gram, scale, tol)
-        return OperatorSubspace(kernel, n, field="complex", tol=tol, orthonormal=True)
-    flat = linalg.real_null_space([], [], n * n, tol=tol, linear_gram=gram)
-    return OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
+    elif n is None:
+        raise ValueError("empty generator list needs an explicit ambient n")
+    reduced = linalg.orthonormal_rows(
+        np.array([linalg.vec(g) for g in gens]).reshape(-1, n * n), tol=tol)
+    if reduced.shape[0] == 0:
+        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
+    rng = np.random.default_rng(_COMMUTANT_SEED)
+    herm = _hermitian_elements(reduced, n, tol)
+    h1 = linalg.unvec(rng.standard_normal(herm.shape[0]) @ herm, n, n)
+    u, rows, cols = _eigenblocks(0.5 * (h1 + h1.conj().T), n, tol)
+    # generators in the eigenbasis of h1
+    local = u.conj().T @ reduced.reshape(-1, n, n).transpose(0, 2, 1) @ u
+    c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
+    h2 = np.tensordot(c / np.linalg.norm(c), local, axes=1)
+    system = _commutator_columns(h2, rows, cols, n)
+    n_rows = n * n
+    imposed = set()
+    while True:
+        _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+        shape = (n_rows, rows.size)
+        # h2 and the generators have unit norm, which sets the scale of the
+        # system when they are scalar on the blocks and it is pure roundoff
+        cut = linalg.singular_value_cut(sigma, shape, tol, scale=1.0)
+        z = vh[linalg.rank_from_singular_values(sigma, shape, tol, scale=1.0):].conj()
+        # diag(sigma) Vh keeps the singular values and right vectors of the
+        # system; each failing generator's exact constraint is folded in by QR
+        system = sigma[:, None] * vh
+        failing = set()
+        for i, g in enumerate(local):
+            exact = _commutator_columns(g, rows, cols, n)
+            if np.linalg.norm(exact @ z.T, axis=0).max(initial=0.0) > cut:
+                failing.add(i)
+                system = np.linalg.qr(np.vstack([system, exact]), mode="r")
+        if not failing:
+            break
+        if failing & imposed:
+            raise RuntimeError("commutant certificate did not close: an imposed "
+                               "generator still fails at the rank cut")
+        n_rows += n * n * len(failing)
+        imposed |= failing
+    blocks = np.zeros((z.shape[0], n, n), dtype=complex)
+    blocks[:, rows, cols] = z
+    mats = u @ blocks @ u.conj().T
+    flat = mats.transpose(0, 2, 1).reshape(-1, n * n)
+    return OperatorSubspace(flat, n, tol=tol, orthonormal=True)

@@ -3,10 +3,14 @@
 Each builder writes the expected parametrized matrices entry by entry from
 the block displays, with no use of the solver or the kron helpers under
 test.  Subspace equality between a solver result and one of these spans is
-the dual-route check.
+the dual-route check.  dense_commutant and dense_real_commutant_with_j are
+the dense Gram-eigenproblem solvers on all n^2 unknowns, kept as a second
+route for the eigenblock commutant solver.
 """
 
 import numpy as np
+
+from fintriple import linalg, subspaces
 
 
 def _unit8(i, j):
@@ -222,3 +226,33 @@ def expected_majorana_fixture():
     op[(5 - 1), (1 - 1)] = 5.0
     op[(1 - 1), (5 - 1)] = 5.0
     return op
+
+
+def _normalized_generators(gens, extra_ops, n, tol):
+    reduced = linalg.orthonormal_rows(
+        np.array([linalg.vec(np.asarray(g, dtype=complex)) for g in gens]), tol=tol)
+    mats = [linalg.unvec(row, n, n) for row in reduced]
+    for op in extra_ops:
+        op = np.asarray(op, dtype=complex)
+        if linalg.hs_norm(op) > 0.0:
+            mats.append(op / linalg.hs_norm(op))
+    return mats
+
+
+def dense_commutant(gens, tol=linalg.DEFAULT_TOL):
+    """Commutant from the n^2 x n^2 commutator Gram and one eigensolve."""
+    n = np.asarray(gens[0]).shape[0]
+    mats = _normalized_generators(gens, [], n, tol)
+    kernel = linalg.kernel_from_gram(
+        subspaces.commutator_gram(mats), (len(mats) + 1) * n * n, tol)
+    return subspaces.OperatorSubspace(kernel, n, tol=tol, orthonormal=True)
+
+
+def dense_real_commutant_with_j(gens, extra_ops, k_matrix, n, tol=linalg.DEFAULT_TOL):
+    """Real commutant with X K = K conj(X) from one 2n^2 x 2n^2 real eigensolve."""
+    gram = subspaces.commutator_gram(_normalized_generators(gens, extra_ops, n, tol))
+    eye = np.eye(n, dtype=complex)
+    lin = np.kron(k_matrix.T.astype(complex), eye)
+    anti = -np.kron(eye, k_matrix.astype(complex))
+    flat = linalg.real_null_space([], [(lin, anti)], n * n, tol=tol, linear_gram=gram)
+    return subspaces.OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)

@@ -113,50 +113,9 @@ def test_hs_inner_definite():
     assert linalg.hs_norm(np.zeros((32, 32))) == 0.0
 
 
-def _schur_generators(n):
-    """A cyclic shift and a distinct diagonal generate the full algebra."""
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    diag = np.diag(np.arange(1, n + 1).astype(complex))
-    return [shift, diag]
-
-
 def _commutation_constraints(gens, n):
     eye = np.eye(n, dtype=complex)
     return [np.kron(g.T, eye) - np.kron(eye, g) for g in gens]
-
-
-def test_null_space_schur():
-    gens = _schur_generators(32)
-    kernel = linalg.null_space(_commutation_constraints(gens, 32), 32 * 32)
-    assert kernel.shape[0] == 1
-    mat = linalg.unvec(kernel[0], 32, 32)
-    off = mat - np.trace(mat) / 32 * np.eye(32)
-    assert np.linalg.norm(off) <= 1e-10
-
-
-def test_null_space_unconstrained():
-    kernel = linalg.null_space([], 17)
-    assert kernel.shape == (17, 17)
-
-
-def test_null_space_af_commutant_count():
-    gens = catalog.algebra_af_generators()
-    kernel = linalg.null_space(_commutation_constraints(gens[:2], 32), 1024)
-    # two generators alone do not pin the commutant down to 112
-    assert kernel.shape[0] >= 112
-    kernel = linalg.null_space(_commutation_constraints(
-        [np.asarray(g) for g in gens], 32), 1024)
-    assert kernel.shape[0] == 112
-
-
-def test_null_space_residual_and_orthonormality():
-    rng = np.random.default_rng(21)
-    constraints = [_rand_complex(rng, 40, 60) for _ in range(2)]
-    kernel = linalg.null_space(constraints, 60)
-    for c in constraints:
-        assert np.linalg.norm(c @ kernel.T) <= 1e-9
-    gram = kernel @ kernel.conj().T
-    assert np.linalg.norm(gram - np.eye(kernel.shape[0])) <= 1e-12
 
 
 def test_real_null_space_reality_constraint():

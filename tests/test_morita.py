@@ -398,3 +398,15 @@ def test_zero_chain_grading_fails_for_default_algebra(thm1_triple):
         assert not morita.zero_chain_membership(
             catalog.grading(kind), thm1_triple.algebra_gens,
             thm1_triple.opposite_gens)
+
+
+@pytest.mark.parametrize("name", ["original_cc_triple", "pati_salam_triple"])
+def test_real_commutant_with_j_matches_dense_oracle(name, request):
+    t = request.getfixturevalue(name)
+    extra = [t.dirac, t.grading]
+    k = t.real_structure.matrix
+    fast = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, 1e-9)
+    dense = oracles.dense_real_commutant_with_j(t.algebra_gens, extra, k, t.n)
+    assert fast.field == dense.field == "real"
+    assert fast.dim == dense.dim
+    assert subspaces.equals(fast, dense)

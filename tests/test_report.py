@@ -7,10 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fintriple import cli, report
+from fintriple import cli, morita, report
 from fintriple.config import parse_config_file
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def thm1_report():
+    return report.run_all(parse_config_file(CONFIG_DIR / "thm1.cfg"))
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +133,47 @@ def test_describe_operator_is_canonical():
     assert report._describe_operator(-op, 1e-12).startswith("[0,0]=-1+0j; ")
 
 
-def test_expectation_manifests(thm2_report, original_cc_report, pati_salam_report):
-    for rep, name in ((thm2_report, "thm2"),
+def test_expectation_manifests(thm1_report, thm2_report, original_cc_report,
+                               pati_salam_report):
+    for rep, name in ((thm1_report, "thm1"),
+                      (thm2_report, "thm2"),
                       (original_cc_report, "original_cc"),
                       (pati_salam_report, "pati_salam")):
         manifest = json.loads((CONFIG_DIR / f"{name}.expect.json").read_text())
         assert report.compare_with_expectations(rep, manifest["checks"]) == []
+
+
+def test_raising_check_is_an_error_not_a_fail(monkeypatch, tmp_path):
+    # original_cc expects property_m to fail; a crash must not satisfy that
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(morita, "property_m", broken)
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "verify", str(CONFIG_DIR / "original_cc.cfg"), "--report", "json",
+        "--expect", str(CONFIG_DIR / "original_cc.expect.json"), "--out", str(out),
+    ])
+    assert code != 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("property_m", "property_m_with_grading"):
+        assert checks[name]["status"] == report.ERROR
+        assert checks[name]["details"] == "error: injected fault"
+    assert checks["clifford_odd"]["status"] == report.PASS
+
+
+def test_error_status_rendering_and_expectations():
+    rec = report.CheckRecord(name="property_m", status=report.ERROR,
+                             details="error: boom")
+    echo = {"algebra": "A_F", "grading": "none", "dirac": "zero", "tol": 1e-9}
+    rep = report.VerificationReport(config=echo, tolerance=1e-9, version="0",
+                                    checks=[rec])
+    text = report.render_text(rep)
+    assert " ERR  property_m" in text
+    assert "0 pass, 0 fail, 0 skipped, 1 error" in text
+    for expected in ("error", "fail", "pass", None):
+        mismatches = report.compare_with_expectations(rep, {"property_m": expected})
+        assert mismatches == [("property_m", expected, report.ERROR)]
 
 
 def test_report_deterministic(thm2_report):

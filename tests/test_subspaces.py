@@ -168,3 +168,60 @@ def test_real_field_span():
     x = _unit_op(1, 2, 1, 1)
     assert subspaces.span_of([x, 1j * x], field="real").dim == 2
     assert subspaces.span_of([x, 1j * x], field="complex").dim == 1
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-13])
+def test_commutant_dims_stable_across_tol(tol, thm1_triple, thm1_clifford):
+    assert subspaces.commutant(thm1_triple.algebra_gens, tol=tol).dim == 112
+    assert subspaces.commutant(thm1_triple.opposite_gens, tol=tol).dim == 112
+    assert subspaces.commutant(catalog.algebra_aev_generators(), tol=tol).dim == 48
+    assert subspaces.commutant(thm1_clifford.basis_matrices(), tol=tol).dim == 19
+
+
+def test_commutant_matches_dense_oracle(thm1_triple, af_commutant, af_opposite_commutant):
+    for fast, gens in ((af_commutant, thm1_triple.algebra_gens),
+                       (af_opposite_commutant, thm1_triple.opposite_gens)):
+        assert subspaces.equals(fast, oracles.dense_commutant(gens))
+
+
+def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
+    # The only Hermitian elements of the span are multiples of P, so h1 splits
+    # C^6 into two 3x3 blocks.  A random element h2 alone leaves the 6
+    # polynomials in h2 (3 per block); the commutant has 4: the polynomials
+    # in the nilpotent upper block and the scalars on the lower block.
+    rng = np.random.default_rng(41)
+    zero = np.zeros((3, 3))
+    gens = [np.diag([1, 1, 1, 0, 0, 0]).astype(complex),
+            np.block([[np.triu(_rand_complex(rng, 3, 3), 1), zero],
+                      [zero, _rand_complex(rng, 3, 3)]]),
+            np.block([[zero, zero], [zero, _rand_complex(rng, 3, 3)]])]
+    calls = []
+    columns = subspaces._commutator_columns
+
+    def counted(*args):
+        calls.append(1)
+        return columns(*args)
+
+    monkeypatch.setattr(subspaces, "_commutator_columns", counted)
+    comm = subspaces.commutant(gens)
+    # h2, one sweep over the three generators, then the re-solved sweep
+    assert len(calls) > 1 + len(gens)
+    assert comm.dim == 4
+    assert subspaces.equals(comm, oracles.dense_commutant(gens))
+    for _ in range(3):
+        pair = [_rand_complex(rng, 6, 6) for _ in range(2)]
+        comm = subspaces.commutant(pair)
+        assert comm.dim == 1
+        assert subspaces.equals(comm, oracles.dense_commutant(pair))
+
+
+def test_commutant_deterministic(thm1_triple):
+    first = subspaces.commutant(thm1_triple.algebra_gens)
+    again = subspaces.commutant(thm1_triple.algebra_gens)
+    assert first.flat.tobytes() == again.flat.tobytes()
+
+
+def test_commutant_of_zero_generators_is_everything():
+    comm = subspaces.commutant([np.zeros((3, 3), dtype=complex)])
+    assert comm.dim == 9
+    assert subspaces.commutant([], n=3).dim == 9
