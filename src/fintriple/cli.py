@@ -59,8 +59,8 @@ def _cmd_commutant(args):
     opp = subspaces.commutant(t.opposite_gens, tol=cfg.tol)
     inter = subspaces.intersect(alg, opp)
     opp_span = morita.opposite_span(t, tol=cfg.tol, unitalized=True)
-    z = star_algebra.center(star_algebra.StarAlgebra(space=opp_span, unital=True),
-                            tol=cfg.tol)
+    z = star_algebra.center(
+        star_algebra.StarAlgebra(space=opp_span, unital=True, commutant=opp), tol=cfg.tol)
     print(f"algebra commutant dim:   {alg.dim}")
     print(f"opposite commutant dim:  {opp.dim}")
     print(f"intersection dim:        {inter.dim}")
@@ -77,11 +77,10 @@ def _cmd_clifford(args):
               "algebra is computed but the Morita comparison is not meaningful",
               file=sys.stderr)
     cl = morita.clifford(t, even=args.even, tol=cfg.tol)
-    comm = subspaces.commutant(cl.basis_matrices(), tol=cfg.tol)
     kind = "even" if args.even else "odd"
     print(f"clifford ({kind}) dim:     {cl.dim}")
     print(f"unital:                  {cl.unital}")
-    print(f"commutant dim:           {comm.dim}")
+    print(f"commutant dim:           {cl.commutant.dim}")
     return 0
 
 

@@ -136,14 +136,14 @@ def _orthogonal_witness(commutant_space, opposite):
 
 
 def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
-               commutant_odd=None):
+               clifford_even=None):
     """Morita check: does the Clifford commutant equal the opposite algebra?
 
     Requires the order conditions; raises OrderConditionError otherwise.
-    clifford_odd and its commutant commutant_odd may be passed in to avoid
-    recomputation.  The even-side commutant is computed from the odd
-    Clifford basis plus the grading (same commutant as the closed even
-    algebra), and the even Clifford dimension via the bicommutant (for a
+    The Clifford algebras clifford_odd and clifford_even (the even one only
+    with_grading) may be passed in to avoid recomputation; the commutants
+    they carry are reused when solved at tol (star_algebra.commutant_of).
+    The even Clifford dimension is taken via the bicommutant (for a
     non-unital Clifford algebra the star closure would miss the identity).
     """
     z = zeroth_order_violation(t)
@@ -154,9 +154,7 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
     if with_grading and t.grading is None:
         raise ValueError("with_grading requires an even triple")
     cl = clifford(t, even=False, tol=tol) if clifford_odd is None else clifford_odd
-    comm_odd = commutant_odd
-    if comm_odd is None:
-        comm_odd = subspaces.commutant(cl.basis_matrices(), tol=tol)
+    comm_odd = star_algebra.commutant_of(cl, tol)
     opp = opposite_span(t, tol=tol, unitalized=True)
     holds_odd = subspaces.equals(comm_odd, opp)
 
@@ -164,8 +162,8 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
     cl_even_dim = None
     holds_even = None
     if with_grading:
-        comm_even = subspaces.commutant(
-            cl.basis_matrices() + [np.asarray(t.grading, dtype=complex)], tol=tol)
+        cl_even = clifford(t, even=True, tol=tol) if clifford_even is None else clifford_even
+        comm_even = star_algebra.commutant_of(cl_even, tol)
         cl_even_dim = subspaces.commutant(comm_even.basis_matrices(), tol=tol).dim
         holds_even = subspaces.equals(comm_even, opp)
 
@@ -282,7 +280,8 @@ def _selfadjoint_subbasis(space, tol):
         cols.append(linalg.vec(m - m.conj().T))
     a = np.array(cols).T  # (n^2, d) complex, columns indexed by basis
     system = np.vstack([a.real, a.imag])
-    _, sigma, vh = np.linalg.svd(system, full_matrices=True)
+    # only Vh is read, and the system is at least as tall as wide
+    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
     cut = tol * max(system.shape)
     rank = int(np.sum(sigma > cut))
     combos = vh[rank:]

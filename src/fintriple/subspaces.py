@@ -28,6 +28,12 @@ from .linalg import DEFAULT_TOL
 #: so that the result never depends on call order.
 _COMMUTANT_SEED = 0xC0C0A1D
 
+#: Smallest relative eigenvalue gap kept between two eigenblocks.  The
+#: computed eigenbasis of a block is off by about eps * ||h|| / gap, so this
+#: floor bounds it near 2e-14 whatever the random draw; closer eigenvalues
+#: only make a block larger, which every solver here tolerates.
+_MIN_GAP = 1e-2
+
 
 class FieldMismatchError(ValueError):
     pass
@@ -149,7 +155,8 @@ def intersect(s, t):
         work = np.hstack([outside.real, outside.imag])
     else:
         work = outside
-    u, sigma, _ = np.linalg.svd(work, full_matrices=True)
+    # work has at most as many rows as columns, so the thin U is all of U
+    u, sigma, _ = np.linalg.svd(work, full_matrices=False)
     cut = tol * max(work.shape)
     r = int(np.sum(sigma > cut))
     combos = u[:, r:].conj().T
@@ -229,20 +236,29 @@ def _hermitian_elements(flat, n, tol):
 
 
 def _eigenblocks(h, n, tol):
-    """Eigenbasis of a Hermitian h and the index pairs of its eigenblocks.
+    """Eigenbasis of a Hermitian h and its eigenvalue clusters.
 
-    Eigenvalues closer than tol * n * ||h|| are merged into one cluster; the
-    returned (rows, cols) list every entry of every diagonal block.
+    Eigenvalues closer than max(tol * n, _MIN_GAP) * ||h|| share a cluster;
+    each cluster is an array of eigenvector indices, in increasing order.
     """
     vals, u = np.linalg.eigh(h)
     top = float(np.abs(vals).max())
-    splits = np.nonzero(np.diff(vals) > tol * n * top)[0] + 1
+    splits = np.nonzero(np.diff(vals) > max(tol * n, _MIN_GAP) * top)[0] + 1
+    return u, np.split(np.arange(n), splits)
+
+
+def _block_entries(clusters):
+    """(rows, cols) of every entry of every diagonal block, block after block.
+
+    Within a block of s indices the entries run column-major, so the s^2
+    coordinates of a block are the vec of that block.
+    """
     rows, cols = [], []
-    for block in np.split(np.arange(n), splits):
+    for block in clusters:
         r, c = np.meshgrid(block, block, indexing="ij")
         rows.append(r.ravel(order="F"))
         cols.append(c.ravel(order="F"))
-    return u, np.concatenate(rows), np.concatenate(cols)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def _commutator_columns(h, rows, cols, n):
@@ -261,17 +277,18 @@ def commutant(gens, tol=DEFAULT_TOL, n=None):
     Eigenblock solver with a certificate.  The generators are span-reduced
     to an orthonormal set G.  A random Hermitian element h1 of span(G) is
     diagonalized, and X is sought block-diagonal in its eigenbasis (clusters
-    closer than tol * n * ||h1|| merged); [X, h2] = 0 is then imposed for a
-    random element h2 of span(G) by a thin SVD over the block entries.  Both
-    steps impose only conditions that every commutant element satisfies,
-    since h1 and h2 lie in span(G), so the solution space contains the
-    commutant.  The certificate proves the reverse inclusion: every basis
-    element is tested against every g in G at the cut of the last rank
-    decision, each failing generator's exact constraint is appended and the
-    system re-solved, until a sweep is clean.  Random draws come from a fixed seed per call.  No n^2 x n^2
-    matrix is formed, and every rank decision is
-    linalg.rank_from_singular_values on singular values.  Raises
-    RuntimeError when a generator already imposed still fails the sweep.
+    closer than max(tol * n, _MIN_GAP) * ||h1|| merged); [X, h2] = 0 is then
+    imposed for a random element h2 of span(G) by a thin SVD over the block
+    entries.  Both steps impose only conditions that every commutant element
+    satisfies, since h1 and h2 lie in span(G), so the solution space
+    contains the commutant.  The certificate proves the reverse inclusion:
+    every basis element is tested against every g in G at the cut of the
+    last rank decision, each failing generator's exact constraint is
+    appended and the system re-solved, until a sweep is clean.  Random draws
+    come from a fixed seed per call.  No n^2 x n^2 matrix is formed, and
+    every rank decision is linalg.rank_from_singular_values on singular
+    values.  Raises RuntimeError when a generator already imposed still
+    fails the sweep.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if gens:
@@ -285,7 +302,8 @@ def commutant(gens, tol=DEFAULT_TOL, n=None):
     rng = np.random.default_rng(_COMMUTANT_SEED)
     herm = _hermitian_elements(reduced, n, tol)
     h1 = linalg.unvec(rng.standard_normal(herm.shape[0]) @ herm, n, n)
-    u, rows, cols = _eigenblocks(0.5 * (h1 + h1.conj().T), n, tol)
+    u, clusters = _eigenblocks(0.5 * (h1 + h1.conj().T), n, tol)
+    rows, cols = _block_entries(clusters)
     # generators in the eigenbasis of h1
     local = u.conj().T @ reduced.reshape(-1, n, n).transpose(0, 2, 1) @ u
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))

@@ -5,12 +5,14 @@ the block displays, with no use of the solver or the kron helpers under
 test.  Subspace equality between a solver result and one of these spans is
 the dual-route check.  dense_commutant and dense_real_commutant_with_j are
 the dense Gram-eigenproblem solvers on all n^2 unknowns, kept as a second
-route for the eigenblock commutant solver.
+route for the eigenblock commutant solver; dense_star_closure grows and
+certifies a closure on all n^2 operator entries, a second route for the
+eigenblock star closure.
 """
 
 import numpy as np
 
-from fintriple import linalg, subspaces
+from fintriple import linalg, star_algebra, subspaces
 
 
 def _unit8(i, j):
@@ -256,3 +258,45 @@ def dense_real_commutant_with_j(gens, extra_ops, k_matrix, n, tol=linalg.DEFAULT
     anti = -np.kron(eye, k_matrix.astype(complex))
     flat = linalg.real_null_space([], [(lin, anti)], n * n, tol=tol, linear_gram=gram)
     return subspaces.OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
+
+
+def dense_star_closure(gens, tol=linalg.DEFAULT_TOL, rng_seed=star_algebra._CLOSURE_SEED):
+    """Star closure grown and certified in full vec coordinates.
+
+    Returns (space, unital, defect): the span, whether it holds the
+    identity, and the residual of its last certification sweep.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    n = gens[0].shape[0]
+    n2 = n * n
+    rng = np.random.default_rng(rng_seed)
+    seed_rows = [linalg.vec(g) for g in gens] + [linalg.vec(g.conj().T) for g in gens]
+    flat = linalg.orthonormal_rows(np.array(seed_rows), tol=tol)
+    worst = 0.0
+    for _ in range(n2 + 1):
+        stall = 0
+        while flat.shape[0] < n2 and stall < 2:
+            d = flat.shape[0]
+            k = min(max(2 * d + 8, 16), 256)
+            cx = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+            cy = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+            xs = (cx @ flat).reshape(k, n, n).transpose(0, 2, 1)
+            ys = (cy @ flat).reshape(k, n, n).transpose(0, 2, 1)
+            prods = np.matmul(xs, ys)
+            cand = prods.transpose(0, 2, 1).reshape(k, n2)
+            # vec of the adjoint is the conjugate of the C-order flattening
+            adj_cand = np.conj(prods.reshape(k, n2)[: k // 2])
+            flat, grown = star_algebra._extend_basis(flat, np.vstack([cand, adj_cand]), tol)
+            stall = stall + 1 if grown == 0 else 0
+        if flat.shape[0] >= n2:
+            flat = np.eye(n2, dtype=complex)
+            worst = 0.0
+            break
+        worst, offenders = star_algebra._closure_defects(flat, [n], tol)
+        if worst <= tol:
+            break
+        flat, grown = star_algebra._extend_basis(flat, offenders, tol)
+        if grown == 0:
+            flat = linalg.orthonormal_rows(np.vstack([flat, offenders]), tol=tol)
+    space = subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+    return space, space.contains(linalg.identity(n)), worst

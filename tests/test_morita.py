@@ -92,6 +92,21 @@ def test_property_m_theorem_even_case(thm1_triple, thm1_clifford):
     assert v.witness is not None and v.witness_side == "odd"
 
 
+def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_clifford):
+    # wrapped spaces carry no commutant, so property_m solves both sides
+    cl_even = morita.clifford(thm1_triple, even=True)
+    wrapped_odd = star_algebra.StarAlgebra(space=thm1_clifford.space,
+                                           unital=thm1_clifford.unital)
+    wrapped_even = star_algebra.StarAlgebra(space=cl_even.space, unital=cl_even.unital)
+    v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=wrapped_odd,
+                          clifford_even=wrapped_even)
+    assert not v.property_m
+    assert v.commutant_odd_dim == 19
+    assert v.property_m_with_grading
+    assert v.commutant_even_dim == 15
+    assert v.clifford_even_dim == 112
+
+
 def test_property_m_commutant_matches_block_form(thm1_clifford):
     comm = subspaces.commutant(thm1_clifford.basis_matrices())
     oracle = subspaces.span_of(oracles.clifford_commutant_19_basis())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -141,6 +142,28 @@ def test_expectation_manifests(thm1_report, thm2_report, original_cc_report,
                       (pati_salam_report, "pati_salam")):
         manifest = json.loads((CONFIG_DIR / f"{name}.expect.json").read_text())
         assert report.compare_with_expectations(rep, manifest["checks"]) == []
+
+
+def test_manifest_pins_skipped_checks(pati_salam_report):
+    manifest = json.loads((CONFIG_DIR / "pati_salam.expect.json").read_text())["checks"]
+    assert manifest["property_m"] == report.SKIPPED
+    wrong = dict(manifest, property_m="pass")
+    assert report.compare_with_expectations(pati_salam_report, wrong) == [
+        ("property_m", "pass", report.SKIPPED)]
+    del wrong["property_m"]
+    assert report.compare_with_expectations(pati_salam_report, wrong) == [
+        ("property_m", None, report.SKIPPED)]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-13])
+@pytest.mark.parametrize("name", ["thm1", "thm2", "original_cc", "pati_salam",
+                                  "degenerate"])
+def test_manifests_hold_across_tol(name, tol):
+    # the shipped tol 1e-9 is covered by test_expectation_manifests and
+    # test_degenerate_config_matches_manifest
+    cfg = dataclasses.replace(parse_config_file(CONFIG_DIR / f"{name}.cfg"), tol=tol)
+    manifest = json.loads((CONFIG_DIR / f"{name}.expect.json").read_text())
+    assert report.compare_with_expectations(report.run_all(cfg), manifest["checks"]) == []
 
 
 def test_raising_check_is_an_error_not_a_fail(monkeypatch, tmp_path):

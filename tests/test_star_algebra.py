@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fintriple import catalog, linalg, star_algebra, subspaces
+from fintriple import catalog, linalg, morita, star_algebra, subspaces
 
 import oracles
 
@@ -96,6 +96,19 @@ def test_center_full_ambient_algebra():
     assert z.contains(np.eye(32))
 
 
+def test_commutant_of_reuses_only_at_the_same_tol():
+    alg = star_algebra.star_closure(catalog.algebra_af_generators())
+    assert star_algebra.commutant_of(alg, alg.space.tol) is alg.commutant
+    other = star_algebra.commutant_of(alg, 1e-6)
+    assert other is not alg.commutant
+    assert other.tol == 1e-6
+    assert subspaces.equals(other, alg.commutant)
+    wrapped = star_algebra.StarAlgebra(space=alg.space, unital=alg.unital)
+    solved = star_algebra.commutant_of(wrapped, alg.space.tol)
+    assert solved.dim == 112
+    assert subspaces.equals(solved, alg.commutant)
+
+
 def test_center_opposite_algebra():
     oracle = subspaces.span_of(oracles.opposite_algebra_basis())
     alg = star_algebra.StarAlgebra(space=oracle, unital=True)
@@ -183,3 +196,77 @@ def test_closure_requires_generators():
 
 def test_closure_defect_reported(thm1_clifford):
     assert star_algebra.closure_defect(thm1_clifford.space) <= 1e-9
+
+
+def _clifford_generators(t, even):
+    gens = list(morita.algebra_span(t).basis_matrices())
+    gens += morita.one_forms(t).basis_matrices()
+    if even:
+        gens.append(np.asarray(t.grading, dtype=complex))
+    return gens
+
+
+def _assert_matches_dense_closure(gens):
+    alg = star_algebra.star_closure(gens)
+    space, unital, _ = oracles.dense_star_closure(gens)
+    assert alg.dim == space.dim
+    assert subspaces.equals(alg.space, space)
+    assert alg.unital == unital
+    # the certified defect agrees with an independent sweep in vec coordinates
+    recheck = star_algebra.closure_defect(alg.space)
+    assert alg.defect <= 1e-13 and recheck <= 1e-13
+    assert subspaces.equals(alg.commutant, subspaces.commutant(gens))
+    return alg
+
+
+@pytest.mark.parametrize("name", ["A_F", "B_F", "B_F_opposite"])
+def test_closure_matches_dense_oracle_catalog(name):
+    gens = (catalog.algebra_af_generators() if name == "A_F"
+            else catalog.algebra_bf_generators())
+    if name == "B_F_opposite":
+        j = catalog.real_structure()
+        gens = [j.conjugate_operator(g) for g in gens]
+    alg = _assert_matches_dense_closure(gens)
+    assert alg.unital == (name == "A_F")
+
+
+def test_closure_matches_dense_oracle_random_blocks():
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        _assert_matches_dense_closure(_block_algebra(_random_blocks(rng, 8), 8))
+
+
+@pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
+def test_closure_matches_dense_oracle_clifford(thm1_triple, even):
+    alg = _assert_matches_dense_closure(_clifford_generators(thm1_triple, even))
+    assert alg.dim == (112 if even else 96)
+
+
+def test_merge_clusters_joins_coupled_blocks():
+    local = np.zeros((2, 5, 5), dtype=complex)
+    local[0] = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    local[0, 0, 2] = 0.5         # joins clusters {0} and {2, 3}
+    local[1, 3, 4] = 0.25j       # and, through index 3, cluster {4}
+    local[1, 1, 4] = 1e-12       # below tol: stays outside the blocks
+    clusters = [np.array([0]), np.array([1]), np.array([2, 3]), np.array([4])]
+    merged, off_block = star_algebra._merge_clusters(local, clusters, 1e-9)
+    assert [b.tolist() for b in merged] == [[0, 2, 3, 4], [1]]
+    assert off_block == pytest.approx(1e-12)
+
+
+def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
+    # the diagonal matrices are not the commutant, so the eigenblocks of k
+    # (single indices) split the 2x2 blocks of the seed; merging must join
+    # them and still close onto the true algebra
+    def diagonal(gens, tol=linalg.DEFAULT_TOL, n=None):
+        flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
+        return subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+
+    gens = _block_algebra([(2, 2), (1, 4)], 8)
+    space, unital, _ = oracles.dense_star_closure(gens)
+    monkeypatch.setattr(subspaces, "commutant", diagonal)
+    alg = star_algebra.star_closure(gens)
+    assert alg.dim == space.dim == 5
+    assert subspaces.equals(alg.space, space)
+    assert alg.unital and unital
+    assert alg.defect <= 1e-13
