@@ -143,8 +143,11 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
     The Clifford algebras clifford_odd and clifford_even (the even one only
     with_grading) may be passed in to avoid recomputation; the commutants
     they carry are reused when solved at tol (star_algebra.commutant_of).
-    The even Clifford dimension is taken via the bicommutant (for a
-    non-unital Clifford algebra the star closure would miss the identity).
+    The even Clifford dimension is that of the bicommutant, read off the
+    closure: a finite-dimensional *-algebra A has A'' = A + C 1, so it is
+    the closure's dimension, plus one when the closure does not contain the
+    identity (tested by membership, not by the unital flag, so that a
+    wrapped algebra counts right).
     """
     z = zeroth_order_violation(t)
     f = first_order_violation(t)
@@ -164,7 +167,7 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
     if with_grading:
         cl_even = clifford(t, even=True, tol=tol) if clifford_even is None else clifford_even
         comm_even = star_algebra.commutant_of(cl_even, tol)
-        cl_even_dim = subspaces.commutant(comm_even.basis_matrices(), tol=tol).dim
+        cl_even_dim = cl_even.dim + (0 if cl_even.contains(linalg.identity(t.n)) else 1)
         holds_even = subspaces.equals(comm_even, opp)
 
     witness = None

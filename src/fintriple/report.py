@@ -145,6 +145,26 @@ def _describe_operator(op, floor, limit=6):
     return "; ".join(parts)
 
 
+def _bimodule_span(gens, alg_basis, tol):
+    """Span of the products a g b over the generators g and basis elements a, b.
+
+    The products are built one generator at a time, and only rows with norm
+    above tol times the largest norm so far are kept.  That is a superset of
+    the rows linalg.orthonormal_rows keeps (norm above tol times the largest
+    norm), with the same largest norm, so the same rows in the same order
+    reach its SVD as from the list of all products, which is never held.
+    """
+    n = gens[0].shape[0]
+    kept = []
+    top = 0.0
+    for g in gens:
+        rows = np.array([linalg.vec(a @ g @ b) for a in alg_basis for b in alg_basis])
+        norms = np.linalg.norm(rows, axis=1)
+        top = max(top, float(norms.max()))
+        kept.append(rows[norms > tol * top])
+    return subspaces.OperatorSubspace(np.vstack(kept), n, tol=tol)
+
+
 class _Runner:
     def __init__(self, cfg):
         self.cfg = cfg
@@ -284,12 +304,7 @@ def run_all(cfg):
         if named_applicable:
             gens = catalog.one_form_generators(
                 p, include_gamma=(cfg.dirac == "CC_plus_Gamma"))
-            mats = []
-            for g in gens + [g.conj().T for g in gens]:
-                for a in alg_basis:
-                    for b in alg_basis:
-                        mats.append(a @ g @ b)
-            named = subspaces.span_of(mats, tol=tol)
+            named = _bimodule_span(gens + [g.conj().T for g in gens], alg_basis, tol)
             rec.dims["named_generator_bimodule"] = named.dim
             ok = ok and subspaces.equals(om, named)
             rec.details = "named-generator bimodule compared"

@@ -10,11 +10,22 @@ checked on S itself and does not rest on the accuracy of C: whatever S is
 block-diagonal in, so is everything it generates.  The closure is grown and
 certified on the m = sum s_c^2 coordinates of those blocks rather than on
 all n^2 operator entries: growth multiplies random elements of the current
-span (fast, seeded, deterministic), and one deterministic sweep over all
-basis products and adjoints certifies the result, its offending residuals
-fed back until the sweep is clean; the certified defect travels with the
-algebra, so no caller sweeps again.  Termination is guaranteed by dimension
-monotonicity in the m-dimensional block space.
+span (fast, seeded, deterministic), and one deterministic sweep certifies
+the result, its offending residuals fed back until the sweep is clean; the
+certified defect travels with the algebra, so no caller sweeps again.
+Termination is guaranteed by dimension monotonicity in the m-dimensional
+block space.
+
+The sweep multiplies the seed W = span(S u S*) with the basis of the span
+V, not the basis with itself: k d products for a seed of dimension k,
+against d^2.  That suffices.  V starts as W and grows only by products and
+adjoints of its own elements and by their residuals against V, so V lies in
+the *-algebra generated by S.  Conversely, if W lies in V and W V lies in V,
+every word w_1 ... w_L = w_1 (w_2 ... w_L) in elements of W lies in V by
+induction on L, so the algebra W generates lies in V; W is *-closed, so that
+algebra is the *-algebra generated by S, and V equals it.  The sweep checks
+the seed rows, the seed-times-basis products and the adjoints of the basis;
+closure_defect keeps the all-pairs sweep as an independent re-check.
 """
 
 from __future__ import annotations
@@ -40,9 +51,10 @@ _PRODUCT_CHUNK = 2048
 class StarAlgebra:
     """A complex-linear operator subspace closed under products and adjoints.
 
-    For a result of star_closure, defect is its certified closure defect
-    (the largest relative residual of a basis product or adjoint outside the
-    span, or of the generators outside the blocks it was grown in) and
+    For a result of star_closure, defect is its certified closure defect:
+    the largest relative residual outside the span of a seed element, of a
+    product of a seed element with a basis element, or of a basis adjoint,
+    or of the generators outside the blocks it was grown in; and
     commutant is the commutant of the algebra.  A wrapped space has no
     defect, and its commutant, when a caller already solved it, may be
     passed in; commutant_of solves it otherwise.
@@ -132,25 +144,33 @@ def _adjoint_permutation(sizes):
     return np.concatenate(perm)
 
 
-def _closure_defects(flat, sizes, tol):
+def _closure_defects(flat, sizes, tol, left=None):
     """Worst product/adjoint residual and offending residual rows.
 
-    flat is an orthonormal basis in the block coordinates of sizes.  Scans
-    every pairwise product of the basis (chunked, block by block) plus every
-    adjoint; returns (max_residual, rows) where rows are the non-contained
-    residuals, capped to a manageable batch.
+    flat is an orthonormal basis in the block coordinates of sizes.  With
+    left=None, scans every pairwise product of the basis (chunked, block by
+    block) plus every adjoint.  With left, rows in the same coordinates (the
+    seed of a closure), scans the left rows themselves, every product of a
+    left row with a basis element (left on the left) and every adjoint of the
+    basis; see the module docstring for why that certifies a closure.
+    Returns (max_residual, rows) where rows are the non-contained residuals,
+    capped to a manageable batch.
     """
     d = flat.shape[0]
     mats = _block_matrices(flat, sizes)
+    if left is None:
+        lefts, head = mats, []
+    else:
+        lefts, head = _block_matrices(left, sizes), [left]
     worst = 0.0
     offenders = []
     adj_rows = np.conj(flat[:, _adjoint_permutation(sizes)])
     step = max(1, _PRODUCT_CHUNK // max(d, 1))
-    # one chunk of products alive at a time, not all d^2 of them
-    products = (np.hstack([_pairwise_product_rows(b[start:start + step], b, s)
-                           for b, s in zip(mats, sizes)])
-                for start in range(0, d, step))
-    for rows in itertools.chain([adj_rows], products):
+    # one chunk of products alive at a time, not all of them
+    products = (np.hstack([_pairwise_product_rows(a[start:start + step], b, s)
+                           for a, b, s in zip(lefts, mats, sizes)])
+                for start in range(0, lefts[0].shape[0], step))
+    for rows in itertools.chain(head, [adj_rows], products):
         resid = rows - (rows @ flat.conj().T) @ flat
         norms = np.linalg.norm(resid, axis=1)
         scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
@@ -167,8 +187,10 @@ def _closure_defects(flat, sizes, tol):
 def closure_defect(space):
     """Largest relative residual of basis products/adjoints outside the span.
 
-    The same sweep as the certificate of star_closure, on all n^2 operator
-    entries; an independent re-check of a finished closure.
+    The all-pairs sweep (every product of two basis elements, every adjoint)
+    on all n^2 operator entries: it needs no seed, so it is an independent
+    re-check of a finished closure, whose own certificate sweeps the seed
+    products only.
     """
     worst, _ = _closure_defects(space.flat, [space.n], space.tol)
     return worst
@@ -213,12 +235,14 @@ def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
 
     On those coordinates the randomized growth phase multiplies random
     elements of the span until the dimension stabilizes; one deterministic
-    sweep over every pairwise product and every adjoint then certifies
-    closure, or supplies the missing directions.  The sweep is skipped when
-    the span fills all m coordinates: it is then the full block algebra,
-    which is a *-algebra.  The basis is mapped back to operators once, by
-    u B u*.  The result carries the certified defect, the larger of the last
-    sweep's residual and the off-block seed remainder, and the commutant C.
+    sweep over the seed, every product of a seed element with a basis
+    element and every basis adjoint then certifies closure, or supplies the
+    missing directions (see the module docstring for why seed products
+    suffice).  The sweep is skipped when the span fills all m coordinates:
+    it is then the full block algebra, which is a *-algebra.  The basis is
+    mapped back to operators once, by u B u*.  The result carries the
+    certified defect, the larger of the last sweep's residual and the
+    off-block seed remainder, and the commutant C.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if not gens:
@@ -243,6 +267,7 @@ def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
     else:
         rows, cols = subspaces._block_entries(clusters)
         flat = linalg.orthonormal_rows(local[:, rows, cols], tol=tol)
+    left = flat
     m = flat.shape[1]
     adjoint = _adjoint_permutation(sizes)
 
@@ -267,7 +292,7 @@ def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
             flat = np.eye(m, dtype=complex)
             worst = 0.0
             break
-        worst, offenders = _closure_defects(flat, sizes, tol)
+        worst, offenders = _closure_defects(flat, sizes, tol, left=left)
         if worst <= tol:
             break
         flat, grown = _extend_basis(flat, offenders, tol)

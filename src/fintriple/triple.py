@@ -11,6 +11,7 @@ exactly when the corresponding axiom holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,9 @@ class FiniteTriple:
 
     free_part, when set, is the declared component of the Dirac operator
     outside the algebra commutant (the part generating one-forms); catalog
-    constructors fill it in, and obstruction checks use it.
+    constructors fill it in, and obstruction checks use it.  The arrays are
+    never modified in place, so the order-condition violations are computed
+    once per triple and cached on it.
     """
 
     algebra_gens: tuple
@@ -60,6 +63,11 @@ class FiniteTriple:
     @property
     def is_even(self):
         return self.grading is not None
+
+    @cached_property
+    def _order_violations(self):
+        """(zeroth, first) order-condition violations of this triple."""
+        return _zeroth_order(self), _first_order(self)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,10 @@ def _normalized(mats):
 
 def zeroth_order_violation(t):
     """Largest ||[a, b°]|| over HS-normalized generator pairs."""
+    return t._order_violations[0]
+
+
+def _zeroth_order(t):
     left = _normalized(t.algebra_gens)
     right = _normalized(t.opposite_gens)
     worst = 0.0
@@ -113,6 +125,10 @@ def first_order_violation(t):
     one-form genuinely fails to commute with the opposite algebra.  Pairs
     whose one-form is numerically zero contribute nothing.
     """
+    return t._order_violations[1]
+
+
+def _first_order(t):
     d = np.asarray(t.dirac, dtype=complex)
     d_norm = linalg.hs_norm(d)
     if d_norm == 0.0:

@@ -107,6 +107,27 @@ def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_clifford):
     assert v.clifford_even_dim == 112
 
 
+def test_even_clifford_dim_is_the_bicommutant_dim(thm1_triple, thm1_clifford):
+    cl_even = morita.clifford(thm1_triple, even=True)
+    v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=thm1_clifford,
+                          clifford_even=cl_even)
+    double = subspaces.commutant(subspaces.commutant(cl_even.basis_matrices()).basis_matrices())
+    assert v.clifford_even_dim == double.dim == 112
+
+
+def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
+    # the closure of a projection P != 1 is C P, its double commutant C P + C 1
+    p = np.diag(np.r_[np.ones(16), np.zeros(16)]).astype(complex)
+    closure = star_algebra.star_closure([p])
+    assert closure.dim == 1 and not closure.unital
+    double = subspaces.commutant(subspaces.commutant([p]).basis_matrices())
+    mislabelled = star_algebra.StarAlgebra(space=closure.space, unital=True)
+    for cl_even in (closure, mislabelled):
+        v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=thm1_clifford,
+                              clifford_even=cl_even)
+        assert v.clifford_even_dim == double.dim == 2
+
+
 def test_property_m_commutant_matches_block_form(thm1_clifford):
     comm = subspaces.commutant(thm1_clifford.basis_matrices())
     oracle = subspaces.span_of(oracles.clifford_commutant_19_basis())

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fintriple import cli, morita, report
+from fintriple import catalog, cli, morita, report, subspaces, triple
 from fintriple.config import parse_config_file
+
+from conftest import BASE
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -103,6 +106,50 @@ def test_golden_reports_independent_of_blas_threads(original_cc_report):
         [sys.executable, "-c", code, str(CONFIG_DIR / "original_cc.cfg")],
         env=env, capture_output=True, text=True, check=True)
     assert result.stdout == report.render_json(original_cc_report, normalize_timing=True)
+
+
+def test_one_forms_check_memory(thm2_triple):
+    # the one_forms check builds the one-forms and the named-generator
+    # bimodule; the 2250 dense products a g b are never held at once
+    tol = 1e-9
+    gens = catalog.one_form_generators(BASE, include_gamma=True)
+    tracemalloc.start()
+    try:
+        om = morita.one_forms(thm2_triple, tol=tol)
+        alg = morita.algebra_span(thm2_triple, tol=tol).basis_matrices()
+        named = report._bimodule_span(gens + [g.conj().T for g in gens], alg, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert subspaces.equals(om, named)
+    assert peak < 40 * 2 ** 20
+
+
+def test_bimodule_span_matches_the_span_of_all_products(thm1_triple):
+    gens = catalog.one_form_generators(BASE, include_gamma=False)
+    gens = gens + [g.conj().T for g in gens]
+    alg = morita.algebra_span(thm1_triple).basis_matrices()
+    mats = [a @ g @ b for g in gens for a in alg for b in alg]
+    built = report._bimodule_span(gens, alg, 1e-9)
+    assert np.array_equal(built.flat, subspaces.span_of(mats, tol=1e-9).flat)
+
+
+def test_order_violations_computed_once_per_report(monkeypatch):
+    # the two order checks, grading_axioms, dirac_decomposition and both
+    # property_m checks all read the violations cached on the triple
+    calls = []
+
+    def counted(fn):
+        def wrapper(t):
+            calls.append(fn.__name__)
+            return fn(t)
+        return wrapper
+
+    monkeypatch.setattr(triple, "_zeroth_order", counted(triple._zeroth_order))
+    monkeypatch.setattr(triple, "_first_order", counted(triple._first_order))
+    rep = report.run_all(parse_config_file(CONFIG_DIR / "thm1.cfg"))
+    assert rep.check("property_m_with_grading").status == "pass"
+    assert sorted(calls) == ["_first_order", "_zeroth_order"]
 
 
 def test_residuals_below_noise_floor_render_as_zero():

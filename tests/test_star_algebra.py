@@ -270,3 +270,54 @@ def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     assert subspaces.equals(alg.space, space)
     assert alg.unital and unital
     assert alg.defect <= 1e-13
+
+
+def _seed_rows(gens):
+    rows = [linalg.vec(g) for g in gens] + [linalg.vec(g.conj().T) for g in gens]
+    return linalg.orthonormal_rows(np.array(rows))
+
+
+def test_seeded_sweep_detects_a_missing_basis_direction(thm1_triple, thm1_clifford):
+    # the certificate multiplies the seed with the basis; dropping any one
+    # basis direction of a certified closure must make it fail
+    seed = _seed_rows(_clifford_generators(thm1_triple, even=False))
+    flat = thm1_clifford.space.flat
+    tol = thm1_clifford.space.tol
+    worst, offenders = star_algebra._closure_defects(flat, [32], tol, left=seed)
+    assert worst <= 1e-13 and offenders.shape[0] == 0
+    shorts = [np.delete(flat, drop, axis=0)
+              for drop in (0, flat.shape[0] // 2, flat.shape[0] - 1)]
+    # a Hermitian direction orthogonal to the seed leaves a *-closed span
+    # that still holds the seed, so only the seed products can see it gone
+    outside = flat - (flat @ seed.conj().T) @ seed
+    r = linalg.unvec(outside[np.argmax(np.linalg.norm(outside, axis=1))], 32, 32)
+    h = linalg.vec(r + r.conj().T)
+    h = h / np.linalg.norm(h)
+    hidden = linalg.orthonormal_rows(flat - np.outer(flat @ h.conj(), h))
+    adjoints = np.conj(hidden[:, star_algebra._adjoint_permutation([32])])
+    for rows in (seed, adjoints):
+        assert np.linalg.norm(rows - (rows @ hidden.conj().T) @ hidden, axis=1).max() <= 1e-13
+    for short in shorts + [hidden]:
+        assert short.shape[0] == flat.shape[0] - 1
+        worst, offenders = star_algebra._closure_defects(short, [32], tol, left=seed)
+        assert worst > tol
+        assert offenders.shape[0] > 0
+
+
+@pytest.mark.parametrize("blocks", [[(8, 1)], [(3, 2), (2, 1)]], ids=["M8", "M3+M2"])
+def test_seeded_sweep_feedback_alone_reaches_the_closure(blocks):
+    # no growth phase: from the seed, the fed-back residuals of the seeded
+    # sweep add one letter to the words each round until the span is closed
+    gens = _block_algebra(blocks, 8)[:2]
+    tol = linalg.DEFAULT_TOL
+    seed = _seed_rows(gens)
+    flat = seed
+    rounds = 0
+    worst, offenders = star_algebra._closure_defects(flat, [8], tol, left=seed)
+    while worst > tol and rounds < 64:
+        flat, _ = star_algebra._extend_basis(flat, offenders, tol)
+        rounds += 1
+        worst, offenders = star_algebra._closure_defects(flat, [8], tol, left=seed)
+    assert worst <= tol and rounds >= 2
+    space, _, _ = oracles.dense_star_closure(gens)
+    assert subspaces.equals(subspaces.OperatorSubspace(flat, 8, orthonormal=True), space)
