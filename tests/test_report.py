@@ -37,6 +37,11 @@ def pati_salam_report():
     return report.run_all(parse_config_file(CONFIG_DIR / "pati_salam.cfg"))
 
 
+@pytest.fixture(scope="module")
+def degenerate_report():
+    return report.run_all(parse_config_file(CONFIG_DIR / "degenerate.cfg"))
+
+
 def _statuses(rep):
     return {rec.name: rec.status for rec in rep.checks}
 
@@ -82,10 +87,13 @@ def test_residuals_finite(thm2_report, original_cc_report, pati_salam_report):
                 assert value == value and abs(value) < float("inf")
 
 
-def test_golden_reports(thm2_report, original_cc_report, pati_salam_report):
-    for rep, name in ((thm2_report, "thm2"),
+def test_golden_reports(thm1_report, thm2_report, original_cc_report,
+                        pati_salam_report, degenerate_report):
+    for rep, name in ((thm1_report, "thm1"),
+                      (thm2_report, "thm2"),
                       (original_cc_report, "original_cc"),
-                      (pati_salam_report, "pati_salam")):
+                      (pati_salam_report, "pati_salam"),
+                      (degenerate_report, "degenerate")):
         golden = (CONFIG_DIR / f"{name}.golden.json").read_text()
         assert report.render_json(rep, normalize_timing=True) == golden
 
@@ -259,8 +267,8 @@ def test_text_rendering(thm2_report):
     assert "tolerance" in text
 
 
-def test_degenerate_config_matches_manifest():
-    rep = report.run_all(parse_config_file(CONFIG_DIR / "degenerate.cfg"))
+def test_degenerate_config_matches_manifest(degenerate_report):
+    rep = degenerate_report
     manifest = json.loads((CONFIG_DIR / "degenerate.expect.json").read_text())
     assert report.compare_with_expectations(rep, manifest["checks"]) == []
     assert rep.check("unitalization").dims == {"span": 14, "unitalized": 15}
