@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg, layout
 from .layout import HILBERT_DIM, LEFT_DIM, RIGHT_DIM, left_unit, right_unit
-from .linalg import AntilinearOperator, DEFAULT_TOL, kron_action
+from .linalg import AntilinearOperator, DEFAULT_TOL, TOL_FLOOR, kron_action
 from .triple import FiniteTriple, opposite_generators
 
 ALGEBRA_CHOICES = ("A_F", "B_F", "A_ev")
@@ -85,8 +85,8 @@ class TripleConfig:
             raise ValueError("algebra A_ev only pairs with the standard grading")
         if self.dirac == "custom" and self.custom_matrix is None:
             raise ValueError("dirac kind 'custom' needs a matrix")
-        if not (0 < self.tol < 1):
-            raise ValueError(f"tolerance {self.tol} out of range")
+        if not (TOL_FLOOR <= self.tol < 1):
+            raise ValueError(f"tolerance {self.tol} outside [{TOL_FLOOR:g}, 1)")
 
 
 def quaternion_units():

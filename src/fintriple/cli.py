@@ -22,6 +22,18 @@ from pathlib import Path
 from . import __version__ as _version
 from . import catalog, morita, report, star_algebra, subspaces, triple
 from .config import ConfigError, parse_config_file
+from .linalg import TOL_FLOOR
+
+
+def _tol(text):
+    """argparse type of --tol: a float in [TOL_FLOOR, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (TOL_FLOOR <= value < 1):
+        raise argparse.ArgumentTypeError(f"must be in [{TOL_FLOOR:g}, 1), got {text}")
+    return value
 
 
 def _load_config(path, tol):
@@ -111,7 +123,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run every check and emit a report")
     p_verify.add_argument("config")
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_tol, default=None)
     p_verify.add_argument("--expect", default=None,
                           help="JSON manifest of expected statuses")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
@@ -119,18 +131,18 @@ def build_parser():
 
     p_comm = sub.add_parser("commutant", help="commutant dimensions only")
     p_comm.add_argument("config")
-    p_comm.add_argument("--tol", type=float, default=None)
+    p_comm.add_argument("--tol", type=_tol, default=None)
     p_comm.set_defaults(func=_cmd_commutant)
 
     p_cl = sub.add_parser("clifford", help="Clifford algebra dimensions")
     p_cl.add_argument("config")
     p_cl.add_argument("--even", action="store_true")
-    p_cl.add_argument("--tol", type=float, default=None)
+    p_cl.add_argument("--tol", type=_tol, default=None)
     p_cl.set_defaults(func=_cmd_clifford)
 
     p_ax = sub.add_parser("axioms", help="axiom residuals and sign table")
     p_ax.add_argument("config")
-    p_ax.add_argument("--tol", type=float, default=None)
+    p_ax.add_argument("--tol", type=_tol, default=None)
     p_ax.set_defaults(func=_cmd_axioms)
     return parser
 

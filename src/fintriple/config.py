@@ -16,7 +16,7 @@ The format is a flat key-value file with sections:
     matrix_file = d.json    # only for custom: 32x32 array of [re, im] pairs
 
     [run]
-    tol = 1e-9
+    tol = 1e-9              # 1e-13 <= tol < 1 (linalg.TOL_FLOOR)
 
 An empty or missing [dirac] section selects the zero Dirac operator.  Every
 error carries the offending line number.
@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import DiracParams, TripleConfig
+from .linalg import TOL_FLOOR
 
 _SECTIONS = ("algebra", "grading", "dirac", "run")
 _COMPLEX_KEYS = ("ups_nu", "ups_e", "ups_u", "ups_d", "ups_R", "omega")
@@ -170,8 +171,8 @@ def parse_config(text, base_dir=None):
         if key != "tol":
             raise ConfigError(lineno, f"unknown key {key!r} in [run]")
         tol = _parse_real(lineno, value)
-        if not (0 < tol < 1):
-            raise ConfigError(lineno, f"tol must be in (0, 1), got {value}")
+        if not (TOL_FLOOR <= tol < 1):
+            raise ConfigError(lineno, f"tol must be in [{TOL_FLOOR:g}, 1), got {value}")
 
     try:
         return TripleConfig(

@@ -13,7 +13,10 @@ Rank decisions use one relative rule throughout: a singular value sigma is
 treated as zero when sigma <= tol * max(m, n) * sigma_max
 (singular_value_cut; sigma_max is raised to a known operator norm where the
 system may be pure roundoff), applied to the singular values of an explicit
-constraint matrix and never squared.  The solvers proper live in subspaces
+constraint matrix and never squared.  Those singular values, and the right
+singular vectors that span the kernel, are computed through svd_rows, the
+one thin-SVD kernel of the package; the cut is always taken with the shape
+of the constraint matrix itself.  The solvers proper live in subspaces
 (commutant) and morita (real commutant with the real structure).
 kernel_from_gram and real_null_space are dense Gram-eigenproblem kernels on
 all n^2 (or 2 n^2 real) unknowns, with the threshold squared; nothing in
@@ -26,6 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+#: Smallest accepted tol.  Below it roundoff in the 1024-coordinate
+#: constraint systems reaches the rank cut and verdicts flip (at 1e-14 the
+#: Theorem 2 verdict property_m already reverses); configs and --tol take
+#: tol in [TOL_FLOOR, 1).
+TOL_FLOOR = 1e-13
 
 
 def ensure_operator(x, dim=None):
@@ -144,6 +153,36 @@ def rank_from_singular_values(sigma, shape, tol, scale=0.0):
     return int(np.sum(sigma > singular_value_cut(sigma, shape, tol, scale)))
 
 
+def svd_rows(a):
+    """Singular values and thin Vh of a, with U never formed.
+
+    Returns (sigma, vh), sigma in decreasing order and the rows of vh the
+    right singular vectors, as np.linalg.svd(a, full_matrices=False) would
+    give them (up to the phase of each row).  One fixed shape rule picks
+    the cheapest factorization for an m x n matrix:
+
+    - wide (m < n): the thin SVD of the adjoint a* = U S V*, whose left
+      vectors are the right vectors of a, so vh = U*;
+    - tall (m >= 2n): the R of a QR factorization a = Q R first, then the
+      SVD of the n x n R (Chan's R-SVD, ACM TOMS 8, 1982);
+    - otherwise a direct thin SVD, which beats QR-first on near-square
+      matrices.
+
+    The singular values are those of a to backward error in every branch:
+    the adjoint has the same singular values, and Q has orthonormal
+    columns, so a and R share their singular values and right vectors.
+    Callers take rank cuts with a's own shape, so no rank decision moves.
+    """
+    m, n = a.shape
+    if m < n:
+        u, sigma, _ = np.linalg.svd(a.conj().T, full_matrices=False)
+        return sigma, u.conj().T
+    if m >= 2 * n:
+        a = np.linalg.qr(a, mode="r")
+    _, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    return sigma, vh
+
+
 def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
     """Orthonormal basis (as rows) of the span of the given flat vectors.
 
@@ -166,12 +205,12 @@ def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
     keep = norms > tol * top
     v = v[keep] / norms[keep, None]
     if field == "complex":
-        _, sigma, vh = np.linalg.svd(v, full_matrices=False)
+        sigma, vh = svd_rows(v)
         r = rank_from_singular_values(sigma, v.shape, tol)
         return vh[:r]
     if field == "real":
         w = np.hstack([v.real, v.imag])
-        _, sigma, vh = np.linalg.svd(w, full_matrices=False)
+        sigma, vh = svd_rows(w)
         r = rank_from_singular_values(sigma, w.shape, tol)
         n = v.shape[1]
         return vh[:r, :n] + 1j * vh[:r, n:]

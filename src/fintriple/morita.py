@@ -266,7 +266,7 @@ def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol):
     cols = np.vstack([(b @ k - twisted).reshape(-1, n * n),
                       1j * (b @ k + twisted).reshape(-1, n * n)]).T
     system = np.vstack([cols.real, cols.imag])
-    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+    sigma, vh = linalg.svd_rows(system)
     combos = vh[linalg.rank_from_singular_values(sigma, system.shape, tol):]
     d = comm.dim
     flat = (combos[:, :d] + 1j * combos[:, d:]) @ comm.flat
@@ -283,8 +283,7 @@ def _selfadjoint_subbasis(space, tol):
         cols.append(linalg.vec(m - m.conj().T))
     a = np.array(cols).T  # (n^2, d) complex, columns indexed by basis
     system = np.vstack([a.real, a.imag])
-    # only Vh is read, and the system is at least as tall as wide
-    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+    sigma, vh = linalg.svd_rows(system)
     cut = tol * max(system.shape)
     rank = int(np.sum(sigma > cut))
     combos = vh[rank:]

@@ -98,7 +98,7 @@ def _extend_basis(flat, candidates, tol):
     cand = cand[resid_norms > tol * max(cand.shape)]
     if cand.shape[0] == 0:
         return flat, 0
-    _, sigma, vh = np.linalg.svd(cand, full_matrices=False)
+    sigma, vh = linalg.svd_rows(cand)
     cut = tol * max(cand.shape)
     new_rows = vh[: int(np.sum(sigma > cut))]
     if new_rows.shape[0] == 0:

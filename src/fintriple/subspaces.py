@@ -155,11 +155,11 @@ def intersect(s, t):
         work = np.hstack([outside.real, outside.imag])
     else:
         work = outside
-    # work has at most as many rows as columns, so the thin U is all of U
-    u, sigma, _ = np.linalg.svd(work, full_matrices=False)
+    # the left singular vectors of work are the right ones of its adjoint
+    sigma, vh = linalg.svd_rows(work.conj().T)
     cut = tol * max(work.shape)
     r = int(np.sum(sigma > cut))
-    combos = u[:, r:].conj().T
+    combos = vh[r:]
     if combos.shape[0] == 0:
         return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, field=s.field,
                                 tol=tol, orthonormal=True)
@@ -230,7 +230,7 @@ def _hermitian_elements(flat, n, tol):
     adj = np.conj(flat.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n))
     cols = np.vstack([flat - adj, 1j * (flat + adj)]).T
     system = np.vstack([cols.real, cols.imag])
-    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+    sigma, vh = linalg.svd_rows(system)
     combos = vh[linalg.rank_from_singular_values(sigma, system.shape, tol):]
     return (combos[:, :k] + 1j * combos[:, k:]) @ flat
 
@@ -312,7 +312,7 @@ def commutant(gens, tol=DEFAULT_TOL, n=None):
     n_rows = n * n
     imposed = set()
     while True:
-        _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+        sigma, vh = linalg.svd_rows(system)
         shape = (n_rows, rows.size)
         # h2 and the generators have unit norm, which sets the scale of the
         # system when they are scalar on the blocks and it is pure roundoff

@@ -249,8 +249,14 @@ def decompose_dirac(t, tol=DEFAULT_TOL, algebra_commutant=None, opposite_commuta
     d = np.asarray(t.dirac, dtype=complex)
     b0 = opposite_commutant.flat
     b1 = algebra_commutant.flat
-    stacked = np.vstack([b0, b1])
-    coeffs, *_ = np.linalg.lstsq(stacked.T, linalg.vec(d), rcond=None)
+    # Least squares on R only, Q never formed: the R of [B | vec(d)], B the
+    # n^2 x k matrix of both bases, is [[R, Q* vec(d)], [0, rho]] with B = Q R.
+    # R has the singular values of B, and rcond keeps the cut lstsq would
+    # take on the full n^2-row system.
+    k = b0.shape[0] + b1.shape[0]
+    r = np.linalg.qr(np.vstack([b0, b1, linalg.vec(d)]).T, mode="r")
+    coeffs, *_ = np.linalg.lstsq(r[:k, :k], r[:k, k],
+                                 rcond=np.finfo(float).eps * max(k, n * n))
     d0 = linalg.unvec(coeffs[: b0.shape[0]] @ b0, n, n)
     d1 = linalg.unvec(coeffs[b0.shape[0]:] @ b1, n, n)
     residual = linalg.hs_norm(d - d0 - d1)

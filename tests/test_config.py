@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fintriple.catalog import TripleConfig
 from fintriple.config import ConfigError, parse_config
+from fintriple.linalg import TOL_FLOOR
 
 MINIMAL = """
 [algebra]
@@ -102,6 +104,20 @@ def test_comments_and_tolerance():
     assert cfg.tol == pytest.approx(1e-7)
     with pytest.raises(ConfigError, match="tol"):
         parse_config("[algebra]\nname = A_F\n[run]\ntol = 2.0\n")
+
+
+def test_tolerance_floor_names_its_line():
+    assert parse_config("[algebra]\nname = A_F\n[run]\ntol = 1e-13\n").tol == TOL_FLOOR
+    for value in ("1e-14", "0", "-1", "1", "nan"):
+        text = f"[algebra]\nname = A_F\n\n[run]\ntol = {value}\n"
+        with pytest.raises(ConfigError, match=r"line 5: tol must be in \[1e-13, 1\)"):
+            parse_config(text)
+
+
+def test_triple_config_rejects_tol_below_floor():
+    with pytest.raises(ValueError, match="outside"):
+        TripleConfig(tol=1e-14)
+    assert TripleConfig(tol=TOL_FLOOR).tol == TOL_FLOOR
 
 
 def test_custom_matrix_roundtrip(tmp_path):

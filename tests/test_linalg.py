@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +169,67 @@ def test_operator_validation():
         linalg.ensure_operator(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
         linalg.ensure_operator(np.eye(3), dim=4)
+
+
+def _svd_case(shape, dtype, rank, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(*s):
+        x = rng.standard_normal(s)
+        return x + 1j * rng.standard_normal(s) if dtype is complex else x
+
+    m, n = shape
+    return draw(m, n) if rank is None else draw(m, rank) @ draw(rank, n)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("shape, rank", [
+    ((24, 1024), None),    # wide: SVD of the adjoint
+    ((24, 1024), 3),
+    ((1024, 160), None),   # tall, ratio >= 2: R-only QR first
+    ((1024, 160), 3),
+    ((320, 160), None),    # ratio exactly 2
+    ((165, 160), None),    # near-square: direct SVD
+    ((64, 64), None),
+    ((1, 50), None),
+    ((50, 1), None),
+])
+def test_svd_rows_matches_the_direct_svd(shape, rank, dtype):
+    a = _svd_case(shape, dtype, rank, seed=sum(shape) + (rank or 0))
+    sigma, vh = linalg.svd_rows(a)
+    _, ref_sigma, ref_vh = np.linalg.svd(a, full_matrices=False)
+    k = min(shape)
+    assert sigma.shape == (k,) and vh.shape == (k, shape[1])
+    np.testing.assert_allclose(sigma, np.linalg.svd(a, compute_uv=False),
+                               rtol=0, atol=1e-13 * ref_sigma[0])
+    np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), rtol=0, atol=1e-12)
+    # right singular vectors: a vh* has orthogonal columns of norms sigma
+    av = a @ vh.conj().T
+    np.testing.assert_allclose(av.conj().T @ av, np.diag(sigma ** 2),
+                               rtol=0, atol=1e-12 * ref_sigma[0] ** 2)
+    for tol in (1e-6, 1e-9, 1e-13):
+        r = linalg.rank_from_singular_values(sigma, a.shape, tol)
+        assert r == linalg.rank_from_singular_values(ref_sigma, a.shape, tol)
+        assert r == (rank or k)
+    # the leading r rows span the row space of the direct SVD's: the
+    # projector difference is the part of vh[:r] outside that span
+    r = rank or k
+    outside = vh[:r] - (vh[:r] @ ref_vh[:r].conj().T) @ ref_vh[:r]
+    assert np.linalg.norm(outside, 2) <= 1e-12
+
+
+def test_thin_svd_only_inside_svd_rows_and_complement():
+    # every rank decision's SVD goes through the one kernel, linalg.svd_rows;
+    # subspaces.complement reads the full Vh, which svd_rows does not form
+    package = Path(linalg.__file__).resolve().parent
+    owners = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Attribute) and node.attr == "svd")
+                    or (isinstance(node, ast.alias) and node.name.endswith("svd"))):
+                inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                name = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
+                owners.add(f"{path.stem}.{name}")
+    assert owners == {"linalg.svd_rows", "subspaces.complement"}

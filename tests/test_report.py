@@ -329,6 +329,22 @@ def test_cli_tol_override(capsys):
     assert "112" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["verify", "commutant", "clifford", "axioms"])
+@pytest.mark.parametrize("tol", ["1e-15", "0", "-1", "2", "nan", "x"])
+def test_cli_tol_outside_range_is_a_usage_error(command, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(CONFIG_DIR / "thm2.cfg"), "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--tol" in err and "Traceback" not in err
+
+
+def test_cli_tol_at_floor_matches_manifest(tmp_path):
+    assert cli.main(["verify", str(CONFIG_DIR / "thm2.cfg"), "--tol", "1e-13",
+                     "--expect", str(CONFIG_DIR / "thm2.expect.json"),
+                     "--out", str(tmp_path / "r.txt")]) == 0
+
+
 def test_cli_subprocess_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "fintriple.cli", "axioms",
