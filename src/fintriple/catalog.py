@@ -10,7 +10,7 @@ by the obstruction and irreducibility arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -477,7 +477,3 @@ def witness_catalog(params=FIXTURE_PARAMS):
                 "xi": xi, "eta": eta, "zeta": zeta})
     return cat
 
-
-def with_params(config, **updates):
-    """Copy of a config with some Dirac coefficients replaced."""
-    return replace(config, params=replace(config.params, **updates))

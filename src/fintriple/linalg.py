@@ -59,6 +59,19 @@ def unvec(v, rows, cols):
     return np.asarray(v, dtype=complex).reshape((rows, cols), order="F")
 
 
+def product_rows(left, right):
+    """vec rows of every product a @ b, a over left and b over right.
+
+    left is a (s, n, n) stack and right a (d, n, n) stack; row i * d + j is
+    vec(left[i] @ right[j]).  All s * d products come from one stacked GEMM.
+    """
+    s, n, _ = left.shape
+    d = right.shape[0]
+    prod = left.reshape(s * n, n) @ right.transpose(1, 0, 2).reshape(n, d * n)
+    # vec is the column-major flattening, i.e. C-order of the transpose.
+    return prod.reshape(s, n, d, n).transpose(0, 2, 3, 1).reshape(s * d, n * n)
+
+
 def kron_action(a, b):
     """Operator sending vec(V) to vec(a V b) for V of shape (a.rows, b.rows).
 

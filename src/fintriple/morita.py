@@ -61,19 +61,22 @@ def one_forms(t, tol=DEFAULT_TOL):
     a two-sided module over the algebra by the Leibniz identity, which the
     test-suite verifies rather than assumes.
     """
-    basis = algebra_span(t, tol=tol).basis_matrices()
-    if not basis:
+    basis = np.array(algebra_span(t, tol=tol).basis_matrices()).reshape(-1, t.n, t.n)
+    if not len(basis):
         return subspaces.span_of([], field="complex", tol=tol, n=t.n)
     d = np.asarray(t.dirac, dtype=complex)
-    commutators = [d @ b - b @ d for b in basis]
-    products = [a @ c for a in basis for c in commutators]
-    return subspaces.span_of(products, field="complex", tol=tol, n=t.n)
+    products = linalg.product_rows(basis, d @ basis - basis @ d)
+    return OperatorSubspace(products, t.n, field="complex", tol=tol)
 
 
-def clifford(t, even=False, tol=DEFAULT_TOL, one_form_space=None):
+def clifford(t, even=False, tol=DEFAULT_TOL, one_form_space=None, within=None):
     """The *-algebra generated by the algebra and its one-forms.
 
     even=True additionally adjoins the grading; it requires an even triple.
+    within, when given, is a complex space known to contain the closure's
+    commutant, which star_algebra.star_closure then solves inside it: the
+    algebra commutant A' for either closure (the closure contains A), or
+    the odd closure's commutant for the even one (which adds the grading).
     """
     if even and t.grading is None:
         raise ValueError("even Clifford algebra requires a grading")
@@ -83,7 +86,7 @@ def clifford(t, even=False, tol=DEFAULT_TOL, one_form_space=None):
     gens += one_form_space.basis_matrices()
     if even:
         gens.append(np.asarray(t.grading, dtype=complex))
-    return star_algebra.star_closure(gens, tol=tol)
+    return star_algebra.star_closure(gens, tol=tol, within=within)
 
 
 @dataclass(frozen=True)
@@ -243,12 +246,13 @@ class IrreducibilityVerdict:
     witness: np.ndarray | None
 
 
-def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol):
+def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol, within=None):
     """Real space of X commuting with gens, extra_ops and J (X K = K conj(X)).
 
     The complex commutant of gens plus the normalized extra_ops is solved
-    first; with X = sum (a_j + i b_j) B_j over its orthonormal basis B, the
-    condition on J is the real 2n^2 x 2d system
+    first, inside within when given (a complex space known to contain it,
+    such as the commutant of gens); with X = sum (a_j + i b_j) B_j over its
+    orthonormal basis B, the condition on J is the real 2n^2 x 2d system
     sum a_j (B_j K - K conj(B_j)) + b_j i (B_j K + K conj(B_j)) = 0, whose
     kernel is read off a thin SVD.  The map (a, b) -> X is an isometry onto
     Re <., .>, so the orthonormal kernel gives an orthonormal real basis.
@@ -259,7 +263,7 @@ def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol):
         nrm = linalg.hs_norm(op)
         if nrm > 0.0:
             mats.append(op / nrm)
-    comm = subspaces.commutant(mats, tol=tol, n=n)
+    comm = subspaces.commutant(mats, tol=tol, n=n, within=within)
     b = np.array(comm.basis_matrices()).reshape(-1, n, n)
     k = np.asarray(k_matrix, dtype=complex)
     twisted = k @ b.conj()
@@ -327,28 +331,33 @@ def _reducing_projection(herm, n, tol, cluster_gap):
     return vecs[:, :split] @ vecs[:, :split].conj().T
 
 
-def irreducible(t, tol=DEFAULT_TOL, cluster_gap=1e-6):
+def irreducible(t, tol=DEFAULT_TOL, cluster_gap=1e-6, algebra_commutant=None):
     """Projection-based irreducibility of the full triple data.
 
     Computes the real commutant with the real-structure constraint, then its
-    Hermitian part.  If the Hermitian part is larger than the span of the
-    identity, a non-scalar self-adjoint element is spectrally decomposed and
-    the eigenprojection onto its lowest eigenvalue cluster (gap threshold
-    cluster_gap) is returned as an explicit reducing projection.  The element
-    is chosen canonically (see _reducing_projection): the projection of the
-    first diagonal matrix unit E_kk onto the Hermitian part, less its
-    identity component, so the lowest cluster is the side that excludes that
-    unit's slot.  When the Hermitian part is spanned by 1 and a projection P
-    containing slot 0 (the lepton projection of the Dirac family without
-    lepton-quark mixing, the chirality projection of Pati-Salam without
-    Dirac data), the witness is 1 - P.
+    Hermitian part.  Its complex part, the commutant of the algebra, the
+    Dirac operator and the grading, is solved inside algebra_commutant, the
+    commutant of the algebra, when a caller passes it in to avoid
+    recomputation, and from scratch otherwise.  If the Hermitian part is
+    larger than the span of the identity, a non-scalar self-adjoint element
+    is spectrally decomposed and the eigenprojection onto its lowest
+    eigenvalue cluster (gap threshold cluster_gap) is returned as an
+    explicit reducing projection.  The element is chosen canonically (see
+    _reducing_projection): the projection of the first diagonal matrix unit
+    E_kk onto the Hermitian part, less its identity component, so the lowest
+    cluster is the side that excludes that unit's slot.  When the Hermitian
+    part is spanned by 1 and a projection P containing slot 0 (the lepton
+    projection of the Dirac family without lepton-quark mixing, the
+    chirality projection of Pati-Salam without Dirac data), the witness is
+    1 - P.
     """
     n = t.n
     extra = [t.dirac]
     if t.grading is not None:
         extra.append(t.grading)
     comm = _real_commutant_with_j(t.algebra_gens, extra,
-                                  t.real_structure.matrix, n, tol)
+                                  t.real_structure.matrix, n, tol,
+                                  within=algebra_commutant)
     herm = _selfadjoint_subbasis(comm, tol)
     sa_dim = len(herm)
     projection = None if sa_dim <= 1 else _reducing_projection(herm, n, tol, cluster_gap)

@@ -155,10 +155,11 @@ def _bimodule_span(gens, alg_basis, tol):
     reach its SVD as from the list of all products, which is never held.
     """
     n = gens[0].shape[0]
+    basis = np.array(alg_basis).reshape(-1, n, n)
     kept = []
     top = 0.0
     for g in gens:
-        rows = np.array([linalg.vec(a @ g @ b) for a in alg_basis for b in alg_basis])
+        rows = linalg.product_rows(basis @ g, basis)
         norms = np.linalg.norm(rows, axis=1)
         top = max(top, float(norms.max()))
         kept.append(rows[norms > tol * top])
@@ -199,7 +200,8 @@ def run_all(cfg):
 
     def commutant_dimensions(rec):
         alg_comm = subspaces.commutant(t.algebra_gens, tol=tol)
-        opp_comm = subspaces.commutant(t.opposite_gens, tol=tol)
+        # the opposite generators are J a J^{-1}, so their commutant is J A' J^{-1}
+        opp_comm = subspaces.conjugated(alg_comm, t.real_structure)
         opp_span = morita.opposite_span(t, tol=tol, unitalized=True)
         # adjoining 1 leaves the commutant of the opposite generators as it is
         center = star_algebra.center(
@@ -323,7 +325,8 @@ def run_all(cfg):
     else:
         def clifford_odd(rec):
             cl = morita.clifford(t, even=False, tol=tol,
-                                 one_form_space=cache.get("one_forms"))
+                                 one_form_space=cache.get("one_forms"),
+                                 within=cache.get("algebra_commutant"))
             cache["clifford_odd"] = cl
             rec.dims["clifford_odd"] = cl.dim
             rec.residuals["closure_defect"] = cl.defect
@@ -335,12 +338,14 @@ def run_all(cfg):
             runner.skip("clifford_even", "odd triple")
         else:
             def clifford_even(rec):
+                odd = cache.get("clifford_odd")
+                # the even closure adds the grading, so its commutant lies in the odd one's
                 cl = morita.clifford(t, even=True, tol=tol,
-                                     one_form_space=cache.get("one_forms"))
+                                     one_form_space=cache.get("one_forms"),
+                                     within=None if odd is None else odd.commutant)
                 cache["clifford_even"] = cl
                 rec.dims["clifford_even"] = cl.dim
-                odd = cache.get("clifford_odd")
-                contained = all(cl.contains(b) for b in odd.basis_matrices())
+                contained = cl.space.contains_all(odd.basis_matrices())
                 rec.details = f"odd contained in even: {contained}"
                 rec.status = PASS if contained else FAIL
 
@@ -416,7 +421,8 @@ def run_all(cfg):
         runner.run("zero_chain_obstruction", zero_chain_obstruction)
 
     def irreducibility(rec):
-        verdict = morita.irreducible(t, tol=tol)
+        verdict = morita.irreducible(t, tol=tol,
+                                     algebra_commutant=cache.get("algebra_commutant"))
         rec.dims["real_commutant"] = verdict.commutant_dim_real
         rec.dims["selfadjoint_part"] = verdict.selfadjoint_dim
         if verdict.witness is not None:

@@ -44,7 +44,7 @@ _CLOSURE_SEED = 0x5CA1AB1E
 #: the closure; separate from the growth stream, so that a single block
 #: leaves the growth draws as they are in full coordinates.
 _BLOCK_SEED = 0xB10C
-_PRODUCT_CHUNK = 2048
+_PRODUCT_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,6 @@ def _extend_basis(flat, candidates, tol):
     return merged, merged.shape[0] - flat.shape[0]
 
 
-def _pairwise_product_rows(mats_left, mats_right, n):
-    """vec rows of every product a @ b, via one stacked GEMM."""
-    s = mats_left.shape[0]
-    d = mats_right.shape[0]
-    left = mats_left.reshape(s * n, n)
-    right = mats_right.transpose(1, 0, 2).reshape(n, d * n)
-    prod = (left @ right).reshape(s, n, d, n)
-    # vec is the column-major flattening, i.e. C-order of the transpose.
-    return prod.transpose(0, 2, 3, 1).reshape(s * d, n * n)
-
-
 def _block_matrices(rows, sizes):
     """Per block, the (k, s, s) matrices of rows in block coordinates.
 
@@ -167,8 +156,8 @@ def _closure_defects(flat, sizes, tol, left=None):
     adj_rows = np.conj(flat[:, _adjoint_permutation(sizes)])
     step = max(1, _PRODUCT_CHUNK // max(d, 1))
     # one chunk of products alive at a time, not all of them
-    products = (np.hstack([_pairwise_product_rows(a[start:start + step], b, s)
-                           for a, b, s in zip(lefts, mats, sizes)])
+    products = (np.hstack([linalg.product_rows(a[start:start + step], b)
+                           for a, b in zip(lefts, mats)])
                 for start in range(0, lefts[0].shape[0], step))
     for rows in itertools.chain(head, [adj_rows], products):
         resid = rows - (rows @ flat.conj().T) @ flat
@@ -218,20 +207,23 @@ def _merge_clusters(local, clusters, tol):
     return merged, float(off_block)
 
 
-def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
+def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED, within=None):
     """Smallest complex *-algebra containing the generators.
 
     The generators and their adjoints are span-reduced to a seed, whose
-    commutant C is solved first (subspaces.commutant).  A random Hermitian
-    k in C (the Hermitian part of a random combination of C's basis; C is
-    *-closed because the seed is) is diagonalized with the cluster rule of
-    the commutant solver.  The seed is measured in k's eigenbasis, and while
-    a seed entry outside the blocks exceeds tol, the two clusters it joins
-    are merged.  Merging is sound without trusting C: a set block-diagonal
-    in a partition generates a *-algebra block-diagonal in it, so the whole
-    closure lives in the m = sum s_c^2 block coordinates, up to the off-block
-    seed remainder left after merging (at worst one block, m = n^2, and then
-    the coordinates are plain vec).
+    commutant C is solved first, inside within when given
+    (subspaces.commutant): a complex space known to contain C, such as the
+    commutant of a subset of the generators.  A random Hermitian k in C (the
+    Hermitian part of a random combination of C's basis; C is *-closed
+    because the seed is) is diagonalized with the cluster rule of the
+    commutant solver, the finest of subspaces.BLOCK_DRAWS draws, so that the
+    block coordinates do not depend on C's basis.  The seed is measured in
+    k's eigenbasis, and while a seed entry outside the blocks exceeds tol,
+    the two clusters it joins are merged.  Merging is sound without
+    trusting C: a set block-diagonal in a partition generates a *-algebra
+    block-diagonal in it, so the whole closure lives in the m = sum s_c^2
+    block coordinates, up to the off-block seed remainder left after merging
+    (at worst one block, m = n^2, and then the coordinates are plain vec).
 
     On those coordinates the randomized growth phase multiplies random
     elements of the span until the dimension stabilizes; one deterministic
@@ -252,12 +244,15 @@ def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
     seed_rows = [linalg.vec(g) for g in gens] + [linalg.vec(g.conj().T) for g in gens]
     seed = linalg.orthonormal_rows(np.array(seed_rows), tol=tol)
     seed_mats = seed.reshape(-1, n, n).transpose(0, 2, 1)
-    comm = subspaces.commutant(seed_mats, tol=tol, n=n)
+    comm = subspaces.commutant(seed_mats, tol=tol, n=n, within=within)
 
     block_rng = np.random.default_rng(_BLOCK_SEED)
-    c = block_rng.standard_normal(comm.dim) + 1j * block_rng.standard_normal(comm.dim)
-    x = linalg.unvec(c @ comm.flat, n, n)
-    u, clusters = subspaces._eigenblocks(0.5 * (x + x.conj().T), n, tol)
+    draws = []
+    for _ in range(subspaces.BLOCK_DRAWS):
+        c = block_rng.standard_normal(comm.dim) + 1j * block_rng.standard_normal(comm.dim)
+        x = linalg.unvec(c @ comm.flat, n, n)
+        draws.append(0.5 * (x + x.conj().T))
+    u, clusters = subspaces._finest_eigenblocks(np.array(draws), tol)
     local = u.conj().T @ seed_mats @ u
     clusters, off_block = _merge_clusters(local, clusters, tol)
     sizes = [len(block) for block in clusters]

@@ -6,14 +6,19 @@ constraints; the basis matrices are still complex, orthonormal for the real
 part of the HS inner product).  Sum, intersection, complement, membership and
 commutant all reduce subspace questions to the single rank rule in linalg.
 
-commutant is an eigenblock solver (block-diagonalization of a matrix
-*-algebra by a generic element, Murota, Kanno, Kojima and Kojima, Japan J.
-Indust. Appl. Math. 27 (2010)).  It is sound because it imposes only
-constraints that every commutant element satisfies, so its solution space
-contains the commutant, and a certificate against every generator then
-proves the reverse inclusion.  No n^2 x n^2 matrix is formed.
-commutator_gram is the dense Gram operator of the same problem, kept as a
-test oracle.
+commutant(gens, within=W) solves W ∩ gens' inside a space W known to
+contain it, by one loop: a thin SVD over the coordinates of W, then a
+certificate that tests the solutions against every generator.  Without W
+it solves inside the eigenblocks of a generic element of the generators'
+span (block-diagonalization of a matrix *-algebra by a generic element,
+Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
+It is sound because it imposes only constraints that every element of the
+answer satisfies, so its solution space contains the answer, and the
+certificate proves the reverse inclusion.  Solving inside a commutant
+already certified (the commutant of an algebra for that of a larger one)
+leaves fewer coordinates; conjugated carries a commutant over to the
+opposite algebra with nothing solved.  commutator_gram is the dense Gram
+operator of the same problem, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ from .linalg import DEFAULT_TOL
 #: Seed of the random elements h1, h2 of the commutant solver, fixed per call
 #: so that the result never depends on call order.
 _COMMUTANT_SEED = 0xC0C0A1D
+
+#: Seeded draws of the generic Hermitian element whose eigenblocks carry a
+#: solve (h1 here, k in star_algebra.star_closure); the finest partition
+#: among them is kept (_finest_eigenblocks).
+BLOCK_DRAWS = 4
 
 #: Smallest relative eigenvalue gap kept between two eigenblocks.  The
 #: computed eigenbasis of a block is off by about eps * ||h|| / gap, so this
@@ -96,14 +106,17 @@ class OperatorSubspace:
 
     def contains(self, x, tol=None):
         """True iff ||x - P(x)|| <= tol * ||x||; the zero operator is always in."""
-        tol = self.tol if tol is None else tol
-        nrm = linalg.hs_norm(x)
-        if nrm == 0.0:
-            return True
-        return self.residual(x) <= tol * nrm
+        return self.contains_all([x], tol=tol)
 
     def contains_all(self, mats, tol=None):
-        return all(self.contains(m, tol=tol) for m in mats)
+        """contains for every operator, all projected by one GEMM."""
+        tol = self.tol if tol is None else tol
+        rows = np.array([linalg.vec(m) for m in mats]).reshape(-1, self.ambient_dim)
+        coeff = rows @ self.flat.conj().T
+        if self.field == "real":
+            coeff = coeff.real
+        resid = np.linalg.norm(rows - coeff @ self.flat, axis=1)
+        return bool(np.all(resid <= tol * np.linalg.norm(rows, axis=1)))
 
     def __repr__(self):
         return f"OperatorSubspace(dim={self.dim}, n={self.n}, field={self.field!r})"
@@ -261,81 +274,134 @@ def _block_entries(clusters):
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _commutator_columns(h, rows, cols, n):
-    """n^2 x m matrix whose column j is vec([E_j, h]), E_j the unit at (rows_j, cols_j)."""
-    out = np.zeros((n * n, rows.size), dtype=complex)
-    idx = np.arange(n)[:, None]
-    j = np.arange(rows.size)
-    out[rows + n * idx, j] = h[cols, :].T   # E_ab h puts row b of h in row a
-    out[idx + n * cols, j] -= h[:, rows]    # h E_ab puts column a of h in column b
-    return out
+def _finest_eigenblocks(hermitians, tol):
+    """_eigenblocks of the draw with the finest partition.
+
+    hermitians is a (draws, n, n) stack of Hermitian matrices.  A generic
+    draw splits the space as finely as its algebra allows, but an
+    unlucky one merges clusters, and the solve then runs in more block
+    coordinates.  The draw leaving the fewest, sum s_c^2, wins; the first
+    one on ties.
+    """
+    draws = [_eigenblocks(h, h.shape[0], tol) for h in hermitians]
+    return min(draws, key=lambda draw: sum(len(block) ** 2 for block in draw[1]))
 
 
-def commutant(gens, tol=DEFAULT_TOL, n=None):
-    """All X with [X, g] = 0 for every generator, as a complex subspace.
+def _eigenblock_basis(reduced, n, tol, rng):
+    """Orthonormal rows of the matrix units u E_ab u* over the eigenblocks of h1.
 
-    Eigenblock solver with a certificate.  The generators are span-reduced
-    to an orthonormal set G.  A random Hermitian element h1 of span(G) is
-    diagonalized, and X is sought block-diagonal in its eigenbasis (clusters
-    closer than max(tol * n, _MIN_GAP) * ||h1|| merged); [X, h2] = 0 is then
-    imposed for a random element h2 of span(G) by a thin SVD over the block
-    entries.  Both steps impose only conditions that every commutant element
-    satisfies, since h1 and h2 lie in span(G), so the solution space
-    contains the commutant.  The certificate proves the reverse inclusion:
-    every basis element is tested against every g in G at the cut of the
-    last rank decision, each failing generator's exact constraint is
-    appended and the system re-solved, until a sweep is clean.  Random draws
-    come from a fixed seed per call.  No n^2 x n^2 matrix is formed, and
-    every rank decision is linalg.rank_from_singular_values on singular
-    values.  Raises RuntimeError when a generator already imposed still
-    fails the sweep.
+    h1 is a random Hermitian element of the span of the reduced generators,
+    the finest of BLOCK_DRAWS draws.  Every element of their commutant
+    commutes with h1, so it lies in this space.  None stands for one block,
+    all of M_n.
+    """
+    herm = _hermitian_elements(reduced, n, tol)
+    draws = (rng.standard_normal((BLOCK_DRAWS, herm.shape[0])) @ herm).reshape(-1, n, n)
+    u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
+    if len(clusters) == 1:
+        return None
+    rows, cols = _block_entries(clusters)
+    return np.einsum("pj,qj->jpq", u[:, rows], u[:, cols].conj()).reshape(-1, n * n)
+
+
+def _commutator_rows(basis, g):
+    """Row j is [B_j, g] flattened row-major, B_j row j of basis reshaped row-major.
+
+    basis None stands for the units of all of M_n; the rows are then
+    1 (x) g - g^T (x) 1, a single n^2 x n^2 array.
+    """
+    n = g.shape[0]
+    if basis is None:
+        rows = np.kron(-g.T, np.eye(n))
+        blocks = rows.reshape(n, n, n, n)
+        for p in range(n):
+            blocks[p, :, p, :] += g
+        return rows
+    b = basis.reshape(-1, n, n)
+    prod = (b.reshape(-1, n) @ g).reshape(b.shape)
+    prod -= g @ b
+    return prod.reshape(-1, n * n)
+
+
+def commutant(gens, tol=DEFAULT_TOL, n=None, within=None):
+    """within ∩ gens': the X in within commuting with every generator.
+
+    within must be a complex space known to contain the answer, such as a
+    commutant already certified for part of the generators.  None stands
+    for the eigenblock space of a random Hermitian element h1 of the
+    generators' span (_eigenblock_basis), which holds their whole commutant.
+    One loop serves both.  The generators are span-reduced to an
+    orthonormal set G, and X = sum z_j W_j runs over the orthonormal basis W
+    of the space.  [X, h2] = 0 is imposed for a random element h2 of span(G)
+    by a thin SVD of the commutators [W_j, h2].  The certificate tests every
+    solution matrix against every g in G at the cut of the last rank
+    decision; the exact constraints of the failing generators are appended
+    and the system re-solved, until a sweep is clean.  Each step imposes
+    only conditions that every element of within ∩ gens' satisfies, so the
+    solution space contains it, and the certificate proves the reverse
+    inclusion.  Random draws come from a fixed seed per call.  Vec rows are
+    read by their row-major reshape, the transpose of the operator, which
+    keeps commutation and copies nothing.  The only n^2 x n^2 array is the
+    system of a single block, and every rank decision is
+    linalg.rank_from_singular_values on singular values.  Raises
+    RuntimeError when a generator already imposed still fails the sweep.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if gens:
         n = gens[0].shape[0]
+    elif within is not None:
+        n = within.n
     elif n is None:
         raise ValueError("empty generator list needs an explicit ambient n")
+    if within is not None and (within.n != n or within.field != "complex"):
+        raise FieldMismatchError("within must be a complex space of the generators' size")
     reduced = linalg.orthonormal_rows(
         np.array([linalg.vec(g) for g in gens]).reshape(-1, n * n), tol=tol)
-    if reduced.shape[0] == 0:
-        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
+    if reduced.shape[0] == 0 or (within is not None and within.dim == 0):
+        flat = np.eye(n * n, dtype=complex) if within is None else within.flat
+        return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
     rng = np.random.default_rng(_COMMUTANT_SEED)
-    herm = _hermitian_elements(reduced, n, tol)
-    h1 = linalg.unvec(rng.standard_normal(herm.shape[0]) @ herm, n, n)
-    u, clusters = _eigenblocks(0.5 * (h1 + h1.conj().T), n, tol)
-    rows, cols = _block_entries(clusters)
-    # generators in the eigenbasis of h1
-    local = u.conj().T @ reduced.reshape(-1, n, n).transpose(0, 2, 1) @ u
+    basis = _eigenblock_basis(reduced, n, tol, rng) if within is None else within.flat
+    local = reduced.reshape(-1, n, n)
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
-    h2 = np.tensordot(c / np.linalg.norm(c), local, axes=1)
-    system = _commutator_columns(h2, rows, cols, n)
+    system = _commutator_rows(basis, np.tensordot(c / np.linalg.norm(c), local, axes=1)).T
     n_rows = n * n
     imposed = set()
     while True:
         sigma, vh = linalg.svd_rows(system)
-        shape = (n_rows, rows.size)
+        shape = (n_rows, system.shape[1])
         # h2 and the generators have unit norm, which sets the scale of the
-        # system when they are scalar on the blocks and it is pure roundoff
+        # system when they are scalar on the space and it is pure roundoff
         cut = linalg.singular_value_cut(sigma, shape, tol, scale=1.0)
         z = vh[linalg.rank_from_singular_values(sigma, shape, tol, scale=1.0):].conj()
-        # diag(sigma) Vh keeps the singular values and right vectors of the
-        # system; each failing generator's exact constraint is folded in by QR
-        system = sigma[:, None] * vh
-        failing = set()
-        for i, g in enumerate(local):
-            exact = _commutator_columns(g, rows, cols, n)
-            if np.linalg.norm(exact @ z.T, axis=0).max(initial=0.0) > cut:
-                failing.add(i)
-                system = np.linalg.qr(np.vstack([system, exact]), mode="r")
+        x = z if basis is None else z @ basis
+        failing = {i for i, g in enumerate(local)
+                   if np.linalg.norm(_commutator_rows(x, g), axis=1).max(initial=0.0) > cut}
         if not failing:
             break
         if failing & imposed:
             raise RuntimeError("commutant certificate did not close: an imposed "
                                "generator still fails at the rank cut")
+        # diag(sigma) Vh keeps the singular values and right vectors of the
+        # system; the failing generators' exact constraints are folded in by QR
+        exact = [_commutator_rows(basis, local[i]).T for i in sorted(failing)]
+        system = np.linalg.qr(np.vstack([sigma[:, None] * vh] + exact), mode="r")
         n_rows += n * n * len(failing)
         imposed |= failing
-    blocks = np.zeros((z.shape[0], n, n), dtype=complex)
-    blocks[:, rows, cols] = z
-    mats = u @ blocks @ u.conj().T
-    flat = mats.transpose(0, 2, 1).reshape(-1, n * n)
-    return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+    return OperatorSubspace(x, n, tol=tol, orthonormal=True)
+
+
+def conjugated(space, real_structure):
+    """J S J^{-1} for a complex space S and the antiunitary J = K conj.
+
+    X -> K conj(X) K^T is antilinear and keeps the HS norm, so it maps the
+    orthonormal basis of S onto one of the image, and complex spans onto
+    complex spans; nothing is solved.  For the opposite algebra
+    A° = J A J^{-1}, the image of A' is (A°)'.
+    """
+    n = space.n
+    k = real_structure.matrix
+    # on row-major reshapes (transposes) the map reads the same
+    mats = k @ space.flat.conj().reshape(-1, n, n) @ k.T
+    return OperatorSubspace(mats.reshape(-1, n * n), n, field=space.field,
+                            tol=space.tol, orthonormal=True)

@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fintriple import catalog, morita, subspaces
+from fintriple.config import parse_config_file
+
+#: The shipped configs, each with an --expect manifest and a golden report.
+CONFIG_NAMES = ("thm1", "thm2", "original_cc", "pati_salam", "degenerate")
 
 #: Fixed nonzero coefficient draw used by most example tests; satisfies the
 #: separation hypotheses (ups_nu != +-ups_u by a wide margin).
@@ -28,6 +34,12 @@ def draw_params(rng, with_gamma=False, **overrides):
         sep = abs(values["ups_nu"] ** 2 - values["ups_u"] ** 2)
         if sep >= 0.3:
             return catalog.DiracParams(**values)
+
+
+def config_triple(name):
+    """Parsed shipped config and the triple it builds."""
+    cfg = parse_config_file(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg")
+    return cfg, catalog.build_triple(cfg)
 
 
 @pytest.fixture(scope="session")

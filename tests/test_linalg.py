@@ -233,3 +233,13 @@ def test_thin_svd_only_inside_svd_rows_and_complement():
                 name = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
                 owners.add(f"{path.stem}.{name}")
     assert owners == {"linalg.svd_rows", "subspaces.complement"}
+
+
+def test_product_rows_lists_every_product_left_major():
+    rng = np.random.default_rng(9)
+    left = _rand_complex(rng, 3, 5, 5)
+    right = _rand_complex(rng, 4, 5, 5)
+    rows = linalg.product_rows(left, right)
+    expected = np.array([linalg.vec(a @ b) for a in left for b in right])
+    assert rows.shape == (12, 25)
+    assert np.allclose(rows, expected, atol=1e-13)

@@ -4,7 +4,7 @@ import pytest
 from fintriple import catalog, linalg, morita, report, star_algebra, subspaces, triple
 
 import oracles
-from conftest import BASE
+from conftest import BASE, CONFIG_NAMES, config_triple, draw_params
 
 
 def _bimodule(gens, alg_basis):
@@ -446,3 +446,57 @@ def test_real_commutant_with_j_matches_dense_oracle(name, request):
     assert fast.field == dense.field == "real"
     assert fast.dim == dense.dim
     assert subspaces.equals(fast, dense)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_restricted_commutants_equal_the_solves_from_scratch(name):
+    # the odd Clifford commutant inside A', the even one inside the odd
+    # one, the irreducibility commutant inside A'
+    cfg, t = config_triple(name)
+    tol = cfg.tol
+    alg = subspaces.commutant(t.algebra_gens, tol=tol)
+    gens = morita.algebra_span(t, tol=tol).basis_matrices()
+    gens += morita.one_forms(t, tol=tol).basis_matrices()
+    gens += [g.conj().T for g in gens]
+    odd = subspaces.commutant(gens, tol=tol, within=alg)
+    assert subspaces.equals(odd, subspaces.commutant(gens, tol=tol))
+    if t.grading is not None:
+        gens.append(t.grading)
+        even = subspaces.commutant(gens, tol=tol, within=odd)
+        assert subspaces.equals(even, subspaces.commutant(gens, tol=tol))
+    extra = [t.dirac] + ([] if t.grading is None else [t.grading])
+    k = t.real_structure.matrix
+    inside = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol, within=alg)
+    scratch = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol)
+    assert subspaces.equals(inside, scratch)
+    verdict = morita.irreducible(t, tol=tol, algebra_commutant=alg)
+    verdict_scratch = morita.irreducible(t, tol=tol)
+    assert verdict.irreducible == verdict_scratch.irreducible
+    assert verdict.commutant_dim_real == verdict_scratch.commutant_dim_real
+    assert verdict.selfadjoint_dim == verdict_scratch.selfadjoint_dim
+    if verdict.witness is not None:
+        assert np.allclose(verdict.witness, verdict_scratch.witness, atol=1e-9)
+
+
+def test_clifford_closures_run_in_160_block_coordinates(monkeypatch):
+    # the finest of subspaces.BLOCK_DRAWS draws of k; a single draw runs
+    # some of these closures in 192 to 320 coordinates
+    coords = []
+    defects = star_algebra._closure_defects
+
+    def recorded(flat, sizes, tol, left=None):
+        coords.append(flat.shape[1])
+        return defects(flat, sizes, tol, left=left)
+
+    monkeypatch.setattr(star_algebra, "_closure_defects", recorded)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for grading, dirac in (("nonstandard", "CC"), ("none", "CC_plus_Gamma")):
+            t = catalog.build_triple(catalog.TripleConfig(
+                algebra="A_F", grading=grading, dirac=dirac,
+                params=draw_params(rng, with_gamma=dirac == "CC_plus_Gamma")))
+            odd = morita.clifford(t, within=subspaces.commutant(t.algebra_gens))
+            if t.grading is not None:
+                morita.clifford(t, even=True, within=odd.commutant)
+    assert len(coords) >= 24
+    assert set(coords) == {160}

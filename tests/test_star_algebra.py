@@ -258,7 +258,7 @@ def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     # the diagonal matrices are not the commutant, so the eigenblocks of k
     # (single indices) split the 2x2 blocks of the seed; merging must join
     # them and still close onto the true algebra
-    def diagonal(gens, tol=linalg.DEFAULT_TOL, n=None):
+    def diagonal(gens, tol=linalg.DEFAULT_TOL, n=None, within=None):
         flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
         return subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fintriple import catalog, linalg, star_algebra, subspaces
+from fintriple import catalog, linalg, report, star_algebra, subspaces
 
 import oracles
+from conftest import CONFIG_NAMES, config_triple
 
 
 def _rand_complex(rng, *shape):
@@ -195,17 +196,19 @@ def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
             np.block([[np.triu(_rand_complex(rng, 3, 3), 1), zero],
                       [zero, _rand_complex(rng, 3, 3)]]),
             np.block([[zero, zero], [zero, _rand_complex(rng, 3, 3)]])]
-    calls = []
-    columns = subspaces._commutator_columns
+    sizes = []
+    commutators = subspaces._commutator_rows
 
-    def counted(*args):
-        calls.append(1)
-        return columns(*args)
+    def recorded(basis, g):
+        sizes.append(None if basis is None else basis.shape[0])
+        return commutators(basis, g)
 
-    monkeypatch.setattr(subspaces, "_commutator_columns", counted)
+    monkeypatch.setattr(subspaces, "_commutator_rows", recorded)
     comm = subspaces.commutant(gens)
-    # h2, one sweep over the three generators, then the re-solved sweep
-    assert len(calls) > 1 + len(gens)
+    # on the 18 coordinates of the two blocks: the system of h2, then the
+    # exact constraint of a generator failing the sweep (the other calls
+    # test the solutions, 6 and then 4 of them)
+    assert sizes.count(18) > 1
     assert comm.dim == 4
     assert subspaces.equals(comm, oracles.dense_commutant(gens))
     for _ in range(3):
@@ -225,3 +228,86 @@ def test_commutant_of_zero_generators_is_everything():
     comm = subspaces.commutant([np.zeros((3, 3), dtype=complex)])
     assert comm.dim == 9
     assert subspaces.commutant([], n=3).dim == 9
+
+
+def test_contains_all_matches_contains_row_by_row():
+    rng = np.random.default_rng(5)
+    for field in ("complex", "real"):
+        space = subspaces.OperatorSubspace(_rand_complex(rng, 3, 16), 4, field=field)
+        inside = [linalg.unvec(c @ space.flat, 4, 4) for c in rng.standard_normal((3, 3))]
+        outside = _rand_complex(rng, 4, 4)
+        zero = np.zeros((4, 4), dtype=complex)
+        mats = inside + [zero, outside, 1j * inside[0]]
+        for subset in (inside + [zero], mats, mats[-1:], []):
+            assert space.contains_all(subset) == all(space.contains(m) for m in subset)
+        assert space.contains_all(inside + [zero])
+        # the real span does not hold i times its elements
+        assert space.contains_all([1j * inside[0]]) == (field == "complex")
+
+
+def _two_block_algebra(rng):
+    """M2 with multiplicity 2 plus the scalars on C^4, in a random frame of C^8.
+
+    Its commutant is (1_2 (x) M2) + M4, 20-dimensional.
+    """
+    q, _ = np.linalg.qr(_rand_complex(rng, 8, 8))
+    gens = []
+    for unit in np.eye(4).reshape(4, 2, 2):
+        a = np.zeros((8, 8), dtype=complex)
+        a[:4, :4] = np.kron(unit, np.eye(2))
+        gens.append(a)
+    gens.append(np.diag([0.0] * 4 + [1.0] * 4).astype(complex))
+    return q, [q @ g @ q.conj().T for g in gens]
+
+
+def test_commutant_within_is_the_intersection():
+    rng = np.random.default_rng(11)
+    q, gens = _two_block_algebra(rng)
+    dense = oracles.dense_commutant(gens)
+    assert dense.dim == 20
+    diagonal = subspaces.span_of([q @ np.diag(e) @ q.conj().T
+                                  for e in np.eye(8, dtype=complex)])
+    spaces = {
+        "commutant of one generator": oracles.dense_commutant(gens[:1]),
+        "diagonal in the frame": diagonal,
+        "random 30 dimensions": subspaces.OperatorSubspace(_rand_complex(rng, 30, 64), 8),
+    }
+    dims = {}
+    for name, within in spaces.items():
+        got = subspaces.commutant(gens, within=within)
+        assert subspaces.equals(got, subspaces.intersect(within, dense)), name
+        dims[name] = got.dim
+    assert dims == {"commutant of one generator": 20, "diagonal in the frame": 6,
+                    "random 30 dimensions": 0}
+    assert subspaces.commutant([], within=diagonal).dim == 8
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_opposite_commutant_is_the_j_image(name):
+    # the solver without within keeps its dimensions, and the opposite
+    # commutant is J A' J^{-1} for every shipped config
+    cfg, t = config_triple(name)
+    alg = subspaces.commutant(t.algebra_gens, tol=cfg.tol)
+    opp = subspaces.commutant(t.opposite_gens, tol=cfg.tol)
+    expected = report.EXPECTED_COMMUTANT_DIMS[cfg.algebra][:2]
+    assert (alg.dim, opp.dim) == expected
+    image = subspaces.conjugated(alg, t.real_structure)
+    gram = image.flat @ image.flat.conj().T
+    assert np.linalg.norm(gram - np.eye(image.dim)) <= 1e-12
+    assert subspaces.equals(image, opp)
+
+
+def test_finest_eigenblocks_takes_a_later_draw_that_splits_a_cluster():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(_rand_complex(rng, 4, 4))
+    merged = q @ np.diag([1.0, 1.0, 2.0, 3.0]) @ q.conj().T   # clusters 2 + 1 + 1
+    split = q @ np.diag([1.0, 1.5, 2.0, 3.0]) @ q.conj().T    # four clusters
+    u, clusters = subspaces._finest_eigenblocks(np.array([merged, split, merged]), 1e-9)
+    assert [len(block) for block in clusters] == [1, 1, 1, 1]
+    local = u.conj().T @ split @ u
+    assert np.allclose(local, np.diag([1.0, 1.5, 2.0, 3.0]), atol=1e-12)
+    # on ties the first draw wins
+    other = q @ np.diag([3.0, 1.0, 1.0, 2.0]) @ q.conj().T
+    u, clusters = subspaces._finest_eigenblocks(np.array([merged, other]), 1e-9)
+    assert [len(block) for block in clusters] == [2, 1, 1]
+    assert np.allclose(u.conj().T @ merged @ u, np.diag([1.0, 1.0, 2.0, 3.0]), atol=1e-12)
