@@ -10,6 +10,7 @@ by the obstruction and irreducibility arguments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +185,15 @@ def algebra_aev_generators():
     return gens
 
 
+@functools.cache
 def real_structure():
     """Charge conjugation: swap the particle/antiparticle 4x4 blocks and
     Hermitian-transpose each, giving v -> K conj(v) with K a symmetric
-    permutation (so the square is +1)."""
+    permutation (so the square is +1).
+
+    Built on first use and shared afterwards; K is read-only, so no caller
+    can change the shared instance.
+    """
     k = np.zeros((HILBERT_DIM, HILBERT_DIM))
     for r in range(1, LEFT_DIM + 1):
         for c in range(1, RIGHT_DIM + 1):
@@ -196,6 +202,7 @@ def real_structure():
             else:
                 target = layout.slot_index(c, r - 4)
             k[target, layout.slot_index(r, c)] = 1.0
+    k.setflags(write=False)
     return AntilinearOperator(k)
 
 

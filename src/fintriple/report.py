@@ -187,6 +187,16 @@ class _Runner:
     def skip(self, name, reason):
         self.records.append(CheckRecord(name=name, status=SKIPPED, details=reason))
 
+    def status(self, name):
+        return next(r.status for r in self.records if r.name == name)
+
+    def blocked(self, *names):
+        """Skip reason naming the checks among names that raised, or None."""
+        errors = [name for name in names if self.status(name) == ERROR]
+        if not errors:
+            return None
+        return "blocked: " + ", ".join(f"{name} error" for name in errors)
+
 
 def run_all(cfg):
     """Execute every check of the fixed plan and assemble the report."""
@@ -229,7 +239,6 @@ def run_all(cfg):
     def first_order(rec):
         v = triple.first_order_violation(t)
         rec.residuals["violation"] = v
-        cache["first_order_ok"] = v <= tol
         rec.status = PASS if v <= tol else FAIL
 
     runner.run("first_order", first_order)
@@ -260,9 +269,10 @@ def run_all(cfg):
 
         runner.run("grading_axioms", grading_axioms)
 
-    first_ok = cache.get("first_order_ok", False)
+    first_ok = runner.status("first_order") == PASS
     if not first_ok:
-        runner.skip("dirac_decomposition", "first-order condition fails")
+        runner.skip("dirac_decomposition",
+                    runner.blocked("first_order") or "first-order condition fails")
     else:
         def dirac_decomposition(rec):
             dec = triple.decompose_dirac(
@@ -316,12 +326,13 @@ def run_all(cfg):
 
     runner.run("one_forms", one_forms_check)
 
-    zeroth_ok = next(r for r in runner.records if r.name == "zeroth_order").status == PASS
-    orders_ok = first_ok and zeroth_ok
+    orders_ok = first_ok and runner.status("zeroth_order") == PASS
     if not orders_ok:
+        reason = (runner.blocked("zeroth_order", "first_order")
+                  or "order conditions fail")
         for name in ("clifford_odd", "clifford_even", "gamma_in_clifford_odd",
                      "property_m", "property_m_with_grading"):
-            runner.skip(name, "order conditions fail")
+            runner.skip(name, reason)
     else:
         def clifford_odd(rec):
             cl = morita.clifford(t, even=False, tol=tol,

@@ -6,19 +6,23 @@ constraints; the basis matrices are still complex, orthonormal for the real
 part of the HS inner product).  Sum, intersection, complement, membership and
 commutant all reduce subspace questions to the single rank rule in linalg.
 
-commutant(gens, within=W) solves W ∩ gens' inside a space W known to
-contain it, by one loop: a thin SVD over the coordinates of W, then a
-certificate that tests the solutions against every generator.  Without W
-it solves inside the eigenblocks of a generic element of the generators'
+commutant(gens, within=W) solves W ∩ gens' by one loop: a thin SVD over
+the coordinates of a space known to hold the answer, then a certificate
+that tests the solutions against every generator.  That space is the
+smaller of W and the eigenblocks of a generic element of the generators'
 span (block-diagonalization of a matrix *-algebra by a generic element,
 Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
 It is sound because it imposes only constraints that every element of the
 answer satisfies, so its solution space contains the answer, and the
-certificate proves the reverse inclusion.  Solving inside a commutant
-already certified (the commutant of an algebra for that of a larger one)
-leaves fewer coordinates; conjugated carries a commutant over to the
-opposite algebra with nothing solved.  commutator_gram is the dense Gram
-operator of the same problem, kept as a test oracle.
+certificate proves the reverse inclusion.  Generators that are all exactly
+kron(1_q, x) are solved in the q-fold smaller factor, whose commutant
+tensored with M_q is the whole answer; the catalog algebras act through
+M_8 on M_{8x4}(C), so their commutant is solved on 8 x 8 matrices.
+Solving inside a commutant already certified (the commutant of an algebra
+for that of a larger one) leaves fewer coordinates; conjugated carries a
+commutant over to the opposite algebra with nothing solved.
+commutator_gram is the dense Gram operator of the same problem, kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -287,21 +291,59 @@ def _finest_eigenblocks(hermitians, tol):
     return min(draws, key=lambda draw: sum(len(block) ** 2 for block in draw[1]))
 
 
-def _eigenblock_basis(reduced, n, tol, rng):
-    """Orthonormal rows of the matrix units u E_ab u* over the eigenblocks of h1.
+def _h1_eigenblocks(reduced, n, tol, rng):
+    """Eigenbasis and clusters of h1, a random Hermitian element of span(reduced).
 
-    h1 is a random Hermitian element of the span of the reduced generators,
-    the finest of BLOCK_DRAWS draws.  Every element of their commutant
-    commutes with h1, so it lies in this space.  None stands for one block,
-    all of M_n.
+    h1 is the finest of BLOCK_DRAWS draws.  Every element of the reduced
+    generators' commutant commutes with h1, so it lies in the span of the
+    matrix units u E_ab u* over these clusters (_block_units).
     """
     herm = _hermitian_elements(reduced, n, tol)
     draws = (rng.standard_normal((BLOCK_DRAWS, herm.shape[0])) @ herm).reshape(-1, n, n)
-    u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
+    return _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
+
+
+def _block_units(u, clusters):
+    """Orthonormal vec rows of the matrix units u E_ab u* over the clusters.
+
+    None stands for one block, all of M_n.
+    """
     if len(clusters) == 1:
         return None
+    n = u.shape[0]
     rows, cols = _block_entries(clusters)
     return np.einsum("pj,qj->jpq", u[:, rows], u[:, cols].conj()).reshape(-1, n * n)
+
+
+def _factor_multiplicity(gens):
+    """Largest q dividing n with every generator exactly kron(1_q, x).
+
+    The test is np.array_equal against the kron of the leading (n/q) x (n/q)
+    block, with no tolerance; q = 1 when no larger one fits.
+    """
+    n = gens[0].shape[0]
+    for q in range(n, 1, -1):
+        m = n // q
+        if n % q == 0 and all(np.array_equal(g, np.kron(np.eye(q), g[:m, :m]))
+                              for g in gens):
+            return q
+    return 1
+
+
+def _tensor_identity_rows(factor, q):
+    """vec rows of E_kl (x) b_j over the q x q matrix units and factor's basis b_j.
+
+    The rows come out k-major, then l, then j; an orthonormal basis b_j
+    gives orthonormal rows.
+    """
+    m = factor.n
+    b = factor.flat.reshape(-1, m, m).transpose(0, 2, 1)
+    ops = np.zeros((q, q, len(b), q, m, q, m), dtype=complex)
+    for k in range(q):
+        for l in range(q):
+            ops[k, l, :, k, :, l, :] = b
+    n = q * m
+    return ops.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
 
 
 def _commutator_rows(basis, g):
@@ -329,24 +371,55 @@ def commutant(gens, tol=DEFAULT_TOL, n=None, within=None):
     within must be a complex space known to contain the answer, such as a
     commutant already certified for part of the generators.  None stands
     for the eigenblock space of a random Hermitian element h1 of the
-    generators' span (_eigenblock_basis), which holds their whole commutant.
-    One loop serves both.  The generators are span-reduced to an
-    orthonormal set G, and X = sum z_j W_j runs over the orthonormal basis W
-    of the space.  [X, h2] = 0 is imposed for a random element h2 of span(G)
-    by a thin SVD of the commutators [W_j, h2].  The certificate tests every
-    solution matrix against every g in G at the cut of the last rank
-    decision; the exact constraints of the failing generators are appended
-    and the system re-solved, until a sweep is clean.  Each step imposes
-    only conditions that every element of within ∩ gens' satisfies, so the
-    solution space contains it, and the certificate proves the reverse
-    inclusion.  Random draws come from a fixed seed per call.  Vec rows are
-    read by their row-major reshape, the transpose of the operator, which
-    keeps commutation and copies nothing.  The only n^2 x n^2 array is the
-    system of a single block, and every rank decision is
+    generators' span, which holds their whole commutant.
+
+    Without within, generators that are all exactly kron(1_q, x), for the
+    largest such q (_factor_multiplicity: an exact test, no tolerance), are
+    solved in the factor: {x}' at size n/q, lifted to the orthonormal rows
+    E_kl (x) b_j.  That is the whole answer, since X commutes with every
+    1_q (x) x exactly when X lies in M_q (x) {x}'.  The factor's certificate
+    also certifies the lifted basis, because ||[E_kl (x) b, 1_q (x) x]|| =
+    ||[b, x]||.  The algebras of the catalog act on M_{8x4}(C) by left
+    multiplication through M_8, so their A' is solved with 8 x 8 matrices.
+
+    Any other generator set, and every solve inside within, runs the loop
+    of _solve_commutant at full size.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    if within is None and gens:
+        q = _factor_multiplicity(gens)
+        if q > 1:
+            m = gens[0].shape[0] // q
+            factor = _solve_commutant([g[:m, :m] for g in gens], tol, m, None)
+            return OperatorSubspace(_tensor_identity_rows(factor, q), q * m,
+                                    tol=tol, orthonormal=True)
+    return _solve_commutant(gens, tol, n, within)
+
+
+def _solve_commutant(gens, tol, n, within):
+    """commutant's loop: within ∩ gens' by system, SVD and certificate.
+
+    The generators are span-reduced to an orthonormal set G.  The solve runs
+    in the smaller of two spaces that both hold the answer: within, or the
+    span of the matrix units over the eigenblocks of h1 (_h1_eigenblocks),
+    whose size sum s_c^2 (at least n) is compared with within.dim before
+    either basis is built; a result from the eigenblock space is
+    intersected with within.
+    X = sum z_j W_j runs over the orthonormal basis W of the space chosen.
+    [X, h2] = 0 is imposed for a random element h2 of span(G) by a thin SVD
+    of the commutators [W_j, h2].  The certificate tests every solution
+    matrix against every g in G at the cut of the last rank decision; the
+    exact constraints of the failing generators are appended and the system
+    re-solved, until a sweep is clean.  Each step imposes only conditions
+    that every element of gens' satisfies, so the solution space contains
+    the answer, and the certificate proves the reverse inclusion.  Random
+    draws come from a fixed seed per call.  Vec rows are read by their
+    row-major reshape, the transpose of the operator, which keeps
+    commutation and copies nothing.  The only n^2 x n^2 array is the system
+    of a single block, and every rank decision is
     linalg.rank_from_singular_values on singular values.  Raises
     RuntimeError when a generator already imposed still fails the sweep.
     """
-    gens = [np.asarray(g, dtype=complex) for g in gens]
     if gens:
         n = gens[0].shape[0]
     elif within is not None:
@@ -361,7 +434,17 @@ def commutant(gens, tol=DEFAULT_TOL, n=None, within=None):
         flat = np.eye(n * n, dtype=complex) if within is None else within.flat
         return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
     rng = np.random.default_rng(_COMMUTANT_SEED)
-    basis = _eigenblock_basis(reduced, n, tol, rng) if within is None else within.flat
+    if within is not None and within.dim <= n:
+        # the eigenblock space has sum s_c^2 >= n coordinates, never fewer
+        basis, restrict = within.flat, None
+    else:
+        u, clusters = _h1_eigenblocks(reduced, n, tol, rng)
+        if within is None or sum(len(block) ** 2 for block in clusters) < within.dim:
+            # with within, one cluster (basis None) has n^2 >= within.dim
+            # coordinates, so it is never taken here
+            basis, restrict = _block_units(u, clusters), within
+        else:
+            basis, restrict = within.flat, None
     local = reduced.reshape(-1, n, n)
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
     system = _commutator_rows(basis, np.tensordot(c / np.linalg.norm(c), local, axes=1)).T
@@ -388,7 +471,8 @@ def commutant(gens, tol=DEFAULT_TOL, n=None, within=None):
         system = np.linalg.qr(np.vstack([sigma[:, None] * vh] + exact), mode="r")
         n_rows += n * n * len(failing)
         imposed |= failing
-    return OperatorSubspace(x, n, tol=tol, orthonormal=True)
+    space = OperatorSubspace(x, n, tol=tol, orthonormal=True)
+    return space if restrict is None else intersect(space, restrict)
 
 
 def conjugated(space, real_structure):

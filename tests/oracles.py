@@ -7,12 +7,14 @@ the dual-route check.  dense_commutant and dense_real_commutant_with_j are
 the dense Gram-eigenproblem solvers on all n^2 unknowns, kept as a second
 route for the eigenblock commutant solver; dense_star_closure grows and
 certifies a closure on all n^2 operator entries, a second route for the
-eigenblock star closure.
+eigenblock star closure.  pairwise_zeroth_order and pairwise_first_order
+are the order-condition violations one dense generator pair at a time, a
+second route for the stacked support products of triple.
 """
 
 import numpy as np
 
-from fintriple import linalg, star_algebra, subspaces
+from fintriple import linalg, star_algebra, subspaces, triple
 
 
 def _unit8(i, j):
@@ -300,3 +302,30 @@ def dense_star_closure(gens, tol=linalg.DEFAULT_TOL, rng_seed=star_algebra._CLOS
             flat = linalg.orthonormal_rows(np.vstack([flat, offenders]), tol=tol)
     space = subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
     return space, space.contains(linalg.identity(n)), worst
+
+
+def pairwise_zeroth_order(t):
+    """Largest ||[a, b°]|| over HS-normalized pairs, one dense pair at a time."""
+    worst = 0.0
+    for a in triple._normalized(t.algebra_gens):
+        for b in triple._normalized(t.opposite_gens):
+            worst = max(worst, linalg.hs_norm(a @ b - b @ a))
+    return worst
+
+
+def pairwise_first_order(t):
+    """Largest ||[[D, a], b°]|| / ||[D, a]||, one dense pair at a time."""
+    d = np.asarray(t.dirac, dtype=complex)
+    d_norm = linalg.hs_norm(d)
+    if d_norm == 0.0:
+        return 0.0
+    floor = triple._COMMUTATOR_FLOOR * d_norm
+    worst = 0.0
+    for a in triple._normalized(t.algebra_gens):
+        c = d @ a - a @ d
+        c_norm = linalg.hs_norm(c)
+        if c_norm <= floor:
+            continue
+        for b in triple._normalized(t.opposite_gens):
+            worst = max(worst, linalg.hs_norm(c @ b - b @ c) / c_norm)
+    return worst

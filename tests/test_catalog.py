@@ -12,6 +12,13 @@ def test_golden_real_structure():
     np.testing.assert_allclose(k @ k, np.eye(32), atol=0)
 
 
+def test_real_structure_is_built_once_and_read_only():
+    j = catalog.real_structure()
+    assert catalog.real_structure() is j
+    with pytest.raises(ValueError):
+        j.matrix[0, 0] = 1.0
+
+
 def test_golden_gradings():
     np.testing.assert_allclose(
         catalog.grading("standard"),

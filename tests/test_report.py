@@ -160,6 +160,25 @@ def test_order_violations_computed_once_per_report(monkeypatch):
     assert sorted(calls) == ["_first_order", "_zeroth_order"]
 
 
+@pytest.mark.parametrize("raising", ["_zeroth_order", "_first_order"])
+def test_checks_blocked_by_an_order_error_name_it(monkeypatch, raising):
+    def injected(t):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(triple, raising, injected)
+    rep = report.run_all(parse_config_file(CONFIG_DIR / "thm1.cfg"))
+    # both violations come from one cached property, so both checks raise
+    assert rep.check("zeroth_order").status == "error"
+    assert rep.check("first_order").status == "error"
+    blocked = {"dirac_decomposition": "blocked: first_order error"}
+    for name in ("clifford_odd", "clifford_even", "gamma_in_clifford_odd",
+                 "property_m", "property_m_with_grading"):
+        blocked[name] = "blocked: zeroth_order error, first_order error"
+    for name, reason in blocked.items():
+        assert rep.check(name).status == "skipped"
+        assert rep.check(name).details == reason
+
+
 def test_residuals_below_noise_floor_render_as_zero():
     # the floor is 1e-3 * tolerance; config echo and tolerance are untouched
     rec = report.CheckRecord(name="zeroth_order", status="pass", residuals={

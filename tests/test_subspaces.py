@@ -311,3 +311,88 @@ def test_finest_eigenblocks_takes_a_later_draw_that_splits_a_cluster():
     u, clusters = subspaces._finest_eigenblocks(np.array([merged, other]), 1e-9)
     assert [len(block) for block in clusters] == [2, 1, 1]
     assert np.allclose(u.conj().T @ merged @ u, np.diag([1.0, 1.0, 2.0, 3.0]), atol=1e-12)
+
+
+#: Dense Gram-eigenproblem commutant of each catalog algebra, solved once.
+_DENSE_ALGEBRA_COMMUTANTS = {}
+
+
+def _recorded_solves(monkeypatch):
+    """Install a recorder of the size of every matrix the solver loop runs on."""
+    sizes = []
+    solve = subspaces._solve_commutant
+
+    def recorded(gens, tol, n, within):
+        sizes.append(gens[0].shape[0] if gens else n)
+        return solve(gens, tol, n, within)
+
+    monkeypatch.setattr(subspaces, "_solve_commutant", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_algebra_commutant_is_solved_in_the_8x8_factor(name, monkeypatch):
+    cfg, t = config_triple(name)
+    if cfg.algebra not in _DENSE_ALGEBRA_COMMUTANTS:
+        _DENSE_ALGEBRA_COMMUTANTS[cfg.algebra] = oracles.dense_commutant(t.algebra_gens)
+    sizes = _recorded_solves(monkeypatch)
+    comm = subspaces.commutant(t.algebra_gens, tol=cfg.tol)
+    assert sizes == [8]
+    assert np.linalg.norm(comm.flat @ comm.flat.conj().T - np.eye(comm.dim)) <= 1e-12
+    block_form = (oracles.aev_commutant_basis() if cfg.algebra == "A_ev"
+                  else oracles.af_commutant_basis())
+    assert subspaces.equals(comm, subspaces.span_of(block_form))
+    assert subspaces.equals(comm, _DENSE_ALGEBRA_COMMUTANTS[cfg.algebra])
+
+
+def test_conjugated_algebra_takes_the_eigenblock_path(monkeypatch):
+    # U kron(1_4, x) U* is no kron(1_q, y), so the solve runs at size 32
+    rng = np.random.default_rng(8)
+    u, _ = np.linalg.qr(_rand_complex(rng, 32, 32))
+    gens = catalog.algebra_af_generators()
+    expected = subspaces.span_of([u @ m @ u.conj().T
+                                  for m in subspaces.commutant(gens).basis_matrices()])
+    sizes = _recorded_solves(monkeypatch)
+    comm = subspaces.commutant([u @ g @ u.conj().T for g in gens])
+    assert sizes == [32]
+    assert comm.dim == 112
+    assert subspaces.equals(comm, expected)
+
+
+def test_one_off_block_entry_takes_the_eigenblock_path(monkeypatch):
+    # an entry of 1e-300 outside the diagonal 8x8 blocks is below every
+    # tolerance, yet the factor test is exact, so the full-size loop runs;
+    # numerically the algebra is A_F, and so is its commutant
+    gens = catalog.algebra_af_generators()
+    gens[0] = gens[0].copy()
+    gens[0][0, 8] = 1e-300
+    sizes = _recorded_solves(monkeypatch)
+    comm = subspaces.commutant(gens)
+    assert sizes == [32]
+    assert subspaces.equals(comm, subspaces.span_of(oracles.af_commutant_basis()))
+
+
+def test_commutant_within_solves_in_the_smaller_space(monkeypatch):
+    # h1's eigenblocks for the two-block algebra have 2^2 + 2^2 + 4^2 = 24
+    # coordinates: fewer than all 64 of M_8, more than the 20 of the
+    # commutant itself and the 8 of the diagonal (taken without drawing h1)
+    rng = np.random.default_rng(12)
+    q, gens = _two_block_algebra(rng)
+    dense = oracles.dense_commutant(gens)
+    diagonal = subspaces.span_of([q @ np.diag(e) @ q.conj().T
+                                  for e in np.eye(8, dtype=complex)])
+    everything = subspaces.OperatorSubspace(np.eye(64, dtype=complex), 8, orthonormal=True)
+    coordinates = []
+    units = subspaces._block_units
+
+    def recorded(u, clusters):
+        basis = units(u, clusters)
+        coordinates.append(basis.shape[0])
+        return basis
+
+    monkeypatch.setattr(subspaces, "_block_units", recorded)
+    for within, used in ((everything, [24]), (dense, []), (diagonal, [])):
+        coordinates.clear()
+        got = subspaces.commutant(gens, within=within)
+        assert coordinates == used
+        assert subspaces.equals(got, subspaces.intersect(within, dense))

@@ -3,7 +3,8 @@ import pytest
 
 from fintriple import catalog, linalg, subspaces, triple
 
-from conftest import BASE
+import oracles
+from conftest import BASE, CONFIG_NAMES, config_triple
 
 
 def test_zeroth_order_catalog_triples(thm1_triple, thm2_triple, pati_salam_triple):
@@ -202,3 +203,41 @@ def test_axiom_residuals_catalog(thm1_triple, thm2_triple, original_cc_triple):
     for t in (thm1_triple, thm2_triple, original_cc_triple):
         res = triple.axiom_residuals(t)
         assert all(v <= 1e-10 for v in res.values()), res
+
+
+def _assert_matches_pair_loop(t):
+    # the violations are taken over HS-normalized generators, so 1 sets their scale
+    for stacked, pairwise in ((triple._zeroth_order, oracles.pairwise_zeroth_order),
+                              (triple._first_order, oracles.pairwise_first_order)):
+        assert stacked(t) == pytest.approx(pairwise(t), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_order_conditions_match_the_pair_loop(name):
+    _, t = config_triple(name)
+    _assert_matches_pair_loop(t)
+    if name == "pati_salam":
+        assert triple._first_order(t) == pytest.approx(0.5, rel=1e-14)
+
+
+def test_order_conditions_match_the_pair_loop_on_dense_generators():
+    # dense generators, and generators with zero rows and columns, so that
+    # the support of each is a proper subset of the rows and columns
+    rng = np.random.default_rng(17)
+
+    def rand(n, sparse):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if sparse:
+            m[rng.random(n) < 0.5] = 0.0
+            m[:, rng.random(n) < 0.5] = 0.0
+        return m
+
+    for n, sparse in ((5, False), (6, True), (9, True)):
+        d = rand(n, False)
+        t = triple.FiniteTriple(
+            algebra_gens=tuple(rand(n, sparse) for _ in range(4)),
+            opposite_gens=tuple(rand(n, sparse) for _ in range(3)),
+            dirac=d + d.conj().T,
+            real_structure=linalg.AntilinearOperator(np.eye(n)))
+        assert triple._zeroth_order(t) > 0.1
+        _assert_matches_pair_loop(t)
