@@ -6,10 +6,10 @@ constraints; the basis matrices are still complex, orthonormal for the real
 part of the HS inner product).  Sum, intersection, complement, membership and
 commutant all reduce subspace questions to the single rank rule in linalg.
 
-commutant(gens, within=W) solves W ∩ gens' by one loop: a thin SVD over
-the coordinates of a space known to hold the answer, then a certificate
-that tests the solutions against every generator.  That space is the
-smaller of W and the eigenblocks of a generic element of the generators'
+commutant(gens, within=W) solves W ∩ gens' inside a space W known to
+contain it, by one loop: a thin SVD over the coordinates of W, then a
+certificate that tests the solutions against every generator.  Without W
+it solves inside the eigenblocks of a generic element of the generators'
 span (block-diagonalization of a matrix *-algebra by a generic element,
 Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
 It is sound because it imposes only constraints that every element of the
@@ -291,26 +291,19 @@ def _finest_eigenblocks(hermitians, tol):
     return min(draws, key=lambda draw: sum(len(block) ** 2 for block in draw[1]))
 
 
-def _h1_eigenblocks(reduced, n, tol, rng):
-    """Eigenbasis and clusters of h1, a random Hermitian element of span(reduced).
+def _eigenblock_basis(reduced, n, tol, rng):
+    """Orthonormal rows of the matrix units u E_ab u* over the eigenblocks of h1.
 
-    h1 is the finest of BLOCK_DRAWS draws.  Every element of the reduced
-    generators' commutant commutes with h1, so it lies in the span of the
-    matrix units u E_ab u* over these clusters (_block_units).
+    h1 is a random Hermitian element of the span of the reduced generators,
+    the finest of BLOCK_DRAWS draws.  Every element of their commutant
+    commutes with h1, so it lies in this space.  None stands for one block,
+    all of M_n.
     """
     herm = _hermitian_elements(reduced, n, tol)
     draws = (rng.standard_normal((BLOCK_DRAWS, herm.shape[0])) @ herm).reshape(-1, n, n)
-    return _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
-
-
-def _block_units(u, clusters):
-    """Orthonormal vec rows of the matrix units u E_ab u* over the clusters.
-
-    None stands for one block, all of M_n.
-    """
+    u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
     if len(clusters) == 1:
         return None
-    n = u.shape[0]
     rows, cols = _block_entries(clusters)
     return np.einsum("pj,qj->jpq", u[:, rows], u[:, cols].conj()).reshape(-1, n * n)
 
@@ -400,19 +393,15 @@ def _solve_commutant(gens, tol, n, within):
     """commutant's loop: within ∩ gens' by system, SVD and certificate.
 
     The generators are span-reduced to an orthonormal set G.  The solve runs
-    in the smaller of two spaces that both hold the answer: within, or the
-    span of the matrix units over the eigenblocks of h1 (_h1_eigenblocks),
-    whose size sum s_c^2 (at least n) is compared with within.dim before
-    either basis is built; a result from the eigenblock space is
-    intersected with within.
-    X = sum z_j W_j runs over the orthonormal basis W of the space chosen.
-    [X, h2] = 0 is imposed for a random element h2 of span(G) by a thin SVD
-    of the commutators [W_j, h2].  The certificate tests every solution
+    in within, or without it in the span of the matrix units over the
+    eigenblocks of h1 (_eigenblock_basis).  X = sum z_j W_j runs over the
+    orthonormal basis W of that space.  [X, h2] = 0 is imposed for a random
+    element h2 of span(G) by a thin SVD of the commutators [W_j, h2].  The certificate tests every solution
     matrix against every g in G at the cut of the last rank decision; the
     exact constraints of the failing generators are appended and the system
     re-solved, until a sweep is clean.  Each step imposes only conditions
-    that every element of gens' satisfies, so the solution space contains
-    the answer, and the certificate proves the reverse inclusion.  Random
+    that every element of within ∩ gens' satisfies, so the solution space
+    contains it, and the certificate proves the reverse inclusion.  Random
     draws come from a fixed seed per call.  Vec rows are read by their
     row-major reshape, the transpose of the operator, which keeps
     commutation and copies nothing.  The only n^2 x n^2 array is the system
@@ -434,17 +423,7 @@ def _solve_commutant(gens, tol, n, within):
         flat = np.eye(n * n, dtype=complex) if within is None else within.flat
         return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
     rng = np.random.default_rng(_COMMUTANT_SEED)
-    if within is not None and within.dim <= n:
-        # the eigenblock space has sum s_c^2 >= n coordinates, never fewer
-        basis, restrict = within.flat, None
-    else:
-        u, clusters = _h1_eigenblocks(reduced, n, tol, rng)
-        if within is None or sum(len(block) ** 2 for block in clusters) < within.dim:
-            # with within, one cluster (basis None) has n^2 >= within.dim
-            # coordinates, so it is never taken here
-            basis, restrict = _block_units(u, clusters), within
-        else:
-            basis, restrict = within.flat, None
+    basis = _eigenblock_basis(reduced, n, tol, rng) if within is None else within.flat
     local = reduced.reshape(-1, n, n)
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
     system = _commutator_rows(basis, np.tensordot(c / np.linalg.norm(c), local, axes=1)).T
@@ -471,8 +450,7 @@ def _solve_commutant(gens, tol, n, within):
         system = np.linalg.qr(np.vstack([sigma[:, None] * vh] + exact), mode="r")
         n_rows += n * n * len(failing)
         imposed |= failing
-    space = OperatorSubspace(x, n, tol=tol, orthonormal=True)
-    return space if restrict is None else intersect(space, restrict)
+    return OperatorSubspace(x, n, tol=tol, orthonormal=True)
 
 
 def conjugated(space, real_structure):

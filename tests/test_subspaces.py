@@ -371,28 +371,3 @@ def test_one_off_block_entry_takes_the_eigenblock_path(monkeypatch):
     assert sizes == [32]
     assert subspaces.equals(comm, subspaces.span_of(oracles.af_commutant_basis()))
 
-
-def test_commutant_within_solves_in_the_smaller_space(monkeypatch):
-    # h1's eigenblocks for the two-block algebra have 2^2 + 2^2 + 4^2 = 24
-    # coordinates: fewer than all 64 of M_8, more than the 20 of the
-    # commutant itself and the 8 of the diagonal (taken without drawing h1)
-    rng = np.random.default_rng(12)
-    q, gens = _two_block_algebra(rng)
-    dense = oracles.dense_commutant(gens)
-    diagonal = subspaces.span_of([q @ np.diag(e) @ q.conj().T
-                                  for e in np.eye(8, dtype=complex)])
-    everything = subspaces.OperatorSubspace(np.eye(64, dtype=complex), 8, orthonormal=True)
-    coordinates = []
-    units = subspaces._block_units
-
-    def recorded(u, clusters):
-        basis = units(u, clusters)
-        coordinates.append(basis.shape[0])
-        return basis
-
-    monkeypatch.setattr(subspaces, "_block_units", recorded)
-    for within, used in ((everything, [24]), (dense, []), (diagonal, [])):
-        coordinates.clear()
-        got = subspaces.commutant(gens, within=within)
-        assert coordinates == used
-        assert subspaces.equals(got, subspaces.intersect(within, dense))
