@@ -14,6 +14,7 @@ from .catalog import (
 )
 from .linalg import AntilinearOperator, DEFAULT_TOL, adjoint, hs_inner, hs_norm, kron_action
 from .morita import (
+    Derived,
     IrreducibilityVerdict,
     MoritaVerdict,
     clifford,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntilinearOperator",
     "DEFAULT_TOL",
+    "Derived",
     "DiracDecomposition",
     "DiracParams",
     "FIXTURE_PARAMS",

@@ -305,7 +305,6 @@ def build_triple(config):
         real_structure=j,
         grading=gamma_op,
         free_part=free,
-        label=f"{config.algebra}/{config.grading}/{config.dirac}",
     )
 
 

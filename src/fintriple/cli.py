@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__ as _version
-from . import catalog, morita, report, star_algebra, subspaces, triple
+from . import catalog, morita, report, subspaces, triple
 from .config import ConfigError, parse_config_file
 from .linalg import TOL_FLOOR
 
@@ -64,31 +64,29 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_commutant(args):
+def _derived(args):
     cfg = _load_config(args.config, args.tol)
-    t = catalog.build_triple(cfg)
-    alg = subspaces.commutant(t.algebra_gens, tol=cfg.tol)
-    opp = subspaces.commutant(t.opposite_gens, tol=cfg.tol)
-    inter = subspaces.intersect(alg, opp)
-    opp_span = morita.opposite_span(t, tol=cfg.tol, unitalized=True)
-    z = star_algebra.center(
-        star_algebra.StarAlgebra(space=opp_span, unital=True, commutant=opp), tol=cfg.tol)
-    print(f"algebra commutant dim:   {alg.dim}")
-    print(f"opposite commutant dim:  {opp.dim}")
+    return morita.Derived(catalog.build_triple(cfg), cfg.tol)
+
+
+def _cmd_commutant(args):
+    d = _derived(args)
+    inter = subspaces.intersect(d.algebra_commutant, d.opposite_commutant)
+    print(f"algebra commutant dim:   {d.algebra_commutant.dim}")
+    print(f"opposite commutant dim:  {d.opposite_commutant.dim}")
     print(f"intersection dim:        {inter.dim}")
-    print(f"opposite center dim:     {z.dim}")
+    print(f"opposite center dim:     {d.opposite_center.dim}")
     return 0
 
 
 def _cmd_clifford(args):
-    cfg = _load_config(args.config, args.tol)
-    t = catalog.build_triple(cfg)
-    violation = triple.first_order_violation(t)
-    if violation > cfg.tol:
+    d = _derived(args)
+    violation = triple.first_order_violation(d.t)
+    if violation > d.tol:
         print(f"warning: first-order violation {violation:.3e}; the Clifford "
               "algebra is computed but the Morita comparison is not meaningful",
               file=sys.stderr)
-    cl = morita.clifford(t, even=args.even, tol=cfg.tol)
+    cl = d.clifford_even if args.even else d.clifford_odd
     kind = "even" if args.even else "odd"
     print(f"clifford ({kind}) dim:     {cl.dim}")
     print(f"unital:                  {cl.unital}")

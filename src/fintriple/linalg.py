@@ -111,10 +111,6 @@ def commutator(x, y):
     return x @ y - y @ x
 
 
-def anticommutator(x, y):
-    return x @ y + y @ x
-
-
 class AntilinearOperator:
     """Antilinear map v -> K conj(v) with a real orthogonal matrix K.
 

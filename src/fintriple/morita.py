@@ -5,11 +5,17 @@ one-forms (plus the grading for the even variant) into a *-algebra; the
 Morita property compares the Clifford commutant with the complexified
 opposite algebra; the obstruction and irreducibility checks certify the
 negative results by explicit commuting witnesses and real commutants.
+
+Derived is the one owner of the order in which the shared objects of a
+triple are built, each once: A' is solved, (A°)' is its J-image, and the
+Clifford closures are solved inside A' and inside the odd closure's
+commutant; clifford, property_m and irreducible read what they need from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +36,10 @@ PROBE_FLOOR = 1e-3
 #: fixes a witness phase, so that roundoff cannot reorder equal moduli.
 MODULUS_DECIMALS = 9
 
+#: Relative eigenvalue gap that separates the lowest cluster of a reducing
+#: projection's element from the rest.
+CLUSTER_GAP = 1e-6
+
 
 class OrderConditionError(ValueError):
     """The zeroth or first order condition fails where it is required."""
@@ -40,53 +50,103 @@ def algebra_span(t, tol=DEFAULT_TOL):
     return subspaces.span_of(t.algebra_gens, field="complex", tol=tol)
 
 
-def opposite_span(t, tol=DEFAULT_TOL, unitalized=False):
-    """Complex span of the opposite algebra.
+def opposite_span(t, tol=DEFAULT_TOL):
+    """Complex span of the opposite algebra, with the identity adjoined.
 
-    With unitalized=True the identity is adjoined when missing; the Morita
-    comparison for degenerate representations is against this minimal
-    unitalization, which has the same commutant.
+    The Morita comparison for degenerate representations is against this
+    minimal unitalization, which has the same commutant.
     """
     span = subspaces.span_of(t.opposite_gens, field="complex", tol=tol)
-    if unitalized and not span.contains(linalg.identity(t.n)):
+    if not span.contains(linalg.identity(t.n)):
         flat = np.vstack([span.flat, linalg.vec(linalg.identity(t.n))])
         span = OperatorSubspace(flat, t.n, field="complex", tol=tol)
     return span
 
 
-def one_forms(t, tol=DEFAULT_TOL):
+def one_forms(t, span):
     """Complex span of a [D, b] over the represented algebra.
 
-    Computed over a basis of the complex span of the generators; the span is
-    a two-sided module over the algebra by the Leibniz identity, which the
+    Computed at span.tol over a basis of span, the algebra's complex span; it
+    is a two-sided module over the algebra by the Leibniz identity, which the
     test-suite verifies rather than assumes.
     """
-    basis = np.array(algebra_span(t, tol=tol).basis_matrices()).reshape(-1, t.n, t.n)
+    basis = np.array(span.basis_matrices()).reshape(-1, t.n, t.n)
     if not len(basis):
-        return subspaces.span_of([], field="complex", tol=tol, n=t.n)
+        return subspaces.span_of([], field="complex", tol=span.tol, n=t.n)
     d = np.asarray(t.dirac, dtype=complex)
     products = linalg.product_rows(basis, d @ basis - basis @ d)
-    return OperatorSubspace(products, t.n, field="complex", tol=tol)
+    return OperatorSubspace(products, t.n, field="complex", tol=span.tol)
 
 
-def clifford(t, even=False, tol=DEFAULT_TOL, one_form_space=None, within=None):
+def clifford(derived, even=False):
     """The *-algebra generated by the algebra and its one-forms.
 
     even=True additionally adjoins the grading; it requires an even triple.
-    within, when given, is a complex space known to contain the closure's
-    commutant, which star_algebra.star_closure then solves inside it: the
-    algebra commutant A' for either closure (the closure contains A), or
-    the odd closure's commutant for the even one (which adds the grading).
+    star_algebra.star_closure solves the closure's commutant inside a space
+    known to contain it: the algebra commutant A' for the odd closure (it
+    contains A), the odd closure's commutant for the even one (it adds the
+    grading).
     """
+    t, tol = derived.t, derived.tol
     if even and t.grading is None:
         raise ValueError("even Clifford algebra requires a grading")
-    if one_form_space is None:
-        one_form_space = one_forms(t, tol=tol)
-    gens = list(algebra_span(t, tol=tol).basis_matrices())
-    gens += one_form_space.basis_matrices()
+    gens = list(derived.algebra_span.basis_matrices())
+    gens += derived.one_forms.basis_matrices()
     if even:
         gens.append(np.asarray(t.grading, dtype=complex))
+        within = star_algebra.commutant_of(derived.clifford_odd, tol)
+    else:
+        within = derived.algebra_commutant
     return star_algebra.star_closure(gens, tol=tol, within=within)
+
+
+class Derived:
+    """The shared derived objects of one triple at one tol.
+
+    Each is built on first use by one call through the module attribute (so
+    a tracer or a test that replaces the function sees it) and kept; a
+    caller may assign one instead, such as a wrapped closure.
+    """
+
+    def __init__(self, t, tol=DEFAULT_TOL):
+        self.t = t
+        self.tol = tol
+
+    @cached_property
+    def algebra_span(self):
+        return algebra_span(self.t, tol=self.tol)
+
+    @cached_property
+    def opposite_span(self):
+        return opposite_span(self.t, tol=self.tol)
+
+    @cached_property
+    def algebra_commutant(self):
+        return subspaces.commutant(self.t.algebra_gens, tol=self.tol)
+
+    @cached_property
+    def opposite_commutant(self):
+        # the opposite generators are J a J^{-1}, so their commutant is J A' J^{-1}
+        return subspaces.conjugated(self.algebra_commutant, self.t.real_structure)
+
+    @cached_property
+    def opposite_center(self):
+        # adjoining 1 leaves the commutant of the opposite generators as it is
+        return star_algebra.center(star_algebra.StarAlgebra(
+            space=self.opposite_span, unital=True, commutant=self.opposite_commutant),
+            tol=self.tol)
+
+    @cached_property
+    def one_forms(self):
+        return one_forms(self.t, self.algebra_span)
+
+    @cached_property
+    def clifford_odd(self):
+        return clifford(self, even=False)
+
+    @cached_property
+    def clifford_even(self):
+        return clifford(self, even=True)
 
 
 @dataclass(frozen=True)
@@ -138,20 +198,20 @@ def _orthogonal_witness(commutant_space, opposite):
     return linalg.unvec(w, commutant_space.n, commutant_space.n)
 
 
-def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
-               clifford_even=None):
+def property_m(derived, with_grading=False):
     """Morita check: does the Clifford commutant equal the opposite algebra?
 
     Requires the order conditions; raises OrderConditionError otherwise.
-    The Clifford algebras clifford_odd and clifford_even (the even one only
-    with_grading) may be passed in to avoid recomputation; the commutants
-    they carry are reused when solved at tol (star_algebra.commutant_of).
-    The even Clifford dimension is that of the bicommutant, read off the
-    closure: a finite-dimensional *-algebra A has A'' = A + C 1, so it is
-    the closure's dimension, plus one when the closure does not contain the
-    identity (tested by membership, not by the unital flag, so that a
-    wrapped algebra counts right).
+    The closures (the even one only with_grading) and the opposite span come
+    from derived; the commutants the closures carry are reused when solved
+    at its tol (star_algebra.commutant_of).  The even Clifford dimension is
+    that of the bicommutant, read off the closure: a finite-dimensional
+    *-algebra A has A'' = A + C 1, so it is the closure's dimension, plus
+    one when the closure does not contain the identity (tested by
+    membership, not by the unital flag, so that a wrapped algebra counts
+    right).
     """
+    t, tol = derived.t, derived.tol
     z = zeroth_order_violation(t)
     f = first_order_violation(t)
     if z > tol or f > tol:
@@ -159,16 +219,16 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
             f"order-conditions-violated (zeroth {z:.3e}, first {f:.3e}, tol {tol:g})")
     if with_grading and t.grading is None:
         raise ValueError("with_grading requires an even triple")
-    cl = clifford(t, even=False, tol=tol) if clifford_odd is None else clifford_odd
+    cl = derived.clifford_odd
     comm_odd = star_algebra.commutant_of(cl, tol)
-    opp = opposite_span(t, tol=tol, unitalized=True)
+    opp = derived.opposite_span
     holds_odd = subspaces.equals(comm_odd, opp)
 
     comm_even = None
     cl_even_dim = None
     holds_even = None
     if with_grading:
-        cl_even = clifford(t, even=True, tol=tol) if clifford_even is None else clifford_even
+        cl_even = derived.clifford_even
         comm_even = star_algebra.commutant_of(cl_even, tol)
         cl_even_dim = cl_even.dim + (0 if cl_even.contains(linalg.identity(t.n)) else 1)
         holds_even = subspaces.equals(comm_even, opp)
@@ -194,7 +254,7 @@ def property_m(t, with_grading=False, tol=DEFAULT_TOL, clifford_odd=None,
     )
 
 
-def obstruction_check(x, t, mode, free_part=None, tol=DEFAULT_TOL):
+def obstruction_check(x, t, mode, tol=DEFAULT_TOL):
     """Certify that the grading lies outside a generated algebra.
 
     mode 'algebra_d0': x must commute with the algebra generators and the
@@ -216,10 +276,9 @@ def obstruction_check(x, t, mode, free_part=None, tol=DEFAULT_TOL):
     if mode in ("with_opposite", "zero_chain"):
         targets += list(t.opposite_gens)
     if mode in ("algebra_d0", "with_opposite"):
-        d0 = free_part if free_part is not None else t.free_part
-        if d0 is None:
+        if t.free_part is None:
             raise ValueError("mode needs the Dirac free part and none is declared")
-        targets.append(np.asarray(d0, dtype=complex))
+        targets.append(np.asarray(t.free_part, dtype=complex))
     for g in targets:
         scale = max(linalg.hs_norm(g), 1.0) * x_norm
         if linalg.hs_norm(x @ g - g @ x) > tol * scale:
@@ -298,14 +357,14 @@ def _selfadjoint_subbasis(space, tol):
     return mats
 
 
-def _reducing_projection(herm, n, tol, cluster_gap):
+def _reducing_projection(herm, n, tol):
     """Canonical reducing projection of a real space of Hermitian operators.
 
     herm is a real basis of the space, which contains the identity.  The
     space minus its identity component is orthonormalized over R; the
     diagonal matrix units E_kk are projected onto it in index order, and
     the first projection with norm at least PROBE_FLOOR is the element whose
-    lowest eigenvalue cluster (gap threshold cluster_gap) is returned.
+    lowest eigenvalue cluster (gap threshold CLUSTER_GAP) is returned.
     Should every diagonal projection fall below the floor, the matrix units
     E_f and then i E_f are probed in vec order.  The result depends on the
     space and not on its basis; None when the space holds only the identity.
@@ -325,42 +384,41 @@ def _reducing_projection(herm, n, tol, cluster_gap):
     scale = max(float(vals[-1] - vals[0]), 1.0)
     split = 1
     for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > cluster_gap * scale:
+        if vals[i] - vals[i - 1] > CLUSTER_GAP * scale:
             split = i
             break
     return vecs[:, :split] @ vecs[:, :split].conj().T
 
 
-def irreducible(t, tol=DEFAULT_TOL, cluster_gap=1e-6, algebra_commutant=None):
+def irreducible(derived):
     """Projection-based irreducibility of the full triple data.
 
     Computes the real commutant with the real-structure constraint, then its
     Hermitian part.  Its complex part, the commutant of the algebra, the
-    Dirac operator and the grading, is solved inside algebra_commutant, the
-    commutant of the algebra, when a caller passes it in to avoid
-    recomputation, and from scratch otherwise.  If the Hermitian part is
-    larger than the span of the identity, a non-scalar self-adjoint element
-    is spectrally decomposed and the eigenprojection onto its lowest
-    eigenvalue cluster (gap threshold cluster_gap) is returned as an
-    explicit reducing projection.  The element is chosen canonically (see
-    _reducing_projection): the projection of the first diagonal matrix unit
-    E_kk onto the Hermitian part, less its identity component, so the lowest
-    cluster is the side that excludes that unit's slot.  When the Hermitian
-    part is spanned by 1 and a projection P containing slot 0 (the lepton
-    projection of the Dirac family without lepton-quark mixing, the
-    chirality projection of Pati-Salam without Dirac data), the witness is
-    1 - P.
+    Dirac operator and the grading, is solved inside derived's A'.  If the
+    Hermitian part is larger than the span of the identity, a non-scalar
+    self-adjoint element is spectrally decomposed and the eigenprojection
+    onto its lowest eigenvalue cluster (gap threshold CLUSTER_GAP) is
+    returned as an explicit reducing projection.  The element is chosen
+    canonically (see _reducing_projection): the projection of the first
+    diagonal matrix unit E_kk onto the Hermitian part, less its identity
+    component, so the lowest cluster is the side that excludes that unit's
+    slot.  When the Hermitian part is spanned by 1 and a projection P
+    containing slot 0 (the lepton projection of the Dirac family without
+    lepton-quark mixing, the chirality projection of Pati-Salam without
+    Dirac data), the witness is 1 - P.
     """
+    t, tol = derived.t, derived.tol
     n = t.n
     extra = [t.dirac]
     if t.grading is not None:
         extra.append(t.grading)
     comm = _real_commutant_with_j(t.algebra_gens, extra,
                                   t.real_structure.matrix, n, tol,
-                                  within=algebra_commutant)
+                                  within=derived.algebra_commutant)
     herm = _selfadjoint_subbasis(comm, tol)
     sa_dim = len(herm)
-    projection = None if sa_dim <= 1 else _reducing_projection(herm, n, tol, cluster_gap)
+    projection = None if sa_dim <= 1 else _reducing_projection(herm, n, tol)
     return IrreducibilityVerdict(projection is None, comm.dim, sa_dim, projection)
 
 

@@ -1,7 +1,12 @@
 """Check orchestration and report emission.
 
-run_all executes the fixed plan of checks for one configuration and returns
-a VerificationReport.  The JSON rendering is canonical: sorted keys, floats
+PLAN is the table of checks that run_all runs in order for one
+configuration, returning a VerificationReport.  Each Step names the checks
+that must pass before it and the configurations it does not apply to; the
+checks read the triple's shared objects (commutants, spans, one-forms,
+Clifford closures) from one morita.Derived, which builds each once.
+
+The JSON rendering is canonical: sorted keys, floats
 rounded to 12 significant digits, so identical configs and version produce
 identical bytes apart from the wall-time fields (which golden comparisons
 normalize away), whatever the BLAS build and thread count.  To that end
@@ -24,6 +29,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,29 +52,6 @@ EXPECTED_COMMUTANT_DIMS = {
 #: Residuals below NOISE_FLOOR_FACTOR * tolerance are roundoff and are
 #: rendered as 0.0 in the canonical JSON.
 NOISE_FLOOR_FACTOR = 1e-3
-
-RUN_PLAN = (
-    "commutant_dimensions",
-    "zeroth_order",
-    "first_order",
-    "sign_table",
-    "grading_axioms",
-    "dirac_decomposition",
-    "one_forms",
-    "clifford_odd",
-    "clifford_even",
-    "gamma_in_clifford_odd",
-    "property_m",
-    "property_m_with_grading",
-    "zero_chain_grading",
-    "zero_chain_obstruction",
-    "irreducibility",
-    "gauge_z6_kernel",
-    "gauge_hypercharges",
-    "gauge_adjoint_rep",
-    "unitalization",
-)
-
 
 @dataclass
 class CheckRecord:
@@ -123,8 +106,8 @@ def _seed_from_config(echo):
     return int.from_bytes(digest[:8], "big")
 
 
-def _describe_operator(op, floor, limit=6):
-    """Deterministic short description: the largest entries by modulus.
+def _describe_operator(op, floor):
+    """Deterministic short description: the six largest entries by modulus.
 
     Entries are ordered by modulus rounded to MODULUS_DECIMALS places, ties
     by flat index; entries and real or imaginary parts below floor are
@@ -134,7 +117,7 @@ def _describe_operator(op, floor, limit=6):
     flat = np.abs(op).ravel()
     order = np.argsort(-np.round(flat, morita.MODULUS_DECIMALS), kind="stable")
     parts = []
-    for idx in order[:limit]:
+    for idx in order[:6]:
         if flat[idx] <= floor:
             break
         r, c = divmod(int(idx), op.shape[1])
@@ -166,355 +149,327 @@ def _bimodule_span(gens, alg_basis, tol):
     return subspaces.OperatorSubspace(np.vstack(kept), n, tol=tol)
 
 
-class _Runner:
-    def __init__(self, cfg):
+class _Run:
+    """A configuration, its triple and derived objects, one random stream."""
+
+    def __init__(self, cfg, seed):
         self.cfg = cfg
         self.tol = cfg.tol
-        self.records = []
-        self.cache = {}
+        self.floor = NOISE_FLOOR_FACTOR * cfg.tol
+        self.t = catalog.build_triple(cfg)
+        self.derived = morita.Derived(self.t, cfg.tol)
+        self.rng = np.random.default_rng(seed)
 
-    def run(self, name, fn):
-        start = time.perf_counter()
-        record = CheckRecord(name=name, status=FAIL)
-        try:
-            fn(record)
-        except Exception as exc:  # keep the report complete on any failure
-            record.status = ERROR
-            record.details = f"error: {exc}"
-        record.wall_time_s = time.perf_counter() - start
-        self.records.append(record)
 
-    def skip(self, name, reason):
-        self.records.append(CheckRecord(name=name, status=SKIPPED, details=reason))
+def _commutant_dimensions(run, rec):
+    d = run.derived
+    expected = EXPECTED_COMMUTANT_DIMS[run.cfg.algebra]
+    got = (d.algebra_commutant.dim, d.opposite_commutant.dim, d.opposite_center.dim)
+    rec.dims = {"algebra_commutant": got[0], "opposite_commutant": got[1],
+                "opposite_center": got[2]}
+    rec.details = f"expected {expected}"
+    rec.status = PASS if got == expected else FAIL
 
-    def status(self, name):
-        return next(r.status for r in self.records if r.name == name)
 
-    def blocked(self, *names):
-        """Skip reason naming the checks among names that raised, or None."""
-        errors = [name for name in names if self.status(name) == ERROR]
-        if not errors:
-            return None
+def _order_condition(violation):
+    def check(run, rec):
+        v = violation(run.t)
+        rec.residuals["violation"] = v
+        rec.status = PASS if v <= run.tol else FAIL
+    return check
+
+
+def _sign_table(run, rec):
+    st = triple.sign_table(run.t, tol=max(1e-10, run.tol))
+    rec.residuals.update({f"{k}_residual": v for k, v in st.residuals.items()})
+    rec.dims["eps"] = st.eps
+    rec.dims["eps_prime"] = st.eps_prime
+    if st.eps_dblprime is not None:
+        rec.dims["eps_dblprime"] = st.eps_dblprime
+    if st.ko_dimension is not None:
+        rec.dims["ko_dimension"] = st.ko_dimension
+    rec.details = ("vacuous: " + ", ".join(st.vacuous)) if st.vacuous else ""
+    rec.status = PASS if st.ko_dimension is not None else FAIL
+
+
+def _grading_axioms(run, rec):
+    res = triple.axiom_residuals(run.t)
+    keys = ("grading_involution", "grading_hermitian",
+            "grading_commutes_algebra", "grading_anticommutes_dirac")
+    rec.residuals = {k: res[k] for k in keys}
+    rec.status = PASS if all(res[k] <= run.tol for k in keys) else FAIL
+
+
+def _dirac_decomposition(run, rec):
+    t, d, tol = run.t, run.derived, run.tol
+    dec = triple.decompose_dirac(t, d.algebra_commutant, d.opposite_commutant, tol=tol)
+    rec.residuals["residual"] = dec.residual
+    if dec.j_residual is not None:
+        rec.residuals["j_symmetric_residual"] = dec.j_residual
+    rec.dims["ambiguity"] = dec.ambiguity_dim
+    ok = dec.residual <= tol
+    ok = ok and d.opposite_commutant.contains(dec.free_part)
+    ok = ok and d.algebra_commutant.contains(dec.commuting_part)
+    if dec.j_residual is not None:
+        ok = ok and dec.j_residual <= tol * max(linalg.hs_norm(t.dirac), 1.0)
+    rec.status = PASS if ok else FAIL
+
+
+def _one_forms(run, rec):
+    cfg, tol, rng = run.cfg, run.tol, run.rng
+    om = run.derived.one_forms
+    rec.dims["one_forms"] = om.dim
+    alg_basis = run.derived.algebra_span.basis_matrices()
+    worst = 0.0
+    for _ in range(8):
+        a = alg_basis[rng.integers(len(alg_basis))]
+        b = alg_basis[rng.integers(len(alg_basis))]
+        w = om.basis_matrices()[rng.integers(max(om.dim, 1))] if om.dim else None
+        if w is not None:
+            worst = max(worst, om.residual(a @ w @ b))
+    rec.residuals["bimodule_closure"] = worst
+    ok = worst <= tol * 10
+    p = cfg.params
+    couplings = [p.ups_nu, p.ups_e, p.ups_u, p.ups_d, p.omega, p.delta]
+    if cfg.dirac == "CC_plus_Gamma":
+        couplings.append(p.gamma)
+    named_applicable = (cfg.algebra == "A_F"
+                        and cfg.dirac in ("CC", "CC_plus_Gamma")
+                        and all(abs(c) > 1e-12 for c in couplings))
+    if named_applicable:
+        gens = catalog.one_form_generators(
+            p, include_gamma=(cfg.dirac == "CC_plus_Gamma"))
+        named = _bimodule_span(gens + [g.conj().T for g in gens], alg_basis, tol)
+        rec.dims["named_generator_bimodule"] = named.dim
+        ok = ok and subspaces.equals(om, named)
+        rec.details = "named-generator bimodule compared"
+    else:
+        rec.details = "named-generator comparison not applicable"
+    rec.status = PASS if ok else FAIL
+
+
+def _clifford_odd(run, rec):
+    cl = run.derived.clifford_odd
+    rec.dims["clifford_odd"] = cl.dim
+    rec.residuals["closure_defect"] = cl.defect
+    rec.status = PASS if cl.defect <= run.tol else FAIL
+
+
+def _clifford_even(run, rec):
+    cl = run.derived.clifford_even
+    rec.dims["clifford_even"] = cl.dim
+    contained = cl.space.contains_all(run.derived.clifford_odd.basis_matrices())
+    rec.details = f"odd contained in even: {contained}"
+    rec.status = PASS if contained else FAIL
+
+
+def _gamma_in_clifford_odd(run, rec):
+    cl = run.derived.clifford_odd
+    if run.t.grading is not None:
+        member = cl.contains(run.t.grading)
+        rec.details = "triple grading"
+        rec.status = PASS if member else FAIL
+    else:
+        member_std = cl.contains(catalog.grading("standard"))
+        member_non = cl.contains(catalog.grading("nonstandard"))
+        rec.details = f"standard: {member_std}, nonstandard: {member_non}"
+        rec.status = PASS if (member_std and member_non) else FAIL
+
+
+def _property_m(run, rec):
+    verdict = morita.property_m(run.derived, with_grading=False)
+    rec.dims["clifford_odd"] = verdict.clifford_odd_dim
+    rec.dims["commutant_odd"] = verdict.commutant_odd_dim
+    rec.dims["opposite"] = verdict.opposite_dim
+    if verdict.witness is not None:
+        rec.details = "witness: " + _describe_operator(verdict.witness, run.floor)
+    rec.status = PASS if verdict.property_m else FAIL
+
+
+def _property_m_with_grading(run, rec):
+    verdict = morita.property_m(run.derived, with_grading=True)
+    rec.dims["clifford_even"] = verdict.clifford_even_dim
+    rec.dims["commutant_even"] = verdict.commutant_even_dim
+    rec.dims["opposite"] = verdict.opposite_dim
+    if not verdict.property_m_with_grading and verdict.witness is not None:
+        rec.details = "witness: " + _describe_operator(verdict.witness, run.floor)
+    rec.status = PASS if verdict.property_m_with_grading else FAIL
+
+
+def _zero_chain_grading(run, rec):
+    t = run.t
+    g = t.grading if t.grading is not None else catalog.grading("standard")
+    member = morita.zero_chain_membership(g, t.algebra_gens, t.opposite_gens,
+                                          tol=run.tol)
+    rec.details = "triple grading" if t.grading is not None else "standard grading"
+    rec.status = PASS if member else FAIL
+
+
+def _zero_chain_obstruction(run, rec):
+    cfg, t, tol = run.cfg, run.t, run.tol
+    x = catalog.witness_catalog()["e15_e11"]
+    probe = t if t.grading is not None else catalog.build_triple(
+        catalog.TripleConfig(algebra=cfg.algebra, grading="standard",
+                             dirac=cfg.dirac, params=cfg.params,
+                             custom_matrix=cfg.custom_matrix, tol=tol))
+    ok = morita.obstruction_check(x, probe, "zero_chain", tol=max(tol, 1e-10))
+    rec.details = "commuting witness anticommutes with the grading"
+    rec.status = PASS if ok else FAIL
+
+
+def _irreducibility(run, rec):
+    verdict = morita.irreducible(run.derived)
+    rec.dims["real_commutant"] = verdict.commutant_dim_real
+    rec.dims["selfadjoint_part"] = verdict.selfadjoint_dim
+    if verdict.witness is not None:
+        rec.details = "reducing projection: " + _describe_operator(verdict.witness, run.floor)
+    rec.status = PASS if verdict.irreducible else FAIL
+
+
+def _gauge_z6_kernel(run, rec):
+    eye = np.eye(layout.HILBERT_DIM)
+    scale = np.sqrt(layout.HILBERT_DIM)
+    worst = max(linalg.hs_norm(catalog.pi_sm(el) - eye) / scale
+                for el in catalog.z6_elements())
+    rec.residuals["kernel"] = worst
+    rec.status = PASS if worst <= 1e-12 else FAIL
+
+
+def _gauge_hypercharges(run, rec):
+    ok = True
+    worst = 0.0
+    for _ in range(10):
+        theta = 0.05 + 0.4 * run.rng.random()
+        lam = np.exp(1j * theta)
+        op = catalog.pi_sm(catalog.GroupElement(
+            lam, np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+        for r in range(1, 9):
+            for c in range(1, 5):
+                idx = layout.slot_index(r, c)
+                expected = int(layout.HYPERCHARGE_EXPONENTS[r - 1][c - 1])
+                recovered = int(round(float(np.angle(op[idx, idx])) / theta))
+                worst = max(worst, abs(op[idx, idx] - lam ** expected))
+                if recovered != expected:
+                    ok = False
+    rec.residuals["eigenvalue"] = worst
+    rec.status = PASS if ok and worst <= 1e-12 else FAIL
+
+
+def _gauge_adjoint_rep(run, rec):
+    eye = np.eye(layout.HILBERT_DIM)
+    scale = np.sqrt(layout.HILBERT_DIM)
+    ident = catalog.GroupElement(1.0, np.eye(2, dtype=complex),
+                                 np.eye(3, dtype=complex))
+    worst = linalg.hs_norm(catalog.rho_degenerate(ident) - eye) / scale
+    for _ in range(20):
+        u = catalog.random_group_element(run.rng)
+        v = catalog.random_group_element(run.rng)
+        ru = catalog.rho_degenerate(u)
+        rv = catalog.rho_degenerate(v)
+        uv = catalog.GroupElement(u.phase * v.phase, u.weak @ v.weak,
+                                  u.color @ v.color)
+        worst = max(worst, linalg.hs_norm(ru @ rv - catalog.rho_degenerate(uv)) / scale)
+        worst = max(worst, linalg.hs_norm(ru @ ru.conj().T - eye) / scale)
+    for el in catalog.z6_elements():
+        worst = max(worst, linalg.hs_norm(
+            catalog.rho_degenerate(catalog.cover_map(el)) - eye) / scale)
+    rec.residuals["defect"] = worst
+    rec.status = PASS if worst <= 1e-12 else FAIL
+
+
+def _unitalization(run, rec):
+    alg = star_algebra.star_closure(run.t.algebra_gens, tol=run.tol)
+    grown = star_algebra.unitalize(alg)
+    target = subspaces.span_of(catalog.algebra_af_generators(), tol=run.tol)
+    rec.dims["span"] = alg.dim
+    rec.dims["unitalized"] = grown.dim
+    ok = (alg.dim == 14 and grown.dim == 15
+          and subspaces.equals(grown.space, target))
+    rec.status = PASS if ok else FAIL
+
+
+def _odd_triple(run):
+    return "odd triple" if run.t.grading is None else None
+
+
+@dataclass(frozen=True)
+class Step:
+    """One check: check(run, rec) fills in the record.  It is skipped when a
+    check in needs raised (blocked) or did not pass (reason unmet), or when
+    excluded(run) gives a reason it does not apply."""
+
+    name: str
+    check: Callable
+    needs: tuple = ()
+    unmet: str = ""
+    excluded: Callable | None = None
+
+
+_ORDERS = ("zeroth_order", "first_order")
+_ORDERS_FAIL = "order conditions fail"
+
+#: The checks of every report, run in this order.
+PLAN = (
+    Step("commutant_dimensions", _commutant_dimensions),
+    Step("zeroth_order", _order_condition(triple.zeroth_order_violation)),
+    Step("first_order", _order_condition(triple.first_order_violation)),
+    Step("sign_table", _sign_table),
+    Step("grading_axioms", _grading_axioms, excluded=_odd_triple),
+    Step("dirac_decomposition", _dirac_decomposition,
+         ("first_order",), "first-order condition fails"),
+    Step("one_forms", _one_forms),
+    Step("clifford_odd", _clifford_odd, _ORDERS, _ORDERS_FAIL),
+    Step("clifford_even", _clifford_even, _ORDERS, _ORDERS_FAIL, _odd_triple),
+    Step("gamma_in_clifford_odd", _gamma_in_clifford_odd, _ORDERS, _ORDERS_FAIL),
+    Step("property_m", _property_m, _ORDERS, _ORDERS_FAIL),
+    Step("property_m_with_grading", _property_m_with_grading,
+         _ORDERS, _ORDERS_FAIL, _odd_triple),
+    Step("zero_chain_grading", _zero_chain_grading),
+    Step("zero_chain_obstruction", _zero_chain_obstruction, excluded=lambda run: (
+        "witness specific to the default algebra" if run.cfg.algebra == "A_ev" else None)),
+    Step("irreducibility", _irreducibility),
+    Step("gauge_z6_kernel", _gauge_z6_kernel),
+    Step("gauge_hypercharges", _gauge_hypercharges),
+    Step("gauge_adjoint_rep", _gauge_adjoint_rep),
+    Step("unitalization", _unitalization, excluded=lambda run: (
+        None if run.cfg.algebra == "B_F"
+        else "only meaningful for the degenerate representation")),
+)
+
+RUN_PLAN = tuple(step.name for step in PLAN)
+
+
+def _skip_reason(step, run, records):
+    """Why step is skipped, or None: first a needed check that raised, then
+    one that did not pass, then the configuration it does not apply to."""
+    errors = [name for name in step.needs if records[name].status == ERROR]
+    if errors:
         return "blocked: " + ", ".join(f"{name} error" for name in errors)
+    if any(records[name].status != PASS for name in step.needs):
+        return step.unmet
+    return None if step.excluded is None else step.excluded(run)
 
 
 def run_all(cfg):
-    """Execute every check of the fixed plan and assemble the report."""
+    """Run the checks of PLAN in order and assemble the report."""
     echo = _config_echo(cfg)
-    rng = np.random.default_rng(_seed_from_config(echo))
-    runner = _Runner(cfg)
-    tol = cfg.tol
-    floor = NOISE_FLOOR_FACTOR * tol
-    t = catalog.build_triple(cfg)
-    cache = runner.cache
-
-    def commutant_dimensions(rec):
-        alg_comm = subspaces.commutant(t.algebra_gens, tol=tol)
-        # the opposite generators are J a J^{-1}, so their commutant is J A' J^{-1}
-        opp_comm = subspaces.conjugated(alg_comm, t.real_structure)
-        opp_span = morita.opposite_span(t, tol=tol, unitalized=True)
-        # adjoining 1 leaves the commutant of the opposite generators as it is
-        center = star_algebra.center(
-            star_algebra.StarAlgebra(space=opp_span, unital=True, commutant=opp_comm),
-            tol=tol)
-        cache["algebra_commutant"] = alg_comm
-        cache["opposite_commutant"] = opp_comm
-        cache["opposite_span"] = opp_span
-        expected = EXPECTED_COMMUTANT_DIMS[cfg.algebra]
-        got = (alg_comm.dim, opp_comm.dim, center.dim)
-        rec.dims = {"algebra_commutant": got[0], "opposite_commutant": got[1],
-                    "opposite_center": got[2]}
-        rec.details = f"expected {expected}"
-        rec.status = PASS if got == expected else FAIL
-
-    runner.run("commutant_dimensions", commutant_dimensions)
-
-    def zeroth_order(rec):
-        v = triple.zeroth_order_violation(t)
-        rec.residuals["violation"] = v
-        rec.status = PASS if v <= tol else FAIL
-
-    runner.run("zeroth_order", zeroth_order)
-
-    def first_order(rec):
-        v = triple.first_order_violation(t)
-        rec.residuals["violation"] = v
-        rec.status = PASS if v <= tol else FAIL
-
-    runner.run("first_order", first_order)
-
-    def sign_table_check(rec):
-        st = triple.sign_table(t, tol=max(1e-10, tol))
-        rec.residuals.update({f"{k}_residual": v for k, v in st.residuals.items()})
-        rec.dims["eps"] = st.eps
-        rec.dims["eps_prime"] = st.eps_prime
-        if st.eps_dblprime is not None:
-            rec.dims["eps_dblprime"] = st.eps_dblprime
-        if st.ko_dimension is not None:
-            rec.dims["ko_dimension"] = st.ko_dimension
-        rec.details = ("vacuous: " + ", ".join(st.vacuous)) if st.vacuous else ""
-        rec.status = PASS if st.ko_dimension is not None else FAIL
-
-    runner.run("sign_table", sign_table_check)
-
-    if t.grading is None:
-        runner.skip("grading_axioms", "odd triple")
-    else:
-        def grading_axioms(rec):
-            res = triple.axiom_residuals(t)
-            keys = ("grading_involution", "grading_hermitian",
-                    "grading_commutes_algebra", "grading_anticommutes_dirac")
-            rec.residuals = {k: res[k] for k in keys}
-            rec.status = PASS if all(res[k] <= tol for k in keys) else FAIL
-
-        runner.run("grading_axioms", grading_axioms)
-
-    first_ok = runner.status("first_order") == PASS
-    if not first_ok:
-        runner.skip("dirac_decomposition",
-                    runner.blocked("first_order") or "first-order condition fails")
-    else:
-        def dirac_decomposition(rec):
-            dec = triple.decompose_dirac(
-                t, tol=tol,
-                algebra_commutant=cache["algebra_commutant"],
-                opposite_commutant=cache["opposite_commutant"])
-            rec.residuals["residual"] = dec.residual
-            if dec.j_residual is not None:
-                rec.residuals["j_symmetric_residual"] = dec.j_residual
-            rec.dims["ambiguity"] = dec.ambiguity_dim
-            ok = dec.residual <= tol
-            ok = ok and cache["opposite_commutant"].contains(dec.free_part)
-            ok = ok and cache["algebra_commutant"].contains(dec.commuting_part)
-            if dec.j_residual is not None:
-                ok = ok and dec.j_residual <= tol * max(linalg.hs_norm(t.dirac), 1.0)
-            rec.status = PASS if ok else FAIL
-
-        runner.run("dirac_decomposition", dirac_decomposition)
-
-    def one_forms_check(rec):
-        om = morita.one_forms(t, tol=tol)
-        cache["one_forms"] = om
-        rec.dims["one_forms"] = om.dim
-        alg_basis = morita.algebra_span(t, tol=tol).basis_matrices()
-        worst = 0.0
-        for _ in range(8):
-            a = alg_basis[rng.integers(len(alg_basis))]
-            b = alg_basis[rng.integers(len(alg_basis))]
-            w = om.basis_matrices()[rng.integers(max(om.dim, 1))] if om.dim else None
-            if w is not None:
-                worst = max(worst, om.residual(a @ w @ b))
-        rec.residuals["bimodule_closure"] = worst
-        ok = worst <= tol * 10
-        p = cfg.params
-        couplings = [p.ups_nu, p.ups_e, p.ups_u, p.ups_d, p.omega, p.delta]
-        if cfg.dirac == "CC_plus_Gamma":
-            couplings.append(p.gamma)
-        named_applicable = (cfg.algebra == "A_F"
-                            and cfg.dirac in ("CC", "CC_plus_Gamma")
-                            and all(abs(c) > 1e-12 for c in couplings))
-        if named_applicable:
-            gens = catalog.one_form_generators(
-                p, include_gamma=(cfg.dirac == "CC_plus_Gamma"))
-            named = _bimodule_span(gens + [g.conj().T for g in gens], alg_basis, tol)
-            rec.dims["named_generator_bimodule"] = named.dim
-            ok = ok and subspaces.equals(om, named)
-            rec.details = "named-generator bimodule compared"
-        else:
-            rec.details = "named-generator comparison not applicable"
-        rec.status = PASS if ok else FAIL
-
-    runner.run("one_forms", one_forms_check)
-
-    orders_ok = first_ok and runner.status("zeroth_order") == PASS
-    if not orders_ok:
-        reason = (runner.blocked("zeroth_order", "first_order")
-                  or "order conditions fail")
-        for name in ("clifford_odd", "clifford_even", "gamma_in_clifford_odd",
-                     "property_m", "property_m_with_grading"):
-            runner.skip(name, reason)
-    else:
-        def clifford_odd(rec):
-            cl = morita.clifford(t, even=False, tol=tol,
-                                 one_form_space=cache.get("one_forms"),
-                                 within=cache.get("algebra_commutant"))
-            cache["clifford_odd"] = cl
-            rec.dims["clifford_odd"] = cl.dim
-            rec.residuals["closure_defect"] = cl.defect
-            rec.status = PASS if cl.defect <= tol else FAIL
-
-        runner.run("clifford_odd", clifford_odd)
-
-        if t.grading is None:
-            runner.skip("clifford_even", "odd triple")
-        else:
-            def clifford_even(rec):
-                odd = cache.get("clifford_odd")
-                # the even closure adds the grading, so its commutant lies in the odd one's
-                cl = morita.clifford(t, even=True, tol=tol,
-                                     one_form_space=cache.get("one_forms"),
-                                     within=None if odd is None else odd.commutant)
-                cache["clifford_even"] = cl
-                rec.dims["clifford_even"] = cl.dim
-                contained = cl.space.contains_all(odd.basis_matrices())
-                rec.details = f"odd contained in even: {contained}"
-                rec.status = PASS if contained else FAIL
-
-            runner.run("clifford_even", clifford_even)
-
-        def gamma_membership(rec):
-            cl = cache.get("clifford_odd")
-            if cl is None:
-                raise RuntimeError("clifford_odd unavailable")
-            if t.grading is not None:
-                member = cl.contains(t.grading)
-                rec.details = "triple grading"
-                rec.status = PASS if member else FAIL
-            else:
-                member_std = cl.contains(catalog.grading("standard"))
-                member_non = cl.contains(catalog.grading("nonstandard"))
-                rec.details = f"standard: {member_std}, nonstandard: {member_non}"
-                rec.status = PASS if (member_std and member_non) else FAIL
-
-        runner.run("gamma_in_clifford_odd", gamma_membership)
-
-        def property_m_check(rec):
-            verdict = morita.property_m(
-                t, with_grading=False, tol=tol, clifford_odd=cache.get("clifford_odd"))
-            cache["morita_odd"] = verdict
-            rec.dims["clifford_odd"] = verdict.clifford_odd_dim
-            rec.dims["commutant_odd"] = verdict.commutant_odd_dim
-            rec.dims["opposite"] = verdict.opposite_dim
-            if verdict.witness is not None:
-                rec.details = "witness: " + _describe_operator(verdict.witness, floor)
-            rec.status = PASS if verdict.property_m else FAIL
-
-        runner.run("property_m", property_m_check)
-
-        if t.grading is None:
-            runner.skip("property_m_with_grading", "odd triple")
-        else:
-            def property_m_grading(rec):
-                verdict = morita.property_m(
-                    t, with_grading=True, tol=tol, clifford_odd=cache.get("clifford_odd"),
-                    clifford_even=cache.get("clifford_even"))
-                rec.dims["clifford_even"] = verdict.clifford_even_dim
-                rec.dims["commutant_even"] = verdict.commutant_even_dim
-                rec.dims["opposite"] = verdict.opposite_dim
-                if not verdict.property_m_with_grading and verdict.witness is not None:
-                    rec.details = "witness: " + _describe_operator(verdict.witness, floor)
-                rec.status = PASS if verdict.property_m_with_grading else FAIL
-
-            runner.run("property_m_with_grading", property_m_grading)
-
-    def zero_chain_grading(rec):
-        g = t.grading if t.grading is not None else catalog.grading("standard")
-        member = morita.zero_chain_membership(g, t.algebra_gens, t.opposite_gens,
-                                              tol=tol)
-        rec.details = "triple grading" if t.grading is not None else "standard grading"
-        rec.status = PASS if member else FAIL
-
-    runner.run("zero_chain_grading", zero_chain_grading)
-
-    if cfg.algebra == "A_ev":
-        runner.skip("zero_chain_obstruction", "witness specific to the default algebra")
-    else:
-        def zero_chain_obstruction(rec):
-            x = catalog.witness_catalog()["e15_e11"]
-            probe = t if t.grading is not None else catalog.build_triple(
-                catalog.TripleConfig(algebra=cfg.algebra, grading="standard",
-                                     dirac=cfg.dirac, params=cfg.params,
-                                     custom_matrix=cfg.custom_matrix, tol=tol))
-            ok = morita.obstruction_check(x, probe, "zero_chain", tol=max(tol, 1e-10))
-            rec.details = "commuting witness anticommutes with the grading"
-            rec.status = PASS if ok else FAIL
-
-        runner.run("zero_chain_obstruction", zero_chain_obstruction)
-
-    def irreducibility(rec):
-        verdict = morita.irreducible(t, tol=tol,
-                                     algebra_commutant=cache.get("algebra_commutant"))
-        rec.dims["real_commutant"] = verdict.commutant_dim_real
-        rec.dims["selfadjoint_part"] = verdict.selfadjoint_dim
-        if verdict.witness is not None:
-            rec.details = "reducing projection: " + _describe_operator(verdict.witness, floor)
-        rec.status = PASS if verdict.irreducible else FAIL
-
-    runner.run("irreducibility", irreducibility)
-
-    def gauge_z6(rec):
-        eye = np.eye(layout.HILBERT_DIM)
-        scale = np.sqrt(layout.HILBERT_DIM)
-        worst = max(linalg.hs_norm(catalog.pi_sm(el) - eye) / scale
-                    for el in catalog.z6_elements())
-        rec.residuals["kernel"] = worst
-        rec.status = PASS if worst <= 1e-12 else FAIL
-
-    runner.run("gauge_z6_kernel", gauge_z6)
-
-    def gauge_hypercharges(rec):
-        ok = True
-        worst = 0.0
-        for _ in range(10):
-            theta = 0.05 + 0.4 * rng.random()
-            lam = np.exp(1j * theta)
-            op = catalog.pi_sm(catalog.GroupElement(
-                lam, np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
-            for r in range(1, 9):
-                for c in range(1, 5):
-                    idx = layout.slot_index(r, c)
-                    expected = int(layout.HYPERCHARGE_EXPONENTS[r - 1][c - 1])
-                    recovered = int(round(float(np.angle(op[idx, idx])) / theta))
-                    worst = max(worst, abs(op[idx, idx] - lam ** expected))
-                    if recovered != expected:
-                        ok = False
-        rec.residuals["eigenvalue"] = worst
-        rec.status = PASS if ok and worst <= 1e-12 else FAIL
-
-    runner.run("gauge_hypercharges", gauge_hypercharges)
-
-    def gauge_adjoint(rec):
-        eye = np.eye(layout.HILBERT_DIM)
-        scale = np.sqrt(layout.HILBERT_DIM)
-        ident = catalog.GroupElement(1.0, np.eye(2, dtype=complex),
-                                     np.eye(3, dtype=complex))
-        worst = linalg.hs_norm(catalog.rho_degenerate(ident) - eye) / scale
-        for _ in range(20):
-            u = catalog.random_group_element(rng)
-            v = catalog.random_group_element(rng)
-            ru = catalog.rho_degenerate(u)
-            rv = catalog.rho_degenerate(v)
-            uv = catalog.GroupElement(u.phase * v.phase, u.weak @ v.weak,
-                                      u.color @ v.color)
-            worst = max(worst, linalg.hs_norm(ru @ rv - catalog.rho_degenerate(uv)) / scale)
-            worst = max(worst, linalg.hs_norm(ru @ ru.conj().T - eye) / scale)
-        for el in catalog.z6_elements():
-            worst = max(worst, linalg.hs_norm(
-                catalog.rho_degenerate(catalog.cover_map(el)) - eye) / scale)
-        rec.residuals["defect"] = worst
-        rec.status = PASS if worst <= 1e-12 else FAIL
-
-    runner.run("gauge_adjoint_rep", gauge_adjoint)
-
-    if cfg.algebra != "B_F":
-        runner.skip("unitalization", "only meaningful for the degenerate representation")
-    else:
-        def unitalization(rec):
-            alg = star_algebra.star_closure(t.algebra_gens, tol=tol)
-            grown = star_algebra.unitalize(alg)
-            target = subspaces.span_of(catalog.algebra_af_generators(), tol=tol)
-            rec.dims["span"] = alg.dim
-            rec.dims["unitalized"] = grown.dim
-            ok = (alg.dim == 14 and grown.dim == 15
-                  and subspaces.equals(grown.space, target))
-            rec.status = PASS if ok else FAIL
-
-        runner.run("unitalization", unitalization)
-
-    order = {name: i for i, name in enumerate(RUN_PLAN)}
-    records = sorted(runner.records, key=lambda r: order[r.name])
+    run = _Run(cfg, _seed_from_config(echo))
+    records = {}
+    for step in PLAN:
+        reason = _skip_reason(step, run, records)
+        if reason is not None:
+            records[step.name] = CheckRecord(step.name, SKIPPED, details=reason)
+            continue
+        start = time.perf_counter()
+        rec = records[step.name] = CheckRecord(step.name, FAIL)
+        try:
+            step.check(run, rec)
+        except Exception as exc:  # keep the report complete on any failure
+            rec.status = ERROR
+            rec.details = f"error: {exc}"
+        rec.wall_time_s = time.perf_counter() - start
     return VerificationReport(config=echo, tolerance=cfg.tol,
-                              version=_version, checks=records)
+                              version=_version, checks=list(records.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def _merge_clusters(local, clusters, tol):
     return merged, float(off_block)
 
 
-def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED, within=None):
+def star_closure(gens, tol=DEFAULT_TOL, within=None):
     """Smallest complex *-algebra containing the generators.
 
     The generators and their adjoints are span-reduced to a seed, whose
@@ -240,7 +240,7 @@ def star_closure(gens, tol=DEFAULT_TOL, rng_seed=_CLOSURE_SEED, within=None):
     if not gens:
         raise ValueError("star_closure needs at least one generator")
     n = gens[0].shape[0]
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_CLOSURE_SEED)
     seed_rows = [linalg.vec(g) for g in gens] + [linalg.vec(g.conj().T) for g in gens]
     seed = linalg.orthonormal_rows(np.array(seed_rows), tol=tol)
     seed_mats = seed.reshape(-1, n, n).transpose(0, 2, 1)

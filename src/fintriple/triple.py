@@ -58,15 +58,10 @@ class FiniteTriple:
     real_structure: AntilinearOperator
     grading: np.ndarray | None = None
     free_part: np.ndarray | None = None
-    label: str = ""
 
     @property
     def n(self):
         return self.dirac.shape[0]
-
-    @property
-    def is_even(self):
-        return self.grading is not None
 
     @cached_property
     def _order_violations(self):
@@ -267,20 +262,16 @@ class DiracDecomposition:
     j_residual: float | None = None
 
 
-def decompose_dirac(t, tol=DEFAULT_TOL, algebra_commutant=None, opposite_commutant=None):
-    """Split the Dirac operator per the first-order structure theorem.
+def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
+    """Split the Dirac operator across the two commutants A' and (A°)'.
 
-    Raises FirstOrderError when the first-order condition fails.  The two
-    commutants may be passed in to avoid recomputation.
+    The splitting is that of the first-order structure theorem; raises
+    FirstOrderError when the first-order condition fails.
     """
     violation = first_order_violation(t)
     if violation > tol:
         raise FirstOrderError(f"not-first-order: violation {violation:.3e} > tol {tol:g}")
     n = t.n
-    if algebra_commutant is None:
-        algebra_commutant = subspaces.commutant(t.algebra_gens, tol=tol)
-    if opposite_commutant is None:
-        opposite_commutant = subspaces.commutant(t.opposite_gens, tol=tol)
 
     d = np.asarray(t.dirac, dtype=complex)
     b0 = opposite_commutant.flat

@@ -80,10 +80,20 @@ def af_opposite_commutant(thm1_triple):
 
 
 @pytest.fixture(scope="session")
-def thm1_clifford(thm1_triple):
-    return morita.clifford(thm1_triple, even=False)
+def thm1_derived(thm1_triple):
+    return morita.Derived(thm1_triple)
 
 
 @pytest.fixture(scope="session")
-def thm2_clifford(thm2_triple):
-    return morita.clifford(thm2_triple, even=False)
+def thm1_clifford(thm1_derived):
+    return thm1_derived.clifford_odd
+
+
+@pytest.fixture(scope="session")
+def thm2_derived(thm2_triple):
+    return morita.Derived(thm2_triple)
+
+
+@pytest.fixture(scope="session")
+def thm2_clifford(thm2_derived):
+    return thm2_derived.clifford_odd

@@ -60,13 +60,14 @@ def test_criterion_02_ko_dimension():
 def test_criterion_03_morita_with_grading(draws):
     for params in draws:
         t = _triple_for(params)
-        cl = morita.clifford(t, even=False)
-        v = morita.property_m(t, with_grading=True, clifford_odd=cl)
+        d = morita.Derived(t)
+        cl = d.clifford_odd
+        v = morita.property_m(d, with_grading=True)
         assert v.property_m is False
         assert v.commutant_odd_dim == 19
         assert v.property_m_with_grading is True
         assert v.commutant_even_dim == 15
-        opp = morita.opposite_span(t, unitalized=True)
+        opp = morita.opposite_span(t)
         comm_even = subspaces.commutant(
             cl.basis_matrices() + [np.asarray(t.grading)], tol=1e-9)
         assert subspaces.equals(comm_even, opp, tol=1e-9)
@@ -78,8 +79,9 @@ def test_criterion_03_morita_with_grading(draws):
 def test_criterion_04_morita_odd_case(draws):
     for params in draws:
         t = _triple_for(params, grading="none", dirac="CC_plus_Gamma")
-        cl = morita.clifford(t, even=False)
-        v = morita.property_m(t, with_grading=False, clifford_odd=cl)
+        d = morita.Derived(t)
+        cl = d.clifford_odd
+        v = morita.property_m(d, with_grading=False)
         assert v.property_m is True
         assert cl.contains(catalog.grading("standard"))
         assert cl.contains(catalog.grading("nonstandard"))
@@ -97,8 +99,9 @@ def test_criterion_05_negative_controls(draws):
             delta=0.0 if zeroed == "delta" else base.delta)
         grading = "nonstandard" if zeroed == "omega" else "standard"
         t = _triple_for(params, grading=grading)
-        cl = morita.clifford(t, even=False)
-        v = morita.property_m(t, with_grading=True, clifford_odd=cl)
+        d = morita.Derived(t)
+        cl = d.clifford_odd
+        v = morita.property_m(d, with_grading=True)
         assert v.property_m is False
         assert v.property_m_with_grading is False
         w = v.witness
@@ -108,7 +111,7 @@ def test_criterion_05_negative_controls(draws):
                  if v.witness_side == "odd"
                  else cl.basis_matrices() + [np.asarray(t.grading)])
         assert max(linalg.hs_norm(w @ b - b @ w) for b in basis) <= 1e-10
-        opp = morita.opposite_span(t, unitalized=True)
+        opp = morita.opposite_span(t)
         assert opp.residual(w) >= 0.9
     _line(5, "vanishing mixing coupling breaks the Morita property with a "
              "certified commutant witness outside the opposite algebra")
@@ -118,8 +121,9 @@ def test_criterion_06_one_form_generators(draws):
     for params in draws:
         for dirac in ("CC", "CC_plus_Gamma"):
             t = _triple_for(params, grading="none", dirac=dirac)
-            om = morita.one_forms(t)
-            alg = morita.algebra_span(t).basis_matrices()
+            d = morita.Derived(t)
+            om = d.one_forms
+            alg = d.algebra_span.basis_matrices()
             gens = catalog.one_form_generators(
                 params, include_gamma=(dirac == "CC_plus_Gamma"))
             mats = []
@@ -148,16 +152,16 @@ def test_criterion_07_first_order_dichotomy(draws):
 def test_criterion_08_irreducibility(draws):
     params = draws[0]
     t1 = _triple_for(params)
-    v1 = morita.irreducible(t1)
+    v1 = morita.irreducible(morita.Derived(t1))
     assert v1.irreducible and v1.commutant_dim_real == 1
     t2 = _triple_for(params, grading="none", dirac="CC_plus_Gamma")
-    v2 = morita.irreducible(t2)
+    v2 = morita.irreducible(morita.Derived(t2))
     assert v2.irreducible and v2.commutant_dim_real == 1
     nodal = catalog.DiracParams(
         ups_nu=params.ups_nu, ups_e=params.ups_e, ups_u=params.ups_u,
         ups_d=params.ups_d, ups_r=params.ups_r, omega=params.omega, delta=0.0)
     t3 = _triple_for(nodal, grading="standard")
-    v3 = morita.irreducible(t3)
+    v3 = morita.irreducible(morita.Derived(t3))
     assert not v3.irreducible
     assert v3.commutant_dim_real >= 2
     p = catalog.lepton_projection()

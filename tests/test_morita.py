@@ -19,27 +19,27 @@ def _bimodule(gens, alg_basis):
 def test_one_forms_zero_dirac():
     t = catalog.build_triple(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="zero"))
-    assert morita.one_forms(t).dim == 0
+    assert morita.Derived(t).one_forms.dim == 0
 
 
-def test_one_forms_named_generators(thm1_triple):
-    om = morita.one_forms(thm1_triple)
-    alg = morita.algebra_span(thm1_triple).basis_matrices()
+def test_one_forms_named_generators(thm1_derived):
+    om = thm1_derived.one_forms
+    alg = thm1_derived.algebra_span.basis_matrices()
     named = _bimodule(catalog.one_form_generators(BASE, include_gamma=False), alg)
     assert subspaces.equals(om, named)
 
 
-def test_one_forms_named_generators_with_gamma(thm2_triple):
-    om = morita.one_forms(thm2_triple)
-    alg = morita.algebra_span(thm2_triple).basis_matrices()
+def test_one_forms_named_generators_with_gamma(thm2_derived):
+    om = thm2_derived.one_forms
+    alg = thm2_derived.algebra_span.basis_matrices()
     named = _bimodule(catalog.one_form_generators(BASE, include_gamma=True), alg)
     assert subspaces.equals(om, named)
 
 
-def test_one_forms_two_sided_module(thm2_triple):
+def test_one_forms_two_sided_module(thm2_derived):
     rng = np.random.default_rng(61)
-    om = morita.one_forms(thm2_triple)
-    alg = morita.algebra_span(thm2_triple).basis_matrices()
+    om = thm2_derived.one_forms
+    alg = thm2_derived.algebra_span.basis_matrices()
     oms = om.basis_matrices()
     for _ in range(10):
         a = alg[rng.integers(len(alg))]
@@ -57,17 +57,17 @@ def test_clifford_zero_dirac_full_matrix_algebra():
         algebra_gens=(shift, diag), opposite_gens=(np.eye(8, dtype=complex),),
         dirac=np.zeros((8, 8), dtype=complex),
         real_structure=linalg.AntilinearOperator(np.eye(8)))
-    cl = morita.clifford(t, even=False)
+    cl = morita.Derived(t).clifford_odd
     assert cl.dim == 64
 
 
 def test_clifford_even_requires_grading(thm2_triple):
     with pytest.raises(ValueError):
-        morita.clifford(thm2_triple, even=True)
+        morita.clifford(morita.Derived(thm2_triple), even=True)
 
 
-def test_theorem_grading_separates_cliffords(thm1_triple, thm1_clifford):
-    even = morita.clifford(thm1_triple, even=True)
+def test_theorem_grading_separates_cliffords(thm1_triple, thm1_derived):
+    thm1_clifford, even = thm1_derived.clifford_odd, thm1_derived.clifford_even
     assert thm1_clifford.dim == 96
     assert even.dim == 112
     assert not thm1_clifford.contains(thm1_triple.grading)
@@ -81,8 +81,8 @@ def test_gamma_inside_odd_clifford_with_extra_coupling(thm2_clifford):
     assert thm2_clifford.contains(catalog.grading("nonstandard"))
 
 
-def test_property_m_theorem_even_case(thm1_triple, thm1_clifford):
-    v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=thm1_clifford)
+def test_property_m_theorem_even_case(thm1_derived):
+    v = morita.property_m(thm1_derived, with_grading=True)
     assert not v.property_m
     assert v.commutant_odd_dim == 19
     assert v.property_m_with_grading
@@ -92,14 +92,14 @@ def test_property_m_theorem_even_case(thm1_triple, thm1_clifford):
     assert v.witness is not None and v.witness_side == "odd"
 
 
-def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_clifford):
+def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_derived):
     # wrapped spaces carry no commutant, so property_m solves both sides
-    cl_even = morita.clifford(thm1_triple, even=True)
-    wrapped_odd = star_algebra.StarAlgebra(space=thm1_clifford.space,
-                                           unital=thm1_clifford.unital)
-    wrapped_even = star_algebra.StarAlgebra(space=cl_even.space, unital=cl_even.unital)
-    v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=wrapped_odd,
-                          clifford_even=wrapped_even)
+    thm1_clifford, cl_even = thm1_derived.clifford_odd, thm1_derived.clifford_even
+    d = morita.Derived(thm1_triple)
+    d.clifford_odd = star_algebra.StarAlgebra(space=thm1_clifford.space,
+                                              unital=thm1_clifford.unital)
+    d.clifford_even = star_algebra.StarAlgebra(space=cl_even.space, unital=cl_even.unital)
+    v = morita.property_m(d, with_grading=True)
     assert not v.property_m
     assert v.commutant_odd_dim == 19
     assert v.property_m_with_grading
@@ -107,10 +107,9 @@ def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_clifford):
     assert v.clifford_even_dim == 112
 
 
-def test_even_clifford_dim_is_the_bicommutant_dim(thm1_triple, thm1_clifford):
-    cl_even = morita.clifford(thm1_triple, even=True)
-    v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=thm1_clifford,
-                          clifford_even=cl_even)
+def test_even_clifford_dim_is_the_bicommutant_dim(thm1_derived):
+    cl_even = thm1_derived.clifford_even
+    v = morita.property_m(thm1_derived, with_grading=True)
     double = subspaces.commutant(subspaces.commutant(cl_even.basis_matrices()).basis_matrices())
     assert v.clifford_even_dim == double.dim == 112
 
@@ -123,8 +122,10 @@ def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
     double = subspaces.commutant(subspaces.commutant([p]).basis_matrices())
     mislabelled = star_algebra.StarAlgebra(space=closure.space, unital=True)
     for cl_even in (closure, mislabelled):
-        v = morita.property_m(thm1_triple, with_grading=True, clifford_odd=thm1_clifford,
-                              clifford_even=cl_even)
+        d = morita.Derived(thm1_triple)
+        d.clifford_odd = thm1_clifford
+        d.clifford_even = cl_even
+        v = morita.property_m(d, with_grading=True)
         assert v.clifford_even_dim == double.dim == 2
 
 
@@ -134,15 +135,15 @@ def test_property_m_commutant_matches_block_form(thm1_clifford):
     assert subspaces.equals(comm, oracle)
 
 
-def test_property_m_theorem_odd_case(thm2_triple, thm2_clifford):
-    v = morita.property_m(thm2_triple, with_grading=False, clifford_odd=thm2_clifford)
+def test_property_m_theorem_odd_case(thm2_derived):
+    v = morita.property_m(thm2_derived, with_grading=False)
     assert v.property_m
     assert v.commutant_odd_dim == 15
     assert v.witness is None
 
 
 def test_property_m_negative_controls(original_cc_triple):
-    v = morita.property_m(original_cc_triple, with_grading=True)
+    v = morita.property_m(morita.Derived(original_cc_triple), with_grading=True)
     assert not v.property_m
     assert not v.property_m_with_grading
     assert v.witness is not None
@@ -150,7 +151,7 @@ def test_property_m_negative_controls(original_cc_triple):
 
 def test_property_m_requires_order_conditions(pati_salam_triple):
     with pytest.raises(morita.OrderConditionError):
-        morita.property_m(pati_salam_triple)
+        morita.property_m(morita.Derived(pati_salam_triple))
 
 
 def test_property_m_scale_invariance(thm1_triple):
@@ -161,7 +162,7 @@ def test_property_m_scale_invariance(thm1_triple):
         real_structure=thm1_triple.real_structure,
         grading=thm1_triple.grading,
         free_part=3.7 * thm1_triple.free_part)
-    v = morita.property_m(scaled, with_grading=True)
+    v = morita.property_m(morita.Derived(scaled), with_grading=True)
     assert not v.property_m
     assert v.property_m_with_grading
     assert (v.commutant_odd_dim, v.commutant_even_dim) == (19, 15)
@@ -169,7 +170,7 @@ def test_property_m_scale_invariance(thm1_triple):
 
 def test_opposite_always_inside_clifford_commutant(thm1_triple, thm1_clifford):
     comm = subspaces.commutant(thm1_clifford.basis_matrices())
-    opp = morita.opposite_span(thm1_triple, unitalized=True)
+    opp = morita.opposite_span(thm1_triple)
     assert all(comm.contains(b) for b in opp.basis_matrices())
 
 
@@ -181,7 +182,7 @@ def test_clifford_bicommutant(thm1_clifford):
 
 def test_lemma_consequence_equalities(thm2_triple, thm2_clifford):
     # with the Morita property, A cap B = Z(A) cap Z(B) = A' cap B'
-    opp = morita.opposite_span(thm2_triple, unitalized=True)
+    opp = morita.opposite_span(thm2_triple)
     cl_space = thm2_clifford.space
     a_cap_b = subspaces.intersect(cl_space, opp)
     za = star_algebra.center(thm2_clifford)
@@ -209,10 +210,11 @@ def test_replacing_commuting_part_preserves_clifford(thm1_triple, thm1_clifford)
         opposite_gens=thm1_triple.opposite_gens,
         dirac=d0 + d1,
         real_structure=j, grading=thm1_triple.grading, free_part=d0)
-    om_modified = morita.one_forms(modified)
-    om_original = morita.one_forms(thm1_triple)
+    derived = morita.Derived(modified)
+    om_modified = derived.one_forms
+    om_original = morita.Derived(thm1_triple).one_forms
     assert subspaces.equals(om_modified, om_original)
-    cl_modified = morita.clifford(modified, even=False)
+    cl_modified = derived.clifford_odd
     assert subspaces.equals(cl_modified.space, thm1_clifford.space)
 
 
@@ -225,10 +227,10 @@ def _assert_morita_failure_witness(t, x):
     """x commutes with the even Clifford generators and the grading but lies
     outside the opposite algebra (non-membership, with a quantitative
     floor): a hand witness that the Morita property with grading fails."""
-    cl = morita.clifford(t, even=False)
+    cl = morita.Derived(t).clifford_odd
     basis = cl.basis_matrices() + [np.asarray(t.grading)]
     assert max(linalg.hs_norm(x @ b - b @ x) for b in basis) <= 1e-10
-    opp = morita.opposite_span(t, unitalized=True)
+    opp = morita.opposite_span(t)
     assert not opp.contains(x)
     assert opp.residual(x) >= 0.5 * linalg.hs_norm(x)
 
@@ -340,31 +342,31 @@ def test_reducing_projection_is_basis_independent(basis, expected):
     rng = np.random.default_rng(12)
     n = 4
     basis = [m.astype(complex) for m in basis]
-    proj = morita._reducing_projection(basis, n, 1e-9, 1e-6)
+    proj = morita._reducing_projection(basis, n, 1e-9)
     np.testing.assert_allclose(proj, expected, rtol=0, atol=1e-12)
     for _ in range(3):
         q, _r = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
         rotated = [sum(c * m for c, m in zip(row, basis)) for row in q]
-        proj_rot = morita._reducing_projection(rotated, n, 1e-9, 1e-6)
+        proj_rot = morita._reducing_projection(rotated, n, 1e-9)
         np.testing.assert_allclose(proj_rot, proj, rtol=0, atol=1e-12)
         assert (report._describe_operator(proj_rot, 1e-12)
                 == report._describe_operator(proj, 1e-12))
 
 
 def test_reducing_projection_identity_only():
-    assert morita._reducing_projection([np.eye(4, dtype=complex)], 4, 1e-9, 1e-6) is None
+    assert morita._reducing_projection([np.eye(4, dtype=complex)], 4, 1e-9) is None
 
 
 def test_irreducibility_theorems(thm1_triple, thm2_triple):
     for t in (thm1_triple, thm2_triple):
-        v = morita.irreducible(t)
+        v = morita.irreducible(morita.Derived(t))
         assert v.irreducible
         assert v.commutant_dim_real == 1
         assert v.witness is None
 
 
 def test_reducibility_without_lepton_quark_mixing(original_cc_triple):
-    v = morita.irreducible(original_cc_triple)
+    v = morita.irreducible(morita.Derived(original_cc_triple))
     assert not v.irreducible
     assert v.commutant_dim_real >= 2
     p = catalog.lepton_projection()
@@ -382,7 +384,7 @@ def test_reducibility_without_lepton_quark_mixing(original_cc_triple):
 
 
 def test_pati_salam_full_triple_irreducible(pati_salam_triple):
-    v = morita.irreducible(pati_salam_triple)
+    v = morita.irreducible(morita.Derived(pati_salam_triple))
     assert v.irreducible
     assert v.commutant_dim_real == 1
 
@@ -398,7 +400,7 @@ def test_pati_salam_chirality_reduces_algebra_with_real_structure(pati_salam_tri
         opposite_gens=pati_salam_triple.opposite_gens,
         dirac=np.zeros((32, 32), dtype=complex),
         real_structure=pati_salam_triple.real_structure)
-    v = morita.irreducible(t)
+    v = morita.irreducible(morita.Derived(t))
     assert not v.irreducible
     assert v.commutant_dim_real == 4
     assert v.selfadjoint_dim == 2
@@ -454,9 +456,10 @@ def test_restricted_commutants_equal_the_solves_from_scratch(name):
     # one, the irreducibility commutant inside A'
     cfg, t = config_triple(name)
     tol = cfg.tol
-    alg = subspaces.commutant(t.algebra_gens, tol=tol)
-    gens = morita.algebra_span(t, tol=tol).basis_matrices()
-    gens += morita.one_forms(t, tol=tol).basis_matrices()
+    d = morita.Derived(t, tol)
+    alg = d.algebra_commutant
+    gens = d.algebra_span.basis_matrices()
+    gens += d.one_forms.basis_matrices()
     gens += [g.conj().T for g in gens]
     odd = subspaces.commutant(gens, tol=tol, within=alg)
     assert subspaces.equals(odd, subspaces.commutant(gens, tol=tol))
@@ -469,13 +472,6 @@ def test_restricted_commutants_equal_the_solves_from_scratch(name):
     inside = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol, within=alg)
     scratch = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol)
     assert subspaces.equals(inside, scratch)
-    verdict = morita.irreducible(t, tol=tol, algebra_commutant=alg)
-    verdict_scratch = morita.irreducible(t, tol=tol)
-    assert verdict.irreducible == verdict_scratch.irreducible
-    assert verdict.commutant_dim_real == verdict_scratch.commutant_dim_real
-    assert verdict.selfadjoint_dim == verdict_scratch.selfadjoint_dim
-    if verdict.witness is not None:
-        assert np.allclose(verdict.witness, verdict_scratch.witness, atol=1e-9)
 
 
 def test_clifford_closures_run_in_160_block_coordinates(monkeypatch):
@@ -495,8 +491,9 @@ def test_clifford_closures_run_in_160_block_coordinates(monkeypatch):
             t = catalog.build_triple(catalog.TripleConfig(
                 algebra="A_F", grading=grading, dirac=dirac,
                 params=draw_params(rng, with_gamma=dirac == "CC_plus_Gamma")))
-            odd = morita.clifford(t, within=subspaces.commutant(t.algebra_gens))
+            d = morita.Derived(t)
+            d.clifford_odd
             if t.grading is not None:
-                morita.clifford(t, even=True, within=odd.commutant)
+                d.clifford_even
     assert len(coords) >= 24
     assert set(coords) == {160}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,9 @@ def test_one_forms_check_memory(thm2_triple):
     gens = catalog.one_form_generators(BASE, include_gamma=True)
     tracemalloc.start()
     try:
-        om = morita.one_forms(thm2_triple, tol=tol)
-        alg = morita.algebra_span(thm2_triple, tol=tol).basis_matrices()
+        d = morita.Derived(thm2_triple, tol)
+        om = d.one_forms
+        alg = d.algebra_span.basis_matrices()
         named = report._bimodule_span(gens + [g.conj().T for g in gens], alg, tol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -144,20 +146,27 @@ def test_bimodule_span_matches_the_span_of_all_products(thm1_triple):
 
 def test_order_violations_computed_once_per_report(monkeypatch):
     # the two order checks, grading_axioms, dirac_decomposition and both
-    # property_m checks all read the violations cached on the triple
+    # property_m checks all read the violations cached on the triple; every
+    # shared object is built once, and the commutant is solved four times:
+    # A', both Clifford closures and the irreducibility commutant
     calls = []
 
     def counted(fn):
-        def wrapper(t):
+        def wrapper(*args, **kwargs):
             calls.append(fn.__name__)
-            return fn(t)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(triple, "_zeroth_order", counted(triple._zeroth_order))
     monkeypatch.setattr(triple, "_first_order", counted(triple._first_order))
+    for name in ("algebra_span", "opposite_span", "one_forms", "clifford"):
+        monkeypatch.setattr(morita, name, counted(getattr(morita, name)))
+    monkeypatch.setattr(subspaces, "commutant", counted(subspaces.commutant))
     rep = report.run_all(parse_config_file(CONFIG_DIR / "thm1.cfg"))
     assert rep.check("property_m_with_grading").status == "pass"
-    assert sorted(calls) == ["_first_order", "_zeroth_order"]
+    assert Counter(calls) == {"_zeroth_order": 1, "_first_order": 1,
+                              "algebra_span": 1, "opposite_span": 1, "one_forms": 1,
+                              "clifford": 2, "commutant": 4}
 
 
 @pytest.mark.parametrize("raising", ["_zeroth_order", "_first_order"])
@@ -327,19 +336,44 @@ def test_cli_config_error(tmp_path):
     assert cli.main(["axioms", str(bad)]) == 2
 
 
-def test_cli_axioms_and_commutant(capsys):
+def _cli_dims(capsys, *argv):
+    """The 'label: value' lines a focused subcommand prints, as a dict."""
+    assert cli.main(list(argv)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return dict(line.rsplit(":", 1) for line in lines)
+
+
+def test_cli_axioms_and_commutant(capsys, thm1_report):
     assert cli.main(["axioms", str(CONFIG_DIR / "original_cc.cfg")]) == 0
     text = capsys.readouterr().out
     assert "ko_dimension" in text and "6" in text
     assert cli.main(["commutant", str(CONFIG_DIR / "original_cc.cfg")]) == 0
     text = capsys.readouterr().out
     assert "112" in text and "4" in text
+    # the same dimensions as the verify report, each read off one object
+    dims = thm1_report.check("commutant_dimensions").dims
+    assert dims == {"algebra_commutant": 112, "opposite_commutant": 112,
+                    "opposite_center": 4}
+    out = _cli_dims(capsys, "commutant", str(CONFIG_DIR / "thm1.cfg"))
+    assert int(out["algebra commutant dim"]) == dims["algebra_commutant"]
+    assert int(out["opposite commutant dim"]) == dims["opposite_commutant"]
+    assert int(out["opposite center dim"]) == dims["opposite_center"]
 
 
-def test_cli_clifford(capsys):
+def test_cli_clifford(capsys, thm1_report):
     assert cli.main(["clifford", str(CONFIG_DIR / "thm2.cfg")]) == 0
     text = capsys.readouterr().out
     assert "112" in text and "15" in text
+    # thm1: the closures and their commutants of the verify report
+    odd = thm1_report.check("property_m").dims
+    even = thm1_report.check("property_m_with_grading").dims
+    assert (odd["clifford_odd"], odd["commutant_odd"]) == (96, 19)
+    assert (even["clifford_even"], even["commutant_even"]) == (112, 15)
+    for kind, argv in (("odd", ()), ("even", ("--even",))):
+        out = _cli_dims(capsys, "clifford", str(CONFIG_DIR / "thm1.cfg"), *argv)
+        dims = odd if kind == "odd" else even
+        assert int(out[f"clifford ({kind}) dim"]) == dims[f"clifford_{kind}"]
+        assert int(out["commutant dim"]) == dims[f"commutant_{kind}"]
 
 
 def test_cli_tol_override(capsys):

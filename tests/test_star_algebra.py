@@ -199,8 +199,9 @@ def test_closure_defect_reported(thm1_clifford):
 
 
 def _clifford_generators(t, even):
-    gens = list(morita.algebra_span(t).basis_matrices())
-    gens += morita.one_forms(t).basis_matrices()
+    d = morita.Derived(t)
+    gens = list(d.algebra_span.basis_matrices())
+    gens += d.one_forms.basis_matrices()
     if even:
         gens.append(np.asarray(t.grading, dtype=complex))
     return gens

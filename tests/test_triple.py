@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fintriple import catalog, linalg, subspaces, triple
+from fintriple import catalog, linalg, morita, subspaces, triple
 
 import oracles
 from conftest import BASE, CONFIG_NAMES, config_triple
@@ -154,8 +154,10 @@ def test_decompose_full_family(thm1_triple, af_commutant, af_opposite_commutant)
 
 
 def test_decompose_requires_first_order(pati_salam_triple):
+    d = morita.Derived(pati_salam_triple)
     with pytest.raises(triple.FirstOrderError):
-        triple.decompose_dirac(pati_salam_triple)
+        triple.decompose_dirac(pati_salam_triple, d.algebra_commutant,
+                               d.opposite_commutant)
 
 
 def test_decompose_random_roundtrip(thm1_triple, af_commutant, af_opposite_commutant):
