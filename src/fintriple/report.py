@@ -11,8 +11,10 @@ rounded to 12 significant digits, so identical configs and version produce
 identical bytes apart from the wall-time fields (which golden comparisons
 normalize away), whatever the BLAS build and thread count.  To that end
 render_json writes every residual whose magnitude is below the noise floor
-NOISE_FLOOR_FACTOR * tolerance (1e-12 at the default tol = 1e-9) as 0.0;
-verdicts, CheckRecord.residuals and render_text keep the raw values.
+max(NOISE_FLOOR_FACTOR * tolerance, linalg.TOL_FLOOR) (1e-12 at the default
+tol = 1e-9, never above the tolerance, and never below the roundoff of the
+constraint systems) as 0.0; verdicts, CheckRecord.residuals and render_text
+keep the raw values.
 Operator descriptions list entries by modulus rounded to MODULUS_DECIMALS
 places, ties in flat index order, and write parts below the floor as 0.
 The witnesses they describe are chosen canonically (see
@@ -50,8 +52,18 @@ EXPECTED_COMMUTANT_DIMS = {
 }
 
 #: Residuals below NOISE_FLOOR_FACTOR * tolerance are roundoff and are
-#: rendered as 0.0 in the canonical JSON.
+#: rendered as 0.0 in the canonical JSON (_noise_floor).
 NOISE_FLOOR_FACTOR = 1e-3
+
+
+def _noise_floor(tol):
+    """NOISE_FLOOR_FACTOR * tol, raised to linalg.TOL_FLOOR.
+
+    Near the smallest accepted tol the factor alone would sit below
+    roundoff, where the canonical bytes would follow the BLAS thread count;
+    the floor never exceeds tol, so a zero never hides a failing residual.
+    """
+    return max(NOISE_FLOOR_FACTOR * tol, linalg.TOL_FLOOR)
 
 @dataclass
 class CheckRecord:
@@ -155,7 +167,7 @@ class _Run:
     def __init__(self, cfg, seed):
         self.cfg = cfg
         self.tol = cfg.tol
-        self.floor = NOISE_FLOOR_FACTOR * cfg.tol
+        self.floor = _noise_floor(cfg.tol)
         self.t = catalog.build_triple(cfg)
         self.derived = morita.Derived(self.t, cfg.tol)
         self.rng = np.random.default_rng(seed)
@@ -487,7 +499,7 @@ def _round_floats(obj):
 
 
 def report_to_dict(report, normalize_timing=False):
-    floor = NOISE_FLOOR_FACTOR * report.tolerance
+    floor = _noise_floor(report.tolerance)
     checks = []
     for rec in report.checks:
         checks.append({

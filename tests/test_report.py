@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -115,6 +116,28 @@ def test_golden_reports_independent_of_blas_threads(original_cc_report):
         [sys.executable, "-c", code, str(CONFIG_DIR / "original_cc.cfg")],
         env=env, capture_output=True, text=True, check=True)
     assert result.stdout == report.render_json(original_cc_report, normalize_timing=True)
+
+
+def _verify_json(path, tol, threads):
+    """verify --report json in a fresh process at a BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    src = str(Path(report.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fintriple.cli", "verify", str(path),
+         "--tol", tol, "--report", "json"],
+        env=env, capture_output=True, text=True, check=True)
+    return re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0.0', result.stdout)
+
+
+def test_json_at_the_tol_floor_independent_of_blas_threads():
+    # at the smallest accepted tol the noise floor is linalg.TOL_FLOOR, not
+    # 1e-3 * tol, which would sit below roundoff
+    path = CONFIG_DIR / "thm1.cfg"
+    one = _verify_json(path, "1e-13", 1)
+    assert '"tolerance": 1e-13' in one
+    assert one == _verify_json(path, "1e-13", 2)
 
 
 def test_one_forms_check_memory(thm2_triple):
