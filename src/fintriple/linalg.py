@@ -192,6 +192,26 @@ def svd_rows(a):
     return sigma, vh
 
 
+def left_kernel(a, tol, scale=0.0):
+    """Orthonormal rows c with c @ a = 0.
+
+    The rank is cut on a's own shape (rank_from_singular_values, with
+    scale as there); the rows are the right singular vectors of a* that
+    fall below the cut.  a must have at most as many rows as columns.
+    """
+    sigma, vh = svd_rows(a.conj().T)
+    return vh[rank_from_singular_values(sigma, a.shape, tol, scale):]
+
+
+def real_left_kernel(a, tol, scale=0.0):
+    """Orthonormal real rows c with c @ a = 0 for a complex a.
+
+    The real form of left_kernel: c @ a = 0 for real c exactly when c
+    annihilates both the real and the imaginary part of a.
+    """
+    return left_kernel(np.hstack([a.real, a.imag]), tol, scale)
+
+
 def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
     """Orthonormal basis (as rows) of the span of the given flat vectors.
 

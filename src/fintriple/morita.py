@@ -133,7 +133,7 @@ class Derived:
     def opposite_center(self):
         # adjoining 1 leaves the commutant of the opposite generators as it is
         return star_algebra.center(star_algebra.StarAlgebra(
-            space=self.opposite_span, unital=True, commutant=self.opposite_commutant),
+            space=self.opposite_span, commutant=self.opposite_commutant),
             tol=self.tol)
 
     @cached_property
@@ -207,9 +207,7 @@ def property_m(derived, with_grading=False):
     at its tol (star_algebra.commutant_of).  The even Clifford dimension is
     that of the bicommutant, read off the closure: a finite-dimensional
     *-algebra A has A'' = A + C 1, so it is the closure's dimension, plus
-    one when the closure does not contain the identity (tested by
-    membership, not by the unital flag, so that a wrapped algebra counts
-    right).
+    one when the closure is not unital.
     """
     t, tol = derived.t, derived.tol
     z = zeroth_order_violation(t)
@@ -230,7 +228,7 @@ def property_m(derived, with_grading=False):
     if with_grading:
         cl_even = derived.clifford_even
         comm_even = star_algebra.commutant_of(cl_even, tol)
-        cl_even_dim = cl_even.dim + (0 if cl_even.contains(linalg.identity(t.n)) else 1)
+        cl_even_dim = cl_even.dim + (0 if cl_even.unital else 1)
         holds_even = subspaces.equals(comm_even, opp)
 
     witness = None
@@ -311,10 +309,11 @@ def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol, within=None):
     The complex commutant of gens plus the normalized extra_ops is solved
     first, inside within when given (a complex space known to contain it,
     such as the commutant of gens); with X = sum (a_j + i b_j) B_j over its
-    orthonormal basis B, the condition on J is the real 2n^2 x 2d system
-    sum a_j (B_j K - K conj(B_j)) + b_j i (B_j K + K conj(B_j)) = 0, whose
-    kernel is read off a thin SVD.  The map (a, b) -> X is an isometry onto
-    Re <., .>, so the orthonormal kernel gives an orthonormal real basis.
+    orthonormal basis B, the condition on J is
+    sum a_j (B_j K - K conj(B_j)) + b_j i (B_j K + K conj(B_j)) = 0, the
+    real left kernel of those 2d rows.  The map (a, b) -> X is an isometry
+    onto Re <., .>, so the orthonormal kernel gives an orthonormal real
+    basis.
     """
     mats = [np.asarray(g, dtype=complex) for g in gens]
     for op in extra_ops:
@@ -326,35 +325,12 @@ def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol, within=None):
     b = np.array(comm.basis_matrices()).reshape(-1, n, n)
     k = np.asarray(k_matrix, dtype=complex)
     twisted = k @ b.conj()
-    cols = np.vstack([(b @ k - twisted).reshape(-1, n * n),
-                      1j * (b @ k + twisted).reshape(-1, n * n)]).T
-    system = np.vstack([cols.real, cols.imag])
-    sigma, vh = linalg.svd_rows(system)
-    combos = vh[linalg.rank_from_singular_values(sigma, system.shape, tol):]
+    combos = linalg.real_left_kernel(np.vstack([(b @ k - twisted).reshape(-1, n * n),
+                                                1j * (b @ k + twisted).reshape(-1, n * n)]),
+                                     tol)
     d = comm.dim
     flat = (combos[:, :d] + 1j * combos[:, d:]) @ comm.flat
     return OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
-
-
-def _selfadjoint_subbasis(space, tol):
-    """Real basis of the Hermitian elements of a real-linear operator space."""
-    if space.dim == 0:
-        return []
-    cols = []
-    for row in space.flat:
-        m = linalg.unvec(row, space.n, space.n)
-        cols.append(linalg.vec(m - m.conj().T))
-    a = np.array(cols).T  # (n^2, d) complex, columns indexed by basis
-    system = np.vstack([a.real, a.imag])
-    sigma, vh = linalg.svd_rows(system)
-    cut = tol * max(system.shape)
-    rank = int(np.sum(sigma > cut))
-    combos = vh[rank:]
-    mats = []
-    for c in combos:
-        m = linalg.unvec(c @ space.flat, space.n, space.n)
-        mats.append(0.5 * (m + m.conj().T))
-    return mats
 
 
 def _reducing_projection(herm, n, tol):
@@ -416,9 +392,14 @@ def irreducible(derived):
     comm = _real_commutant_with_j(t.algebra_gens, extra,
                                   t.real_structure.matrix, n, tol,
                                   within=derived.algebra_commutant)
-    herm = _selfadjoint_subbasis(comm, tol)
-    sa_dim = len(herm)
-    projection = None if sa_dim <= 1 else _reducing_projection(herm, n, tol)
+    # the real commutant is *-closed (the generators span a *-closed set, D
+    # and the grading are Hermitian, J is antiunitary), so its Hermitian
+    # part is the real span of the (X + X*)/2
+    mats = comm.flat.reshape(-1, n, n)
+    herm = OperatorSubspace(0.5 * (mats + mats.conj().transpose(0, 2, 1)).reshape(-1, n * n),
+                            n, field="real", tol=tol)
+    sa_dim = herm.dim
+    projection = None if sa_dim <= 1 else _reducing_projection(herm.basis_matrices(), n, tol)
     return IrreducibilityVerdict(projection is None, comm.dim, sa_dim, projection)
 
 

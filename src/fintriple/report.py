@@ -12,9 +12,8 @@ identical bytes apart from the wall-time fields (which golden comparisons
 normalize away), whatever the BLAS build and thread count.  To that end
 render_json writes every residual whose magnitude is below the noise floor
 max(NOISE_FLOOR_FACTOR * tolerance, linalg.TOL_FLOOR) (1e-12 at the default
-tol = 1e-9, never above the tolerance, and never below the roundoff of the
-constraint systems) as 0.0; verdicts, CheckRecord.residuals and render_text
-keep the raw values.
+tol = 1e-9, never above the tolerance) as 0.0; verdicts,
+CheckRecord.residuals and render_text keep the raw values.
 Operator descriptions list entries by modulus rounded to MODULUS_DECIMALS
 places, ties in flat index order, and write parts below the floor as 0.
 The witnesses they describe are chosen canonically (see
@@ -64,6 +63,7 @@ def _noise_floor(tol):
     the floor never exceeds tol, so a zero never hides a failing residual.
     """
     return max(NOISE_FLOOR_FACTOR * tol, linalg.TOL_FLOOR)
+
 
 @dataclass
 class CheckRecord:

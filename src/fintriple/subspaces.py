@@ -37,9 +37,8 @@ from .linalg import DEFAULT_TOL
 #: so that the result never depends on call order.
 _COMMUTANT_SEED = 0xC0C0A1D
 
-#: Seeded draws of the generic Hermitian element whose eigenblocks carry a
-#: solve (h1 here, k in star_algebra.star_closure); the finest partition
-#: among them is kept (_finest_eigenblocks).
+#: Seeded draws of the generic Hermitian element h1 whose eigenblocks carry
+#: a solve; the finest partition among them is kept (_finest_eigenblocks).
 BLOCK_DRAWS = 4
 
 #: Smallest relative eigenvalue gap kept between two eigenblocks.  The
@@ -154,10 +153,10 @@ def intersect(s, t):
     """Intersection, computed inside the span of s.
 
     Looks for combinations of the basis of s whose component outside t
-    vanishes: the left null space of the residual matrix.  Because the basis
-    rows are unit vectors, the rank cut is taken against an absolute scale of
-    1 rather than the largest residual (which is legitimately ~0 when s is a
-    subset of t).
+    vanishes: the left kernel of the residual matrix.  Because the basis
+    rows are unit vectors, the rank cut is taken against a scale of 1, and
+    not against the largest residual alone (which is legitimately ~0 when s
+    is a subset of t).
     """
     _check_compatible(s, t)
     tol = min(s.tol, t.tol)
@@ -168,15 +167,10 @@ def intersect(s, t):
     if s.field == "real":
         coeff = coeff.real
     outside = s.flat - coeff @ t.flat
-    if s.field == "real":
-        work = np.hstack([outside.real, outside.imag])
-    else:
-        work = outside
-    # the left singular vectors of work are the right ones of its adjoint
-    sigma, vh = linalg.svd_rows(work.conj().T)
-    cut = tol * max(work.shape)
-    r = int(np.sum(sigma > cut))
-    combos = vh[r:]
+    # the rows of outside are residuals of orthonormal rows, so its norm is
+    # at most 1, the scale of the cut
+    kernel = linalg.real_left_kernel if s.field == "real" else linalg.left_kernel
+    combos = kernel(outside, tol, scale=1.0)
     if combos.shape[0] == 0:
         return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, field=s.field,
                                 tol=tol, orthonormal=True)
@@ -240,15 +234,12 @@ def _hermitian_elements(flat, n, tol):
     """Real basis (vec rows) of the Hermitian elements of the complex span of flat.
 
     With coefficients c = a + i b on the rows G_j, sum c_j G_j is Hermitian
-    exactly when sum a_j (G_j - G_j*) + b_j i (G_j + G_j*) = 0: a real
-    2n^2 x 2k system whose kernel is read off a thin SVD.
+    exactly when sum a_j (G_j - G_j*) + b_j i (G_j + G_j*) = 0: the real
+    left kernel of those 2k rows.
     """
     k = flat.shape[0]
     adj = np.conj(flat.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n))
-    cols = np.vstack([flat - adj, 1j * (flat + adj)]).T
-    system = np.vstack([cols.real, cols.imag])
-    sigma, vh = linalg.svd_rows(system)
-    combos = vh[linalg.rank_from_singular_values(sigma, system.shape, tol):]
+    combos = linalg.real_left_kernel(np.vstack([flat - adj, 1j * (flat + adj)]), tol)
     return (combos[:, :k] + 1j * combos[:, k:]) @ flat
 
 

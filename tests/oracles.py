@@ -6,15 +6,17 @@ test.  Subspace equality between a solver result and one of these spans is
 the dual-route check.  dense_commutant and dense_real_commutant_with_j are
 the dense Gram-eigenproblem solvers on all n^2 unknowns, kept as a second
 route for the eigenblock commutant solver; dense_star_closure grows and
-certifies a closure on all n^2 operator entries, a second route for the
-eigenblock star closure.  pairwise_zeroth_order and pairwise_first_order
+certifies a closure on all n^2 operator entries by random products and an
+all-pairs sweep, a second route for the bicommutant star closure.  pairwise_zeroth_order and pairwise_first_order
 are the order-condition violations one dense generator pair at a time, a
 second route for the stacked support products of triple.
 """
 
+import itertools
+
 import numpy as np
 
-from fintriple import linalg, star_algebra, subspaces, triple
+from fintriple import linalg, subspaces, triple
 
 
 def _unit8(i, j):
@@ -262,11 +264,67 @@ def dense_real_commutant_with_j(gens, extra_ops, k_matrix, n, tol=linalg.DEFAULT
     return subspaces.OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
 
 
-def dense_star_closure(gens, tol=linalg.DEFAULT_TOL, rng_seed=star_algebra._CLOSURE_SEED):
+#: Seed of the random products that grow dense_star_closure.
+_CLOSURE_SEED = 0x5CA1AB1E
+
+
+def _extend_basis(flat, candidates, tol):
+    """Grow an orthonormal row basis by the part of candidates outside it.
+
+    Candidate rows are normalized first; residuals below tol (relative to the
+    unit candidates) are treated as already contained, so a fully redundant
+    batch never manufactures spurious directions.
+    """
+    norms = np.linalg.norm(candidates, axis=1)
+    keep = norms > tol
+    if not np.any(keep):
+        return flat, 0
+    cand = candidates[keep] / norms[keep, None]
+    if flat.shape[0]:
+        cand = cand - (cand @ flat.conj().T) @ flat
+    cand = cand[np.linalg.norm(cand, axis=1) > tol * max(cand.shape)]
+    if cand.shape[0] == 0:
+        return flat, 0
+    sigma, vh = linalg.svd_rows(cand)
+    new_rows = vh[: int(np.sum(sigma > tol * max(cand.shape)))]
+    if new_rows.shape[0] == 0:
+        return flat, 0
+    # one clean re-orthonormalization keeps accumulated roundoff in check
+    merged = linalg.orthonormal_rows(np.vstack([flat, new_rows]), tol=tol)
+    return merged, merged.shape[0] - flat.shape[0]
+
+
+def _pairwise_defects(flat, n, tol):
+    """Worst relative residual of basis products and adjoints, and offenders.
+
+    Sweeps every adjoint and every product of two basis elements, 512
+    products a batch; the offenders are the up to 64 worst residual rows
+    above tol of each batch.
+    """
+    mats = flat.reshape(-1, n, n).transpose(0, 2, 1)
+    step = max(1, 512 // len(mats))
+    worst = 0.0
+    offenders = []
+    # one batch of products alive at a time, not all of them
+    batches = (linalg.product_rows(mats[i:i + step], mats)
+               for i in range(0, len(mats), step))
+    for rows in itertools.chain([np.conj(mats.reshape(-1, n * n))], batches):
+        resid = rows - (rows @ flat.conj().T) @ flat
+        rel = np.linalg.norm(resid, axis=1) / np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+        worst = max(worst, float(rel.max(initial=0.0)))
+        bad = np.nonzero(rel > tol)[0]
+        offenders.append(resid[bad[np.argsort(rel[bad])[::-1][:64]]])
+    return worst, np.vstack(offenders)
+
+
+def dense_star_closure(gens, tol=linalg.DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
     """Star closure grown and certified in full vec coordinates.
 
-    Returns (space, unital, defect): the span, whether it holds the
-    identity, and the residual of its last certification sweep.
+    Random products of span elements grow the span until its dimension
+    stalls; an all-pairs sweep of products and adjoints then certifies it,
+    its offending residuals fed back until the sweep is clean.  Returns
+    (space, unital, defect): the span, whether it holds the identity, and
+    the residual of its last certification sweep.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     n = gens[0].shape[0]
@@ -288,16 +346,16 @@ def dense_star_closure(gens, tol=linalg.DEFAULT_TOL, rng_seed=star_algebra._CLOS
             cand = prods.transpose(0, 2, 1).reshape(k, n2)
             # vec of the adjoint is the conjugate of the C-order flattening
             adj_cand = np.conj(prods.reshape(k, n2)[: k // 2])
-            flat, grown = star_algebra._extend_basis(flat, np.vstack([cand, adj_cand]), tol)
+            flat, grown = _extend_basis(flat, np.vstack([cand, adj_cand]), tol)
             stall = stall + 1 if grown == 0 else 0
         if flat.shape[0] >= n2:
             flat = np.eye(n2, dtype=complex)
             worst = 0.0
             break
-        worst, offenders = star_algebra._closure_defects(flat, [n], tol)
+        worst, offenders = _pairwise_defects(flat, n, tol)
         if worst <= tol:
             break
-        flat, grown = star_algebra._extend_basis(flat, offenders, tol)
+        flat, grown = _extend_basis(flat, offenders, tol)
         if grown == 0:
             flat = linalg.orthonormal_rows(np.vstack([flat, offenders]), tol=tol)
     space = subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)

@@ -39,7 +39,7 @@ def test_criterion_01_commutant_dimensions():
     aev = subspaces.commutant(catalog.algebra_aev_generators())
     assert aev.dim == 48
     opp_span = subspaces.span_of(oracles.opposite_algebra_basis())
-    z = star_algebra.center(star_algebra.StarAlgebra(space=opp_span, unital=True))
+    z = star_algebra.center(star_algebra.StarAlgebra(space=opp_span))
     assert z.dim == 4
     _line(1, "commutant dimensions 112 / 112 / 48 / center 4")
 

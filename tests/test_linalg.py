@@ -243,3 +243,22 @@ def test_product_rows_lists_every_product_left_major():
     expected = np.array([linalg.vec(a @ b) for a in left for b in right])
     assert rows.shape == (12, 25)
     assert np.allclose(rows, expected, atol=1e-13)
+
+
+def test_left_kernel_annihilates_and_cuts_on_the_shape():
+    rng = np.random.default_rng(12)
+    # rows 4 and 5 depend on rows 0-3, row 4 with real and row 5 with
+    # imaginary coefficients: a 2-dimensional complex left kernel
+    b = _rand_complex(rng, 4, 40)
+    a = np.vstack([b, rng.standard_normal((1, 4)) @ b, 1j * b[:1]])
+    c = linalg.left_kernel(a, 1e-9)
+    assert c.shape == (2, 6)
+    assert np.linalg.norm(c @ a) <= 1e-12
+    np.testing.assert_allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
+    # over R only the real dependency is left
+    r = linalg.real_left_kernel(a, 1e-9)
+    assert r.dtype == float and r.shape == (1, 6)
+    assert np.linalg.norm(r @ a) <= 1e-12
+    # scale raises the cut above a tiny matrix's own largest singular value
+    assert linalg.left_kernel(1e-12 * a, 1e-9).shape == (2, 6)
+    assert linalg.left_kernel(1e-12 * a, 1e-9, scale=1.0).shape == (6, 6)

@@ -4,7 +4,7 @@ import pytest
 from fintriple import catalog, linalg, morita, report, star_algebra, subspaces, triple
 
 import oracles
-from conftest import BASE, CONFIG_NAMES, config_triple, draw_params
+from conftest import BASE, CONFIG_NAMES, config_triple
 
 
 def _bimodule(gens, alg_basis):
@@ -96,9 +96,8 @@ def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_derived):
     # wrapped spaces carry no commutant, so property_m solves both sides
     thm1_clifford, cl_even = thm1_derived.clifford_odd, thm1_derived.clifford_even
     d = morita.Derived(thm1_triple)
-    d.clifford_odd = star_algebra.StarAlgebra(space=thm1_clifford.space,
-                                              unital=thm1_clifford.unital)
-    d.clifford_even = star_algebra.StarAlgebra(space=cl_even.space, unital=cl_even.unital)
+    d.clifford_odd = star_algebra.StarAlgebra(space=thm1_clifford.space)
+    d.clifford_even = star_algebra.StarAlgebra(space=cl_even.space)
     v = morita.property_m(d, with_grading=True)
     assert not v.property_m
     assert v.commutant_odd_dim == 19
@@ -120,13 +119,11 @@ def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
     closure = star_algebra.star_closure([p])
     assert closure.dim == 1 and not closure.unital
     double = subspaces.commutant(subspaces.commutant([p]).basis_matrices())
-    mislabelled = star_algebra.StarAlgebra(space=closure.space, unital=True)
-    for cl_even in (closure, mislabelled):
-        d = morita.Derived(thm1_triple)
-        d.clifford_odd = thm1_clifford
-        d.clifford_even = cl_even
-        v = morita.property_m(d, with_grading=True)
-        assert v.clifford_even_dim == double.dim == 2
+    d = morita.Derived(thm1_triple)
+    d.clifford_odd = thm1_clifford
+    d.clifford_even = closure
+    v = morita.property_m(d, with_grading=True)
+    assert v.clifford_even_dim == double.dim == 2
 
 
 def test_property_m_commutant_matches_block_form(thm1_clifford):
@@ -186,7 +183,7 @@ def test_lemma_consequence_equalities(thm2_triple, thm2_clifford):
     cl_space = thm2_clifford.space
     a_cap_b = subspaces.intersect(cl_space, opp)
     za = star_algebra.center(thm2_clifford)
-    zb = star_algebra.center(star_algebra.StarAlgebra(space=opp, unital=True))
+    zb = star_algebra.center(star_algebra.StarAlgebra(space=opp))
     z_cap = subspaces.intersect(za, zb)
     comm_a = subspaces.commutant(thm2_clifford.basis_matrices())
     comm_b = subspaces.commutant(opp.basis_matrices())
@@ -472,28 +469,3 @@ def test_restricted_commutants_equal_the_solves_from_scratch(name):
     inside = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol, within=alg)
     scratch = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol)
     assert subspaces.equals(inside, scratch)
-
-
-def test_clifford_closures_run_in_160_block_coordinates(monkeypatch):
-    # the finest of subspaces.BLOCK_DRAWS draws of k; a single draw runs
-    # some of these closures in 192 to 320 coordinates
-    coords = []
-    defects = star_algebra._closure_defects
-
-    def recorded(flat, sizes, tol, left=None):
-        coords.append(flat.shape[1])
-        return defects(flat, sizes, tol, left=left)
-
-    monkeypatch.setattr(star_algebra, "_closure_defects", recorded)
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        for grading, dirac in (("nonstandard", "CC"), ("none", "CC_plus_Gamma")):
-            t = catalog.build_triple(catalog.TripleConfig(
-                algebra="A_F", grading=grading, dirac=dirac,
-                params=draw_params(rng, with_gamma=dirac == "CC_plus_Gamma")))
-            d = morita.Derived(t)
-            d.clifford_odd
-            if t.grading is not None:
-                d.clifford_even
-    assert len(coords) >= 24
-    assert set(coords) == {160}

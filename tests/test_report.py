@@ -170,8 +170,9 @@ def test_bimodule_span_matches_the_span_of_all_products(thm1_triple):
 def test_order_violations_computed_once_per_report(monkeypatch):
     # the two order checks, grading_axioms, dirac_decomposition and both
     # property_m checks all read the violations cached on the triple; every
-    # shared object is built once, and the commutant is solved four times:
-    # A', both Clifford closures and the irreducibility commutant
+    # shared object is built once, and the commutant is solved six times:
+    # A', the commutant C and bicommutant C' of each Clifford closure, and
+    # the irreducibility commutant
     calls = []
 
     def counted(fn):
@@ -189,7 +190,7 @@ def test_order_violations_computed_once_per_report(monkeypatch):
     assert rep.check("property_m_with_grading").status == "pass"
     assert Counter(calls) == {"_zeroth_order": 1, "_first_order": 1,
                               "algebra_span": 1, "opposite_span": 1, "one_forms": 1,
-                              "clifford": 2, "commutant": 4}
+                              "clifford": 2, "commutant": 6}
 
 
 @pytest.mark.parametrize("raising", ["_zeroth_order", "_first_order"])
@@ -387,6 +388,10 @@ def test_cli_clifford(capsys, thm1_report):
     assert cli.main(["clifford", str(CONFIG_DIR / "thm2.cfg")]) == 0
     text = capsys.readouterr().out
     assert "112" in text and "15" in text
+    # the 416-dimensional Pati-Salam closure, with its 10-dimensional commutant
+    out = _cli_dims(capsys, "clifford", str(CONFIG_DIR / "pati_salam.cfg"))
+    assert int(out["clifford (odd) dim"]) == 416
+    assert int(out["commutant dim"]) == 10
     # thm1: the closures and their commutants of the verify report
     odd = thm1_report.check("property_m").dims
     even = thm1_report.check("property_m_with_grading").dims
