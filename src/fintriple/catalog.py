@@ -335,21 +335,16 @@ def _require_unitary(g, tol=1e-9):
         raise ValueError(f"group element is not unitary (defect {defect:.3e})")
 
 
-def pi_tilde(lam, weak, color):
-    """Linearized building block: the algebra representation evaluated at a
-    possibly non-quaternionic 2x2 block and arbitrary 3x3 block."""
-    return kron_action(_embed_af(lam, np.conj(lam), weak, color), _EYE4)
-
-
 def pi_sm(g):
     """Unitary representation of the Standard-Model gauge group.
 
     Implemented through the factorized form a J a J^{-1} with the rescaled
-    arguments (phase^3, weak, conj(phase) * color); pi_sm_direct gives the
-    explicit two-summand block form for cross-checking.
+    arguments (phase^3, weak, conj(phase) * color), with algebra_af_element
+    evaluated at a possibly non-quaternionic 2x2 block; pi_sm_direct gives
+    the explicit two-summand block form for cross-checking.
     """
     _require_unitary(g)
-    a = pi_tilde(g.phase ** 3, g.weak, np.conj(g.phase) * g.color)
+    a = algebra_af_element(g.phase ** 3, g.weak, np.conj(g.phase) * g.color)
     j = real_structure()
     return a @ j.conjugate_operator(a)
 

@@ -99,7 +99,7 @@ def _cmd_axioms(args):
     t = catalog.build_triple(cfg)
     for key, value in triple.axiom_residuals(t).items():
         print(f"{key:<28} {value:.3e}")
-    st = triple.sign_table(t, tol=max(1e-10, cfg.tol))
+    st = triple.sign_table(t, tol=cfg.tol)
     signs = f"eps={st.eps:+d} eps'={st.eps_prime:+d}"
     if st.eps_dblprime is not None:
         signs += f" eps''={st.eps_dblprime:+d}"

@@ -16,8 +16,10 @@ system may be pure roundoff), applied to the singular values of an explicit
 constraint matrix and never squared.  Those singular values, and the right
 singular vectors that span the kernel, are computed through svd_rows, the
 one thin-SVD kernel of the package; the cut is always taken with the shape
-of the constraint matrix itself.  The solvers proper live in subspaces
-(commutant) and morita (real commutant with the real structure).
+of the constraint matrix itself.  Every span and kernel is taken over C:
+the one real space the package asks about, the commutant with the real
+structure, is reached as a real form of a complex space (morita).  The
+solvers proper live in subspaces (commutant).
 kernel_from_gram and real_null_space are dense Gram-eigenproblem kernels on
 all n^2 (or 2 n^2 real) unknowns, with the threshold squared; nothing in
 the package calls them, and the test-suite uses them as an independent
@@ -203,24 +205,13 @@ def left_kernel(a, tol, scale=0.0):
     return vh[rank_from_singular_values(sigma, a.shape, tol, scale):]
 
 
-def real_left_kernel(a, tol, scale=0.0):
-    """Orthonormal real rows c with c @ a = 0 for a complex a.
+def orthonormal_rows(rows, tol=DEFAULT_TOL):
+    """Orthonormal basis (as rows) of the complex span of the given flat vectors.
 
-    The real form of left_kernel: c @ a = 0 for real c exactly when c
-    annihilates both the real and the imaginary part of a.
-    """
-    return left_kernel(np.hstack([a.real, a.imag]), tol, scale)
-
-
-def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
-    """Orthonormal basis (as rows) of the span of the given flat vectors.
-
-    field='complex' spans over C with the standard Hermitian inner product;
-    field='real' spans over R, orthonormal for Re <u, v>.  Rows are
-    normalized before the rank decision so tolerances are scale-free in the
-    generating coefficients; rows more than a tolerance factor smaller than
-    the largest one are noise at the working precision and are dropped
-    rather than amplified.
+    Rows are normalized before the rank decision so tolerances are
+    scale-free in the generating coefficients; rows more than a tolerance
+    factor smaller than the largest one are noise at the working precision
+    and are dropped rather than amplified.
     """
     v = np.asarray(rows, dtype=complex)
     if v.ndim == 1:
@@ -233,17 +224,8 @@ def orthonormal_rows(rows, tol=DEFAULT_TOL, field="complex"):
         return v[:0]
     keep = norms > tol * top
     v = v[keep] / norms[keep, None]
-    if field == "complex":
-        sigma, vh = svd_rows(v)
-        r = rank_from_singular_values(sigma, v.shape, tol)
-        return vh[:r]
-    if field == "real":
-        w = np.hstack([v.real, v.imag])
-        sigma, vh = svd_rows(w)
-        r = rank_from_singular_values(sigma, w.shape, tol)
-        n = v.shape[1]
-        return vh[:r, :n] + 1j * vh[:r, n:]
-    raise ValueError(f"unknown field {field!r}")
+    sigma, vh = svd_rows(v)
+    return vh[:rank_from_singular_values(sigma, v.shape, tol)]
 
 
 def kernel_from_gram(gram, scale, tol):

@@ -4,7 +4,9 @@ one_forms spans the differentials a [D, b]; clifford closes algebra plus
 one-forms (plus the grading for the even variant) into a *-algebra; the
 Morita property compares the Clifford commutant with the complexified
 opposite algebra; the obstruction and irreducibility checks certify the
-negative results by explicit commuting witnesses and real commutants.
+negative results by explicit commuting witnesses and real commutants.  The
+real commutant, with the antilinear J, is never given a real basis: it and
+its Hermitian part are real forms of complex spaces (irreducible).
 
 Derived is the one owner of the order in which the shared objects of a
 triple are built, each once: A' is solved, (A°)' is its J-image, and the
@@ -22,14 +24,15 @@ import numpy as np
 from . import catalog, linalg, star_algebra, subspaces
 from .linalg import DEFAULT_TOL
 from .subspaces import OperatorSubspace
-from .triple import first_order_violation, zeroth_order_violation
+from .triple import _normalized, first_order_violation, zeroth_order_violation
 
 
 #: Smallest projection norm at which a probe matrix unit selects a witness.
 #: The squared projection norms of all n^2 matrix units onto a nonzero
-#: operator space sum to its dimension, so some probe reaches 1/n (1/(n sqrt 2)
-#: for the real Hermitian probes of the reducing projection) and the floor is
-#: always met on the 32-dimensional Hilbert space.
+#: operator space sum to its dimension, so some probe reaches 1/n.  The 2 n^2
+#: Hermitian-part probes of the reducing projection, (E_f + E_f^T)/2 and
+#: i (E_f - E_f^T)/2, do the same on a *-closed space, so one reaches
+#: 1/(n sqrt 2); the floor is always met on the 32-dimensional Hilbert space.
 PROBE_FLOOR = 1e-3
 
 #: Decimal places to which entry moduli are rounded before the largest one
@@ -47,7 +50,7 @@ class OrderConditionError(ValueError):
 
 def algebra_span(t, tol=DEFAULT_TOL):
     """Complex span of the represented algebra."""
-    return subspaces.span_of(t.algebra_gens, field="complex", tol=tol)
+    return subspaces.span_of(t.algebra_gens, tol=tol)
 
 
 def opposite_span(t, tol=DEFAULT_TOL):
@@ -56,10 +59,10 @@ def opposite_span(t, tol=DEFAULT_TOL):
     The Morita comparison for degenerate representations is against this
     minimal unitalization, which has the same commutant.
     """
-    span = subspaces.span_of(t.opposite_gens, field="complex", tol=tol)
+    span = subspaces.span_of(t.opposite_gens, tol=tol)
     if not span.contains(linalg.identity(t.n)):
         flat = np.vstack([span.flat, linalg.vec(linalg.identity(t.n))])
-        span = OperatorSubspace(flat, t.n, field="complex", tol=tol)
+        span = OperatorSubspace(flat, t.n, tol=tol)
     return span
 
 
@@ -72,10 +75,10 @@ def one_forms(t, span):
     """
     basis = np.array(span.basis_matrices()).reshape(-1, t.n, t.n)
     if not len(basis):
-        return subspaces.span_of([], field="complex", tol=span.tol, n=t.n)
+        return subspaces.span_of([], tol=span.tol, n=t.n)
     d = np.asarray(t.dirac, dtype=complex)
     products = linalg.product_rows(basis, d @ basis - basis @ d)
-    return OperatorSubspace(products, t.n, field="complex", tol=span.tol)
+    return OperatorSubspace(products, t.n, tol=span.tol)
 
 
 def clifford(derived, even=False):
@@ -303,110 +306,97 @@ class IrreducibilityVerdict:
     witness: np.ndarray | None
 
 
-def _real_commutant_with_j(gens, extra_ops, k_matrix, n, tol, within=None):
-    """Real space of X commuting with gens, extra_ops and J (X K = K conj(X)).
+def _complexified_real_commutant(t, tol, within=None):
+    """M = C0 ∩ J C0 J^{-1}, a complex space whose J-fixed part is the real commutant.
 
-    The complex commutant of gens plus the normalized extra_ops is solved
-    first, inside within when given (a complex space known to contain it,
-    such as the commutant of gens); with X = sum (a_j + i b_j) B_j over its
-    orthonormal basis B, the condition on J is
-    sum a_j (B_j K - K conj(B_j)) + b_j i (B_j K + K conj(B_j)) = 0, the
-    real left kernel of those 2d rows.  The map (a, b) -> X is an isometry
-    onto Re <., .>, so the orthonormal kernel gives an orthonormal real
-    basis.
+    C0 is the complex commutant of the algebra, the Dirac operator and the
+    grading (HS-normalized), solved inside within when given.  With
+    θ(X) = J X J^{-1}, antilinear, θ^2 = 1 when J^2 = ±1: an X commuting
+    with J is θ-fixed and lies in C0, hence in θ(C0), so the real commutant
+    R is the θ-fixed part of M, and M is θ-invariant.  R is then a real form
+    of M (Krajewski, J. Geom. Phys. 28 (1998) 1): dim_R R = dim_C M.
+    Raises ValueError when J^2 is not ±1.
     """
-    mats = [np.asarray(g, dtype=complex) for g in gens]
-    for op in extra_ops:
-        op = np.asarray(op, dtype=complex)
-        nrm = linalg.hs_norm(op)
-        if nrm > 0.0:
-            mats.append(op / nrm)
-    comm = subspaces.commutant(mats, tol=tol, n=n, within=within)
-    b = np.array(comm.basis_matrices()).reshape(-1, n, n)
-    k = np.asarray(k_matrix, dtype=complex)
-    twisted = k @ b.conj()
-    combos = linalg.real_left_kernel(np.vstack([(b @ k - twisted).reshape(-1, n * n),
-                                                1j * (b @ k + twisted).reshape(-1, n * n)]),
-                                     tol)
-    d = comm.dim
-    flat = (combos[:, :d] + 1j * combos[:, d:]) @ comm.flat
-    return OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
+    n = t.n
+    k = t.real_structure.matrix
+    if min(np.linalg.norm(k @ k - s * np.eye(n)) for s in (1, -1)) > tol * np.sqrt(n):
+        raise ValueError("the real commutant needs J^2 = ±1")
+    extra = [t.dirac] + ([] if t.grading is None else [t.grading])
+    c0 = subspaces.commutant([*t.algebra_gens, *_normalized(extra)], tol=tol, n=n,
+                             within=within)
+    return subspaces.intersect(c0, subspaces.conjugated(c0, t.real_structure))
 
 
 def _reducing_projection(herm, n, tol):
-    """Canonical reducing projection of a real space of Hermitian operators.
+    """Canonical reducing projection of a *-closed space of operators.
 
-    herm is a real basis of the space, which contains the identity.  The
-    space minus its identity component is orthonormalized over R; the
-    diagonal matrix units E_kk are projected onto it in index order, and
-    the first projection with norm at least PROBE_FLOOR is the element whose
-    lowest eigenvalue cluster (gap threshold CLUSTER_GAP) is returned.
-    Should every diagonal projection fall below the floor, the matrix units
-    E_f and then i E_f are probed in vec order.  The result depends on the
-    space and not on its basis; None when the space holds only the identity.
+    herm is a basis of the complex space, which contains the identity.  The
+    space minus its identity component is orthonormalized; these probes are
+    projected onto it in order: the diagonal matrix units E_kk, then the
+    Hermitian parts (E_f + E_f^T)/2 and then i (E_f - E_f^T)/2 of the matrix
+    units in vec order.  The projections are Hermitian, and on a *-closed
+    space they equal the real projections of E_kk, E_f and i E_f onto its
+    Hermitian elements.  The first with norm at least PROBE_FLOOR is the
+    element whose lowest eigenvalue cluster (gap threshold CLUSTER_GAP) is
+    returned.  The result depends on the space and not on its basis; None
+    when the space holds only the identity.
     """
     flat = np.array([linalg.vec(m) for m in herm])
     eye_dir = linalg.vec(linalg.identity(n)) / np.sqrt(n)
-    flat = flat - np.outer(np.real(flat @ eye_dir.conj()), eye_dir)
+    flat = flat - np.outer(flat @ eye_dir.conj(), eye_dir)
     if np.linalg.norm(flat, axis=1).max() <= tol:
         return None
-    k = linalg.orthonormal_rows(flat, tol=tol, field="real")
-    # Re <k_i, E_f> = Re k_i[f] and Re <k_i, i E_f> = Im k_i[f]
-    diag = np.arange(n) * (n + 1)
-    coeffs = np.hstack([k[:, diag].real, k.real, k.imag])
+    k = linalg.orthonormal_rows(flat, tol=tol)
+    # the coefficient of a probe P on row k_i is <k_i, P>, and vec(E_f^T)
+    # is the transpose-position entry of vec(E_f)
+    on_units = k.conj()
+    on_transposes = on_units.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
+    coeffs = np.hstack([on_units[:, np.arange(n) * (n + 1)],
+                        0.5 * (on_units + on_transposes),
+                        0.5j * (on_units - on_transposes)])
     probe = int(np.argmax(np.linalg.norm(coeffs, axis=0) >= PROBE_FLOOR))
     s = linalg.unvec(coeffs[:, probe] @ k, n, n)
     vals, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
     scale = max(float(vals[-1] - vals[0]), 1.0)
-    split = 1
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > CLUSTER_GAP * scale:
-            split = i
-            break
+    # the first gap ends the lowest cluster; with none, it is a single vector
+    split = int(np.argmax(np.diff(vals) > CLUSTER_GAP * scale)) + 1
     return vecs[:, :split] @ vecs[:, :split].conj().T
 
 
 def irreducible(derived):
     """Projection-based irreducibility of the full triple data.
 
-    Computes the real commutant with the real-structure constraint, then its
-    Hermitian part.  Its complex part, the commutant of the algebra, the
-    Dirac operator and the grading, is solved inside derived's A'.  If the
-    Hermitian part is larger than the span of the identity, a non-scalar
-    self-adjoint element is spectrally decomposed and the eigenprojection
-    onto its lowest eigenvalue cluster (gap threshold CLUSTER_GAP) is
-    returned as an explicit reducing projection.  The element is chosen
-    canonically (see _reducing_projection): the projection of the first
-    diagonal matrix unit E_kk onto the Hermitian part, less its identity
-    component, so the lowest cluster is the side that excludes that unit's
-    slot.  When the Hermitian part is spanned by 1 and a projection P
-    containing slot 0 (the lepton projection of the Dirac family without
-    lepton-quark mixing, the chirality projection of Pati-Salam without
-    Dirac data), the witness is 1 - P.
+    The real commutant R is a real form of M (_complexified_real_commutant,
+    with C0 solved inside derived's A'), so its real dimension is dim_C M.
+    σ(X) = J X* J^{-1} is a linear involution of M that commutes with *, and
+    on its fixed part M+ = {(X + σX)/2} an element is J-fixed exactly when
+    it is Hermitian; so the Hermitian part of R is a real form of M+ and
+    counts dim_C M+.  If that exceeds 1, a non-scalar self-adjoint element
+    is spectrally decomposed and the eigenprojection onto its lowest
+    eigenvalue cluster (gap threshold CLUSTER_GAP) is returned as an
+    explicit reducing projection.  The element is chosen canonically (see
+    _reducing_projection): the projection of the first diagonal matrix unit
+    E_kk onto M+, less its identity component, so the lowest cluster is the
+    side that excludes that unit's slot.  When the Hermitian part is spanned
+    by 1 and a projection P containing slot 0 (the lepton projection of the
+    Dirac family without lepton-quark mixing, the chirality projection of
+    Pati-Salam without Dirac data), the witness is 1 - P.  Raises
+    ValueError when J^2 is not ±1.
     """
     t, tol = derived.t, derived.tol
     n = t.n
-    extra = [t.dirac]
-    if t.grading is not None:
-        extra.append(t.grading)
-    comm = _real_commutant_with_j(t.algebra_gens, extra,
-                                  t.real_structure.matrix, n, tol,
-                                  within=derived.algebra_commutant)
-    # the real commutant is *-closed (the generators span a *-closed set, D
-    # and the grading are Hermitian, J is antiunitary), so its Hermitian
-    # part is the real span of the (X + X*)/2
-    mats = comm.flat.reshape(-1, n, n)
-    herm = OperatorSubspace(0.5 * (mats + mats.conj().transpose(0, 2, 1)).reshape(-1, n * n),
-                            n, field="real", tol=tol)
-    sa_dim = herm.dim
-    projection = None if sa_dim <= 1 else _reducing_projection(herm.basis_matrices(), n, tol)
-    return IrreducibilityVerdict(projection is None, comm.dim, sa_dim, projection)
+    comm = _complexified_real_commutant(t, tol, within=derived.algebra_commutant)
+    # row j of sigma is σ of basis row j of comm
+    sigma = subspaces.conjugated(subspaces.adjoint(comm), t.real_structure)
+    fixed = OperatorSubspace(0.5 * (comm.flat + sigma.flat), n, tol=tol)
+    projection = (None if fixed.dim <= 1
+                  else _reducing_projection(fixed.basis_matrices(), n, tol))
+    return IrreducibilityVerdict(projection is None, comm.dim, fixed.dim, projection)
 
 
 def zero_chain_membership(x, algebra_gens, opposite_gens, tol=DEFAULT_TOL):
     """Is x in the complex linear span of algebra plus opposite algebra?"""
-    span = subspaces.span_of(list(algebra_gens) + list(opposite_gens),
-                             field="complex", tol=tol)
+    span = subspaces.span_of(list(algebra_gens) + list(opposite_gens), tol=tol)
     return span.contains(x)
 
 

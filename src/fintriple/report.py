@@ -192,7 +192,7 @@ def _order_condition(violation):
 
 
 def _sign_table(run, rec):
-    st = triple.sign_table(run.t, tol=max(1e-10, run.tol))
+    st = triple.sign_table(run.t, tol=run.tol)
     rec.residuals.update({f"{k}_residual": v for k, v in st.residuals.items()})
     rec.dims["eps"] = st.eps
     rec.dims["eps_prime"] = st.eps_prime

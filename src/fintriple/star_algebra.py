@@ -126,7 +126,7 @@ def star_closure(gens, tol=DEFAULT_TOL, within=None):
         p = linalg.vec(kernel.T @ kernel.conj())
         p /= np.linalg.norm(p)
         flat = linalg.orthonormal_rows(flat - np.outer(flat @ p.conj(), p), tol=tol)
-    space = OperatorSubspace(flat, n, field="complex", tol=tol, orthonormal=True)
+    space = OperatorSubspace(flat, n, tol=tol, orthonormal=True)
     defect = float(_residual_norms(seed, flat).max())
     return StarAlgebra(space=space, defect=defect, commutant=comm)
 
@@ -155,5 +155,5 @@ def unitalize(algebra):
         return algebra
     n = algebra.n
     flat = np.vstack([algebra.space.flat, linalg.vec(linalg.identity(n))])
-    space = OperatorSubspace(flat, n, field="complex", tol=algebra.space.tol)
+    space = OperatorSubspace(flat, n, tol=algebra.space.tol)
     return StarAlgebra(space=space)

@@ -1,10 +1,11 @@
 """Operator subspaces as first-class values.
 
-An OperatorSubspace stores an orthonormal Hilbert-Schmidt basis of a space of
-n x n operators, either over C or over R (real spans arise from antilinear
-constraints; the basis matrices are still complex, orthonormal for the real
-part of the HS inner product).  Sum, intersection, complement, membership and
+An OperatorSubspace stores an orthonormal Hilbert-Schmidt basis of a complex
+space of n x n operators.  Sum, intersection, complement, membership and
 commutant all reduce subspace questions to the single rank rule in linalg.
+Real spaces never need a basis of their own: the Hermitian elements of a
+span are the Hermitian parts of its largest *-closed subspace, and the real
+commutant of morita is a real form of a complex space.
 
 commutant(gens, within=W) solves W ∩ gens' inside a space W known to
 contain it, by one loop: a thin SVD over the coordinates of W, then a
@@ -48,10 +49,6 @@ BLOCK_DRAWS = 4
 _MIN_GAP = 1e-2
 
 
-class FieldMismatchError(ValueError):
-    pass
-
-
 class OperatorSubspace:
     """Span of n x n operators with an orthonormal HS basis.
 
@@ -60,29 +57,26 @@ class OperatorSubspace:
     Immutable after construction.
     """
 
-    def __init__(self, flat, n, field="complex", tol=DEFAULT_TOL, orthonormal=False):
-        if field not in ("complex", "real"):
-            raise ValueError(f"unknown field {field!r}")
+    def __init__(self, flat, n, tol=DEFAULT_TOL, orthonormal=False):
         flat = np.asarray(flat, dtype=complex).reshape(-1, n * n)
         if not orthonormal:
-            flat = linalg.orthonormal_rows(flat, tol=tol, field=field)
+            flat = linalg.orthonormal_rows(flat, tol=tol)
         self.flat = flat
         self.n = n
-        self.field = field
         self.tol = tol
 
     @classmethod
-    def from_matrices(cls, mats, field="complex", tol=DEFAULT_TOL):
+    def from_matrices(cls, mats, tol=DEFAULT_TOL):
         mats = list(mats)
         if not mats:
             raise ValueError("need at least one matrix to infer the dimension")
         n = np.asarray(mats[0]).shape[0]
         flat = np.array([linalg.vec(m) for m in mats])
-        return cls(flat, n, field=field, tol=tol)
+        return cls(flat, n, tol=tol)
 
     @property
     def dim(self):
-        """Dimension over the subspace's own scalar field."""
+        """Complex dimension."""
         return self.flat.shape[0]
 
     @property
@@ -93,11 +87,7 @@ class OperatorSubspace:
         return [linalg.unvec(row, self.n, self.n) for row in self.flat]
 
     def coefficients(self, x):
-        v = linalg.vec(x)
-        c = self.flat.conj() @ v
-        if self.field == "real":
-            c = c.real
-        return c
+        return self.flat.conj() @ linalg.vec(x)
 
     def project(self, x):
         c = self.coefficients(x)
@@ -115,38 +105,33 @@ class OperatorSubspace:
         """contains for every operator, all projected by one GEMM."""
         tol = self.tol if tol is None else tol
         rows = np.array([linalg.vec(m) for m in mats]).reshape(-1, self.ambient_dim)
-        coeff = rows @ self.flat.conj().T
-        if self.field == "real":
-            coeff = coeff.real
-        resid = np.linalg.norm(rows - coeff @ self.flat, axis=1)
+        resid = np.linalg.norm(rows - (rows @ self.flat.conj().T) @ self.flat, axis=1)
         return bool(np.all(resid <= tol * np.linalg.norm(rows, axis=1)))
 
     def __repr__(self):
-        return f"OperatorSubspace(dim={self.dim}, n={self.n}, field={self.field!r})"
+        return f"OperatorSubspace(dim={self.dim}, n={self.n})"
 
 
 def _check_compatible(s, t):
     if s.n != t.n:
-        raise FieldMismatchError("ambient dimensions differ")
-    if s.field != t.field:
-        raise FieldMismatchError(f"scalar fields differ: {s.field} vs {t.field}")
+        raise ValueError("ambient dimensions differ")
 
 
-def span_of(mats, field="complex", tol=DEFAULT_TOL, n=None):
+def span_of(mats, tol=DEFAULT_TOL, n=None):
     """Orthonormalized span of a list of operators."""
     mats = list(mats)
     if not mats:
         if n is None:
             raise ValueError("empty generator list needs an explicit ambient n")
-        return OperatorSubspace(np.zeros((0, n * n)), n, field=field, tol=tol, orthonormal=True)
-    return OperatorSubspace.from_matrices(mats, field=field, tol=tol)
+        return OperatorSubspace(np.zeros((0, n * n)), n, tol=tol, orthonormal=True)
+    return OperatorSubspace.from_matrices(mats, tol=tol)
 
 
 def subspace_sum(s, t):
     """Span of the union."""
     _check_compatible(s, t)
     flat = np.vstack([s.flat, t.flat])
-    return OperatorSubspace(flat, s.n, field=s.field, tol=min(s.tol, t.tol))
+    return OperatorSubspace(flat, s.n, tol=min(s.tol, t.tol))
 
 
 def intersect(s, t):
@@ -161,21 +146,12 @@ def intersect(s, t):
     _check_compatible(s, t)
     tol = min(s.tol, t.tol)
     if s.dim == 0 or t.dim == 0:
-        return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, field=s.field,
-                                tol=tol, orthonormal=True)
-    coeff = s.flat @ t.flat.conj().T
-    if s.field == "real":
-        coeff = coeff.real
-    outside = s.flat - coeff @ t.flat
+        return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, tol=tol, orthonormal=True)
+    outside = s.flat - (s.flat @ t.flat.conj().T) @ t.flat
     # the rows of outside are residuals of orthonormal rows, so its norm is
     # at most 1, the scale of the cut
-    kernel = linalg.real_left_kernel if s.field == "real" else linalg.left_kernel
-    combos = kernel(outside, tol, scale=1.0)
-    if combos.shape[0] == 0:
-        return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, field=s.field,
-                                tol=tol, orthonormal=True)
-    flat = combos @ s.flat
-    return OperatorSubspace(flat, s.n, field=s.field, tol=tol, orthonormal=True)
+    combos = linalg.left_kernel(outside, tol, scale=1.0)
+    return OperatorSubspace(combos @ s.flat, s.n, tol=tol, orthonormal=True)
 
 
 def equals(s, t, tol=None):
@@ -190,21 +166,11 @@ def equals(s, t, tol=None):
 
 def complement(s):
     """HS-orthogonal complement within the ambient operator space."""
-    n2 = s.ambient_dim
-    if s.field == "complex":
-        if s.dim == 0:
-            return OperatorSubspace(np.eye(n2, dtype=complex), s.n, field="complex",
-                                    tol=s.tol, orthonormal=True)
-        _, _, vh = np.linalg.svd(s.flat, full_matrices=True)
-        return OperatorSubspace(vh[s.dim:], s.n, field="complex", tol=s.tol, orthonormal=True)
     if s.dim == 0:
-        basis = np.vstack([np.eye(n2, dtype=complex), 1j * np.eye(n2, dtype=complex)])
-        return OperatorSubspace(basis, s.n, field="real", tol=s.tol, orthonormal=True)
-    w = np.hstack([s.flat.real, s.flat.imag])
-    _, _, vh = np.linalg.svd(w, full_matrices=True)
-    comp = vh[s.dim:]
-    flat = comp[:, :n2] + 1j * comp[:, n2:]
-    return OperatorSubspace(flat, s.n, field="real", tol=s.tol, orthonormal=True)
+        return OperatorSubspace(np.eye(s.ambient_dim, dtype=complex), s.n, tol=s.tol,
+                                orthonormal=True)
+    _, _, vh = np.linalg.svd(s.flat, full_matrices=True)
+    return OperatorSubspace(vh[s.dim:], s.n, tol=s.tol, orthonormal=True)
 
 
 def commutator_gram(gens):
@@ -228,19 +194,6 @@ def commutator_gram(gens):
     gram += np.kron(left, eye) + np.kron(eye, right)
     gram = 0.5 * (gram + gram.conj().T)
     return gram
-
-
-def _hermitian_elements(flat, n, tol):
-    """Real basis (vec rows) of the Hermitian elements of the complex span of flat.
-
-    With coefficients c = a + i b on the rows G_j, sum c_j G_j is Hermitian
-    exactly when sum a_j (G_j - G_j*) + b_j i (G_j + G_j*) = 0: the real
-    left kernel of those 2k rows.
-    """
-    k = flat.shape[0]
-    adj = np.conj(flat.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n))
-    combos = linalg.real_left_kernel(np.vstack([flat - adj, 1j * (flat + adj)]), tol)
-    return (combos[:, :k] + 1j * combos[:, k:]) @ flat
 
 
 def _eigenblocks(h, n, tol):
@@ -285,13 +238,18 @@ def _finest_eigenblocks(hermitians, tol):
 def _eigenblock_basis(reduced, n, tol, rng):
     """Orthonormal rows of the matrix units u E_ab u* over the eigenblocks of h1.
 
-    h1 is a random Hermitian element of the span of the reduced generators,
-    the finest of BLOCK_DRAWS draws.  Every element of their commutant
-    commutes with h1, so it lies in this space.  None stands for one block,
-    all of M_n.
+    h1 is a random Hermitian element of the span S of the reduced
+    generators, the finest of BLOCK_DRAWS draws.  The Hermitian elements of
+    S are the Hermitian parts of W = S ∩ S*, its largest *-closed subspace,
+    so each draw is the Hermitian part of a complex Gaussian combination of
+    W's basis.  Every element of the generators' commutant commutes with h1,
+    so it lies in this space.  None stands for one block, all of M_n.
     """
-    herm = _hermitian_elements(reduced, n, tol)
-    draws = (rng.standard_normal((BLOCK_DRAWS, herm.shape[0])) @ herm).reshape(-1, n, n)
+    span = OperatorSubspace(reduced, n, tol=tol, orthonormal=True)
+    w = intersect(span, adjoint(span)).flat
+    shape = (BLOCK_DRAWS, len(w))
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    draws = (coeffs @ w).reshape(-1, n, n)
     u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
     if len(clusters) == 1:
         return None
@@ -352,7 +310,7 @@ def _commutator_rows(basis, g):
 def commutant(gens, tol=DEFAULT_TOL, n=None, within=None):
     """within ∩ gens': the X in within commuting with every generator.
 
-    within must be a complex space known to contain the answer, such as a
+    within must be a space known to contain the answer, such as a
     commutant already certified for part of the generators.  None stands
     for the eigenblock space of a random Hermitian element h1 of the
     generators' span, which holds their whole commutant.
@@ -406,8 +364,8 @@ def _solve_commutant(gens, tol, n, within):
         n = within.n
     elif n is None:
         raise ValueError("empty generator list needs an explicit ambient n")
-    if within is not None and (within.n != n or within.field != "complex"):
-        raise FieldMismatchError("within must be a complex space of the generators' size")
+    if within is not None and within.n != n:
+        raise ValueError("within must be a space of the generators' size")
     reduced = linalg.orthonormal_rows(
         np.array([linalg.vec(g) for g in gens]).reshape(-1, n * n), tol=tol)
     if reduced.shape[0] == 0 or (within is not None and within.dim == 0):
@@ -444,8 +402,16 @@ def _solve_commutant(gens, tol, n, within):
     return OperatorSubspace(x, n, tol=tol, orthonormal=True)
 
 
+def adjoint(space):
+    """S* = {X*: X in S}, the adjoints of S's orthonormal basis, which are one."""
+    n = space.n
+    # the vec of X* is the conjugate of the row-major flattening of X
+    mats = np.conj(space.flat.reshape(-1, n, n).transpose(0, 2, 1))
+    return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol, orthonormal=True)
+
+
 def conjugated(space, real_structure):
-    """J S J^{-1} for a complex space S and the antiunitary J = K conj.
+    """J S J^{-1} for a space S and the antiunitary J = K conj.
 
     X -> K conj(X) K^T is antilinear and keeps the HS norm, so it maps the
     orthonormal basis of S onto one of the image, and complex spans onto
@@ -456,5 +422,4 @@ def conjugated(space, real_structure):
     k = real_structure.matrix
     # on row-major reshapes (transposes) the map reads the same
     mats = k @ space.flat.conj().reshape(-1, n, n) @ k.T
-    return OperatorSubspace(mats.reshape(-1, n * n), n, field=space.field,
-                            tol=space.tol, orthonormal=True)
+    return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol, orthonormal=True)

@@ -36,6 +36,10 @@ KO_TABLE_EVEN = {(1, 1, 1): 0, (-1, 1, -1): 2, (-1, 1, 1): 4, (1, 1, -1): 6}
 #: Odd case: (eps, eps_prime) -> n mod 8.
 KO_TABLE_ODD = {(1, -1): 1, (-1, 1): 3, (-1, -1): 5, (1, 1): 7}
 
+#: Smallest tolerance at which sign_table tests a sign relation; a smaller
+#: tol, as a config near linalg.TOL_FLOOR gives, is raised to it.
+SIGN_TOL_FLOOR = 1e-10
+
 # Commutators smaller than this multiple of ||D|| are treated as exactly zero
 # when normalizing first-order violations.
 _COMMUTATOR_FLOOR = 1e-12
@@ -191,12 +195,14 @@ def _pick_sign(residual_plus, residual_minus, relation, tol):
     )
 
 
-def sign_table(t, tol=1e-10):
+def sign_table(t, tol=SIGN_TOL_FLOOR):
     """Detect (eps, eps', eps'') and look up the KO-dimension.
 
     Residuals are HS norms normalized by the size of the operators involved,
-    so a clean sign gives ~0 and the opposite sign gives 2.
+    so a clean sign gives ~0 and the opposite sign gives 2.  A sign holds
+    when its residual is at most max(tol, SIGN_TOL_FLOOR).
     """
+    tol = max(tol, SIGN_TOL_FLOOR)
     k = t.real_structure.matrix
     n = t.n
     eye_norm = np.sqrt(n)

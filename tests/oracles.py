@@ -5,7 +5,9 @@ the block displays, with no use of the solver or the kron helpers under
 test.  Subspace equality between a solver result and one of these spans is
 the dual-route check.  dense_commutant and dense_real_commutant_with_j are
 the dense Gram-eigenproblem solvers on all n^2 unknowns, kept as a second
-route for the eigenblock commutant solver; dense_star_closure grows and
+route for the eigenblock commutant solver and for the real commutant that
+morita reaches as a real form of a complex space; the real commutant comes
+back as rows orthonormal over R, which real_span_residual and real_rank read; dense_star_closure grows and
 certifies a closure on all n^2 operator entries by random products and an
 all-pairs sweep, a second route for the bicommutant star closure.  pairwise_zeroth_order and pairwise_first_order
 are the order-condition violations one dense generator pair at a time, a
@@ -255,13 +257,26 @@ def dense_commutant(gens, tol=linalg.DEFAULT_TOL):
 
 
 def dense_real_commutant_with_j(gens, extra_ops, k_matrix, n, tol=linalg.DEFAULT_TOL):
-    """Real commutant with X K = K conj(X) from one 2n^2 x 2n^2 real eigensolve."""
+    """Real commutant with X K = K conj(X) from one 2n^2 x 2n^2 real eigensolve.
+
+    Returns the vec rows of a basis over R, orthonormal for Re <u, v>.
+    """
     gram = subspaces.commutator_gram(_normalized_generators(gens, extra_ops, n, tol))
     eye = np.eye(n, dtype=complex)
     lin = np.kron(k_matrix.T.astype(complex), eye)
     anti = -np.kron(eye, k_matrix.astype(complex))
-    flat = linalg.real_null_space([], [(lin, anti)], n * n, tol=tol, linear_gram=gram)
-    return subspaces.OperatorSubspace(flat, n, field="real", tol=tol, orthonormal=True)
+    return linalg.real_null_space([], [(lin, anti)], n * n, tol=tol, linear_gram=gram)
+
+
+def real_span_residual(rows, x):
+    """HS distance from x to the real span of vec rows orthonormal for Re <u, v>."""
+    v = linalg.vec(x)
+    return float(np.linalg.norm(v - (rows.conj() @ v).real @ rows))
+
+
+def real_rank(rows, tol=linalg.DEFAULT_TOL):
+    """Dimension over R of the real span of complex vec rows."""
+    return linalg.orthonormal_rows(np.hstack([rows.real, rows.imag]), tol=tol).shape[0]
 
 
 #: Seed of the random products that grow dense_star_closure.

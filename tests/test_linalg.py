@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fintriple import catalog, linalg, subspaces
+from fintriple import catalog, linalg
 
 import oracles
 
@@ -144,9 +144,8 @@ def test_real_null_space_j_commuting_intersection():
     anti = [(np.kron(j.matrix.T.astype(complex), eye),
              -np.kron(eye, j.matrix.astype(complex)))]
     basis = linalg.real_null_space(lin, anti, 1024)
-    space = subspaces.OperatorSubspace(basis, 32, field="real", orthonormal=True)
     d_r = catalog.dirac_majorana_term(1.0)
-    assert space.contains(d_r)
+    assert oracles.real_span_residual(basis, d_r) <= 1e-9 * linalg.hs_norm(d_r)
 
 
 def test_antilinear_operator_validation():
@@ -248,17 +247,13 @@ def test_product_rows_lists_every_product_left_major():
 def test_left_kernel_annihilates_and_cuts_on_the_shape():
     rng = np.random.default_rng(12)
     # rows 4 and 5 depend on rows 0-3, row 4 with real and row 5 with
-    # imaginary coefficients: a 2-dimensional complex left kernel
+    # imaginary coefficients: a 2-dimensional left kernel
     b = _rand_complex(rng, 4, 40)
     a = np.vstack([b, rng.standard_normal((1, 4)) @ b, 1j * b[:1]])
     c = linalg.left_kernel(a, 1e-9)
     assert c.shape == (2, 6)
     assert np.linalg.norm(c @ a) <= 1e-12
     np.testing.assert_allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
-    # over R only the real dependency is left
-    r = linalg.real_left_kernel(a, 1e-9)
-    assert r.dtype == float and r.shape == (1, 6)
-    assert np.linalg.norm(r @ a) <= 1e-12
     # scale raises the cut above a tiny matrix's own largest singular value
     assert linalg.left_kernel(1e-12 * a, 1e-9).shape == (2, 6)
     assert linalg.left_kernel(1e-12 * a, 1e-9, scale=1.0).shape == (6, 6)

@@ -325,6 +325,7 @@ def test_orthogonal_witness_is_basis_independent():
 
 
 _FLAT_DIAGONAL = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
+_IMAGINARY_PAIR = np.kron(np.eye(2), np.array([[0, -1j], [1j, 0]]))
 
 
 @pytest.mark.parametrize("basis, expected", [
@@ -334,6 +335,9 @@ _FLAT_DIAGONAL = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
     # a flat diagonal: every E_kk probe projects onto the identity, so the
     # off-diagonal matrix units pick the element instead
     ([np.eye(4), _FLAT_DIAGONAL], np.eye(4) - _FLAT_DIAGONAL),
+    # an imaginary antisymmetric element: only the i (E_f - E_f^T)/2 probes
+    # reach it, and E_10 picks Y ⊕ Y, whose lowest cluster is its -1 side
+    ([np.eye(4), _IMAGINARY_PAIR], 0.5 * (np.eye(4) - _IMAGINARY_PAIR)),
 ])
 def test_reducing_projection_is_basis_independent(basis, expected):
     rng = np.random.default_rng(12)
@@ -386,17 +390,22 @@ def test_pati_salam_full_triple_irreducible(pati_salam_triple):
     assert v.commutant_dim_real == 1
 
 
+def _pati_salam_without_dirac(pati_salam_triple):
+    """Pati-Salam algebra and real structure with no Dirac operator or grading."""
+    return triple.FiniteTriple(
+        algebra_gens=pati_salam_triple.algebra_gens,
+        opposite_gens=pati_salam_triple.opposite_gens,
+        dirac=np.zeros((32, 32), dtype=complex),
+        real_structure=pati_salam_triple.real_structure)
+
+
 def test_pati_salam_chirality_reduces_algebra_with_real_structure(pati_salam_triple):
     # With only the algebra and the real structure constraining it, the
     # projection onto the right-handed sector (particle rows 1-2 and
     # antiparticle right-handed columns) is a nontrivial commuting
     # projection, so this reduced data set is NOT irreducible; the Dirac
     # operator is what removes it (see the full-triple test above).
-    t = triple.FiniteTriple(
-        algebra_gens=pati_salam_triple.algebra_gens,
-        opposite_gens=pati_salam_triple.opposite_gens,
-        dirac=np.zeros((32, 32), dtype=complex),
-        real_structure=pati_salam_triple.real_structure)
+    t = _pati_salam_without_dirac(pati_salam_triple)
     v = morita.irreducible(morita.Derived(t))
     assert not v.irreducible
     assert v.commutant_dim_real == 4
@@ -435,16 +444,28 @@ def test_zero_chain_grading_fails_for_default_algebra(thm1_triple):
             thm1_triple.opposite_gens)
 
 
-@pytest.mark.parametrize("name", ["original_cc_triple", "pati_salam_triple"])
+@pytest.mark.parametrize("name", ["original_cc_triple", "pati_salam_triple",
+                                  "pati_salam_without_dirac"])
 def test_real_commutant_with_j_matches_dense_oracle(name, request):
-    t = request.getfixturevalue(name)
-    extra = [t.dirac, t.grading]
+    # the dense oracle solves for the real commutant R over R; morita reaches
+    # it as the J-fixed real form of the complex space M
+    if name == "pati_salam_without_dirac":
+        t = _pati_salam_without_dirac(request.getfixturevalue("pati_salam_triple"))
+    else:
+        t = request.getfixturevalue(name)
+    extra = [op for op in (t.dirac, t.grading) if op is not None]
     k = t.real_structure.matrix
-    fast = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, 1e-9)
+    m = morita._complexified_real_commutant(t, 1e-9)
     dense = oracles.dense_real_commutant_with_j(t.algebra_gens, extra, k, t.n)
-    assert fast.field == dense.field == "real"
-    assert fast.dim == dense.dim
-    assert subspaces.equals(fast, dense)
+    assert dense.shape[0] == m.dim
+    assert subspaces.equals(subspaces.OperatorSubspace(dense, t.n), m)
+    assert max(t.real_structure.commutation_residual(linalg.unvec(row, t.n, t.n))
+               for row in dense) <= 1e-9
+    # the Hermitian part of R has the real dimension selfadjoint_dim counts
+    mats = dense.reshape(-1, t.n, t.n)
+    herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1)).reshape(-1, t.n * t.n)
+    v = morita.irreducible(morita.Derived(t))
+    assert (v.commutant_dim_real, v.selfadjoint_dim) == (m.dim, oracles.real_rank(herm))
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -465,7 +486,6 @@ def test_restricted_commutants_equal_the_solves_from_scratch(name):
         even = subspaces.commutant(gens, tol=tol, within=odd)
         assert subspaces.equals(even, subspaces.commutant(gens, tol=tol))
     extra = [t.dirac] + ([] if t.grading is None else [t.grading])
-    k = t.real_structure.matrix
-    inside = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol, within=alg)
-    scratch = morita._real_commutant_with_j(t.algebra_gens, extra, k, t.n, tol)
-    assert subspaces.equals(inside, scratch)
+    data = list(t.algebra_gens) + triple._normalized(extra)
+    inside = subspaces.commutant(data, tol=tol, within=alg)
+    assert subspaces.equals(inside, subspaces.commutant(data, tol=tol))

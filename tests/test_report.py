@@ -133,11 +133,13 @@ def _verify_json(path, tol, threads):
 
 def test_json_at_the_tol_floor_independent_of_blas_threads():
     # at the smallest accepted tol the noise floor is linalg.TOL_FLOOR, not
-    # 1e-3 * tol, which would sit below roundoff
-    path = CONFIG_DIR / "thm1.cfg"
-    one = _verify_json(path, "1e-13", 1)
-    assert '"tolerance": 1e-13' in one
-    assert one == _verify_json(path, "1e-13", 2)
+    # 1e-3 * tol, which would sit below roundoff; original_cc is the one
+    # golden with a reducing-projection witness
+    for name in ("thm1", "original_cc"):
+        path = CONFIG_DIR / f"{name}.cfg"
+        one = _verify_json(path, "1e-13", 1)
+        assert '"tolerance": 1e-13' in one
+        assert one == _verify_json(path, "1e-13", 2)
 
 
 def test_one_forms_check_memory(thm2_triple):

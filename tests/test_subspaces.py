@@ -157,20 +157,6 @@ def test_double_complement():
     assert subspaces.equals(back, s)
 
 
-def test_real_field_mismatch():
-    s = subspaces.span_of([np.eye(4, dtype=complex)], field="complex")
-    t = subspaces.span_of([np.eye(4, dtype=complex)], field="real")
-    with pytest.raises(subspaces.FieldMismatchError):
-        subspaces.subspace_sum(s, t)
-
-
-def test_real_field_span():
-    # over R, x and ix are independent
-    x = _unit_op(1, 2, 1, 1)
-    assert subspaces.span_of([x, 1j * x], field="real").dim == 2
-    assert subspaces.span_of([x, 1j * x], field="complex").dim == 1
-
-
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-13])
 def test_commutant_dims_stable_across_tol(tol, thm1_triple, thm1_clifford):
     assert subspaces.commutant(thm1_triple.algebra_gens, tol=tol).dim == 112
@@ -232,17 +218,15 @@ def test_commutant_of_zero_generators_is_everything():
 
 def test_contains_all_matches_contains_row_by_row():
     rng = np.random.default_rng(5)
-    for field in ("complex", "real"):
-        space = subspaces.OperatorSubspace(_rand_complex(rng, 3, 16), 4, field=field)
-        inside = [linalg.unvec(c @ space.flat, 4, 4) for c in rng.standard_normal((3, 3))]
-        outside = _rand_complex(rng, 4, 4)
-        zero = np.zeros((4, 4), dtype=complex)
-        mats = inside + [zero, outside, 1j * inside[0]]
-        for subset in (inside + [zero], mats, mats[-1:], []):
-            assert space.contains_all(subset) == all(space.contains(m) for m in subset)
-        assert space.contains_all(inside + [zero])
-        # the real span does not hold i times its elements
-        assert space.contains_all([1j * inside[0]]) == (field == "complex")
+    space = subspaces.OperatorSubspace(_rand_complex(rng, 3, 16), 4)
+    inside = [linalg.unvec(c @ space.flat, 4, 4) for c in rng.standard_normal((3, 3))]
+    outside = _rand_complex(rng, 4, 4)
+    zero = np.zeros((4, 4), dtype=complex)
+    mats = inside + [zero, outside, 1j * inside[0]]
+    for subset in (inside + [zero], mats, mats[-1:], []):
+        assert space.contains_all(subset) == all(space.contains(m) for m in subset)
+    assert space.contains_all(inside + [zero])
+    assert space.contains_all([1j * inside[0]])
 
 
 def _two_block_algebra(rng):
