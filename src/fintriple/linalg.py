@@ -87,7 +87,10 @@ def kron_action(a, b):
         raise ValueError(f"left factor must be square, got {a.shape}")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"right factor must be square, got {b.shape}")
-    return np.kron(b.T, a)
+    # np.kron(b.T, a) as one broadcast product: entry (i m + p, j m + r) is
+    # b[j, i] a[p, r], with np.kron's operand order and so its bits
+    k, m = b.shape[0], a.shape[0]
+    return (b.T[:, None, :, None] * a[None, :, None, :]).reshape(k * m, k * m)
 
 
 def adjoint(op):

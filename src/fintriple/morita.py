@@ -8,10 +8,10 @@ negative results by explicit commuting witnesses and real commutants.  The
 real commutant, with the antilinear J, is never given a real basis: it and
 its Hermitian part are real forms of complex spaces (irreducible).
 
-Derived is the one owner of the order in which the shared objects of a
-triple are built, each once: A' is solved, (A°)' is its J-image, and the
-Clifford closures are solved inside A' and inside the odd closure's
-commutant; clifford, property_m and irreducible read what they need from it.
+Derived is the one owner of the shared objects of a triple, each built
+once: A' is solved, (A°)' is its J-image, and each Clifford closure is
+solved from its own generators; clifford, property_m and irreducible read
+what they need from it.
 """
 
 from __future__ import annotations
@@ -85,10 +85,7 @@ def clifford(derived, even=False):
     """The *-algebra generated by the algebra and its one-forms.
 
     even=True additionally adjoins the grading; it requires an even triple.
-    star_algebra.star_closure solves the closure's commutant inside a space
-    known to contain it: the algebra commutant A' for the odd closure (it
-    contains A), the odd closure's commutant for the even one (it adds the
-    grading).
+    The closure is star_algebra.star_closure of these generators alone.
     """
     t, tol = derived.t, derived.tol
     if even and t.grading is None:
@@ -97,10 +94,7 @@ def clifford(derived, even=False):
     gens += derived.one_forms.basis_matrices()
     if even:
         gens.append(np.asarray(t.grading, dtype=complex))
-        within = star_algebra.commutant_of(derived.clifford_odd, tol)
-    else:
-        within = derived.algebra_commutant
-    return star_algebra.star_closure(gens, tol=tol, within=within)
+    return star_algebra.star_closure(gens, tol=tol)
 
 
 class Derived:
@@ -306,15 +300,15 @@ class IrreducibilityVerdict:
     witness: np.ndarray | None
 
 
-def _complexified_real_commutant(t, tol, within=None):
+def _complexified_real_commutant(t, tol):
     """M = C0 ∩ J C0 J^{-1}, a complex space whose J-fixed part is the real commutant.
 
     C0 is the complex commutant of the algebra, the Dirac operator and the
-    grading (HS-normalized), solved inside within when given.  With
-    θ(X) = J X J^{-1}, antilinear, θ^2 = 1 when J^2 = ±1: an X commuting
-    with J is θ-fixed and lies in C0, hence in θ(C0), so the real commutant
-    R is the θ-fixed part of M, and M is θ-invariant.  R is then a real form
-    of M (Krajewski, J. Geom. Phys. 28 (1998) 1): dim_R R = dim_C M.
+    grading (HS-normalized).  With θ(X) = J X J^{-1}, antilinear, θ^2 = 1
+    when J^2 = ±1: an X commuting with J is θ-fixed and lies in C0, hence in
+    θ(C0), so the real commutant R is the θ-fixed part of M, and M is
+    θ-invariant.  R is then a real form of M (Krajewski, J. Geom. Phys. 28
+    (1998) 1): dim_R R = dim_C M.
     Raises ValueError when J^2 is not ±1.
     """
     n = t.n
@@ -322,8 +316,7 @@ def _complexified_real_commutant(t, tol, within=None):
     if min(np.linalg.norm(k @ k - s * np.eye(n)) for s in (1, -1)) > tol * np.sqrt(n):
         raise ValueError("the real commutant needs J^2 = ±1")
     extra = [t.dirac] + ([] if t.grading is None else [t.grading])
-    c0 = subspaces.commutant([*t.algebra_gens, *_normalized(extra)], tol=tol, n=n,
-                             within=within)
+    c0 = subspaces.commutant([*t.algebra_gens, *_normalized(extra)], tol=tol, n=n)
     return subspaces.intersect(c0, subspaces.conjugated(c0, t.real_structure))
 
 
@@ -366,8 +359,8 @@ def _reducing_projection(herm, n, tol):
 def irreducible(derived):
     """Projection-based irreducibility of the full triple data.
 
-    The real commutant R is a real form of M (_complexified_real_commutant,
-    with C0 solved inside derived's A'), so its real dimension is dim_C M.
+    The real commutant R is a real form of M (_complexified_real_commutant),
+    so its real dimension is dim_C M.
     σ(X) = J X* J^{-1} is a linear involution of M that commutes with *, and
     on its fixed part M+ = {(X + σX)/2} an element is J-fixed exactly when
     it is Hermitian; so the Hermitian part of R is a real form of M+ and
@@ -385,7 +378,7 @@ def irreducible(derived):
     """
     t, tol = derived.t, derived.tol
     n = t.n
-    comm = _complexified_real_commutant(t, tol, within=derived.algebra_commutant)
+    comm = _complexified_real_commutant(t, tol)
     # row j of sigma is σ of basis row j of comm
     sigma = subspaces.conjugated(subspaces.adjoint(comm), t.real_structure)
     fixed = OperatorSubspace(0.5 * (comm.flat + sigma.flat), n, tol=tol)

@@ -95,17 +95,16 @@ def closure_defect(space):
     return float(worst)
 
 
-def star_closure(gens, tol=DEFAULT_TOL, within=None):
+def star_closure(gens, tol=DEFAULT_TOL):
     """Smallest complex *-algebra containing the generators.
 
     The generators and their adjoints are span-reduced to the seed S.  Its
-    commutant C is solved inside within when given (subspaces.commutant): a
-    complex space known to contain C, such as the commutant of a subset of
-    the generators.  V = C' is solved next, and when the seed has a common
-    kernel K (linalg.left_kernel of the stacked seed matrices) the
-    direction of the projection P_K is removed from V; see the module
-    docstring for why that is alg(S).  The result carries C and the
-    defect, the largest residual of a seed element outside the closure.
+    commutant C and then V = C' are solved from their generators alone
+    (subspaces.commutant), and when the seed has a common kernel K
+    (linalg.left_kernel of the stacked seed matrices) the direction of the
+    projection P_K is removed from V; see the module docstring for why that
+    is alg(S).  The result carries C and the defect, the largest residual
+    of a seed element outside the closure.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if not gens:
@@ -114,7 +113,7 @@ def star_closure(gens, tol=DEFAULT_TOL, within=None):
     seed_rows = [linalg.vec(g) for g in gens] + [linalg.vec(g.conj().T) for g in gens]
     seed = linalg.orthonormal_rows(np.array(seed_rows), tol=tol)
     seed_mats = seed.reshape(-1, n, n).transpose(0, 2, 1)
-    comm = subspaces.commutant(seed_mats, tol=tol, n=n, within=within)
+    comm = subspaces.commutant(seed_mats, tol=tol, n=n)
     if not len(seed):  # zero generators close onto the zero algebra
         return StarAlgebra(space=OperatorSubspace(seed, n, tol=tol, orthonormal=True),
                            defect=0.0, commutant=comm)

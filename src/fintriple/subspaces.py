@@ -7,21 +7,19 @@ Real spaces never need a basis of their own: the Hermitian elements of a
 span are the Hermitian parts of its largest *-closed subspace, and the real
 commutant of morita is a real form of a complex space.
 
-commutant(gens, within=W) solves W ∩ gens' inside a space W known to
-contain it, by one loop: a thin SVD over the coordinates of W, then a
-certificate that tests the solutions against every generator.  Without W
-it solves inside the eigenblocks of a generic element of the generators'
-span (block-diagonalization of a matrix *-algebra by a generic element,
-Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
-It is sound because it imposes only constraints that every element of the
-answer satisfies, so its solution space contains the answer, and the
-certificate proves the reverse inclusion.  Generators that are all exactly
-kron(1_q, x) are solved in the q-fold smaller factor, whose commutant
-tensored with M_q is the whole answer; the catalog algebras act through
-M_8 on M_{8x4}(C), so their commutant is solved on 8 x 8 matrices.
-Solving inside a commutant already certified (the commutant of an algebra
-for that of a larger one) leaves fewer coordinates; conjugated carries a
-commutant over to the opposite algebra with nothing solved.
+commutant(gens) solves gens' from the generators alone, by one loop: a
+thin SVD over the coordinates of the eigenblocks of a generic element of
+the generators' span (block-diagonalization of a matrix *-algebra by a
+generic element, Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl.
+Math. 27 (2010)), then a certificate that tests the solutions against
+every generator.  It is sound because it imposes only constraints that
+every element of the answer satisfies, so its solution space contains the
+answer, and the certificate proves the reverse inclusion.  Generators that
+are all exactly kron(1_q, x) are solved in the q-fold smaller factor, whose
+commutant tensored with M_q is the whole answer; the catalog algebras act
+through M_8 on M_{8x4}(C), so their commutant is solved on 8 x 8 matrices.
+conjugated carries a commutant over to the opposite algebra with nothing
+solved.
 commutator_gram is the dense Gram operator of the same problem, kept as a
 test oracle.
 """
@@ -260,13 +258,13 @@ def _eigenblock_basis(reduced, n, tol, rng):
 def _factor_multiplicity(gens):
     """Largest q dividing n with every generator exactly kron(1_q, x).
 
-    The test is np.array_equal against the kron of the leading (n/q) x (n/q)
-    block, with no tolerance; q = 1 when no larger one fits.
+    The test is np.array_equal against kron(1_q, x) of the leading
+    (n/q) x (n/q) block x, with no tolerance; q = 1 when no larger one fits.
     """
     n = gens[0].shape[0]
     for q in range(n, 1, -1):
         m = n // q
-        if n % q == 0 and all(np.array_equal(g, np.kron(np.eye(q), g[:m, :m]))
+        if n % q == 0 and all(np.array_equal(g, linalg.kron_action(g[:m, :m], np.eye(q)))
                               for g in gens):
             return q
     return 1
@@ -307,72 +305,64 @@ def _commutator_rows(basis, g):
     return prod.reshape(-1, n * n)
 
 
-def commutant(gens, tol=DEFAULT_TOL, n=None, within=None):
-    """within ∩ gens': the X in within commuting with every generator.
+def commutant(gens, tol=DEFAULT_TOL, n=None):
+    """gens': the X commuting with every generator.
 
-    within must be a space known to contain the answer, such as a
-    commutant already certified for part of the generators.  None stands
-    for the eigenblock space of a random Hermitian element h1 of the
-    generators' span, which holds their whole commutant.
+    The solve runs in the eigenblock space of a random Hermitian element h1
+    of the generators' span, which holds their whole commutant.  Generators
+    that are all exactly kron(1_q, x), for the largest such q
+    (_factor_multiplicity: an exact test, no tolerance), are solved in the
+    factor: {x}' at size n/q, lifted to the orthonormal rows E_kl (x) b_j.
+    That is the whole answer, since X commutes with every 1_q (x) x exactly
+    when X lies in M_q (x) {x}'.  The factor's certificate also certifies
+    the lifted basis, because ||[E_kl (x) b, 1_q (x) x]|| = ||[b, x]||.  The
+    algebras of the catalog act on M_{8x4}(C) by left multiplication through
+    M_8, so their A' is solved with 8 x 8 matrices.
 
-    Without within, generators that are all exactly kron(1_q, x), for the
-    largest such q (_factor_multiplicity: an exact test, no tolerance), are
-    solved in the factor: {x}' at size n/q, lifted to the orthonormal rows
-    E_kl (x) b_j.  That is the whole answer, since X commutes with every
-    1_q (x) x exactly when X lies in M_q (x) {x}'.  The factor's certificate
-    also certifies the lifted basis, because ||[E_kl (x) b, 1_q (x) x]|| =
-    ||[b, x]||.  The algebras of the catalog act on M_{8x4}(C) by left
-    multiplication through M_8, so their A' is solved with 8 x 8 matrices.
-
-    Any other generator set, and every solve inside within, runs the loop
-    of _solve_commutant at full size.
+    Any other generator set runs the loop of _solve_commutant at full size.
+    n is read only when there are no generators, whose commutant is M_n.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
-    if within is None and gens:
+    if gens:
         q = _factor_multiplicity(gens)
         if q > 1:
             m = gens[0].shape[0] // q
-            factor = _solve_commutant([g[:m, :m] for g in gens], tol, m, None)
+            factor = _solve_commutant([g[:m, :m] for g in gens], tol, m)
             return OperatorSubspace(_tensor_identity_rows(factor, q), q * m,
                                     tol=tol, orthonormal=True)
-    return _solve_commutant(gens, tol, n, within)
+    return _solve_commutant(gens, tol, n)
 
 
-def _solve_commutant(gens, tol, n, within):
-    """commutant's loop: within ∩ gens' by system, SVD and certificate.
+def _solve_commutant(gens, tol, n):
+    """commutant's loop: gens' by system, SVD and certificate.
 
     The generators are span-reduced to an orthonormal set G.  The solve runs
-    in within, or without it in the span of the matrix units over the
-    eigenblocks of h1 (_eigenblock_basis).  X = sum z_j W_j runs over the
-    orthonormal basis W of that space.  [X, h2] = 0 is imposed for a random
-    element h2 of span(G) by a thin SVD of the commutators [W_j, h2].  The certificate tests every solution
-    matrix against every g in G at the cut of the last rank decision; the
-    exact constraints of the failing generators are appended and the system
-    re-solved, until a sweep is clean.  Each step imposes only conditions
-    that every element of within ∩ gens' satisfies, so the solution space
-    contains it, and the certificate proves the reverse inclusion.  Random
-    draws come from a fixed seed per call.  Vec rows are read by their
-    row-major reshape, the transpose of the operator, which keeps
-    commutation and copies nothing.  The only n^2 x n^2 array is the system
-    of a single block, and every rank decision is
+    in the span of the matrix units over the eigenblocks of h1
+    (_eigenblock_basis).  X = sum z_j W_j runs over the orthonormal basis W
+    of that space.  [X, h2] = 0 is imposed for a random element h2 of
+    span(G) by a thin SVD of the commutators [W_j, h2].  The certificate
+    tests every solution matrix against every g in G at the cut of the last
+    rank decision; the exact constraints of the failing generators are
+    appended and the system re-solved, until a sweep is clean.  Each step
+    imposes only conditions that every element of gens' satisfies, so the
+    solution space contains it, and the certificate proves the reverse
+    inclusion.  Random draws come from a fixed seed per call.  Vec rows are
+    read by their row-major reshape, the transpose of the operator, which
+    keeps commutation and copies nothing.  The only n^2 x n^2 array is the
+    system of a single block, and every rank decision is
     linalg.rank_from_singular_values on singular values.  Raises
     RuntimeError when a generator already imposed still fails the sweep.
     """
     if gens:
         n = gens[0].shape[0]
-    elif within is not None:
-        n = within.n
     elif n is None:
         raise ValueError("empty generator list needs an explicit ambient n")
-    if within is not None and within.n != n:
-        raise ValueError("within must be a space of the generators' size")
     reduced = linalg.orthonormal_rows(
         np.array([linalg.vec(g) for g in gens]).reshape(-1, n * n), tol=tol)
-    if reduced.shape[0] == 0 or (within is not None and within.dim == 0):
-        flat = np.eye(n * n, dtype=complex) if within is None else within.flat
-        return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+    if reduced.shape[0] == 0:
+        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
     rng = np.random.default_rng(_COMMUTANT_SEED)
-    basis = _eigenblock_basis(reduced, n, tol, rng) if within is None else within.flat
+    basis = _eigenblock_basis(reduced, n, tol, rng)
     local = reduced.reshape(-1, n, n)
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
     system = _commutator_rows(basis, np.tensordot(c / np.linalg.norm(c), local, axes=1)).T

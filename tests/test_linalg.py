@@ -39,6 +39,28 @@ def test_kron_action_shape_errors():
         linalg.kron_action(np.eye(8), np.zeros((4, 3)))
 
 
+def _assert_same_bits(x, y):
+    # np.array_equal takes -0.0 == 0.0, so the sign bits are compared too
+    assert x.dtype == y.dtype and np.array_equal(x, y)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(x)), np.signbit(part(y)))
+
+
+def test_kron_action_is_np_kron_bit_for_bit():
+    right = [np.eye(4, dtype=complex), np.diag([1, 1, -1, -1]).astype(complex),
+             oracles._unit4(1, 1), oracles._unit4(2, 3)]
+    for gens in (catalog.algebra_af_generators(), catalog.algebra_bf_generators(),
+                 catalog.algebra_aev_generators()):
+        for g in gens:
+            for b in right:
+                _assert_same_bits(linalg.kron_action(g[:8, :8], b), np.kron(b.T, g[:8, :8]))
+    rng = np.random.default_rng(17)
+    for m, k in ((8, 4), (3, 5), (1, 6), (7, 1)):
+        a, b = _rand_complex(rng, m, m), _rand_complex(rng, k, k)
+        a[0, 0], b[-1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        _assert_same_bits(linalg.kron_action(a, b), np.kron(b.T, a))
+
+
 def test_kron_action_product_rule():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fintriple import catalog, cli, morita, report, subspaces, triple
+from fintriple import catalog, cli, morita, report, star_algebra, subspaces, triple
 from fintriple.config import parse_config_file
 
 from conftest import BASE
@@ -134,8 +134,9 @@ def _verify_json(path, tol, threads):
 def test_json_at_the_tol_floor_independent_of_blas_threads():
     # at the smallest accepted tol the noise floor is linalg.TOL_FLOOR, not
     # 1e-3 * tol, which would sit below roundoff; original_cc is the one
-    # golden with a reducing-projection witness
-    for name in ("thm1", "original_cc"):
+    # golden with a reducing-projection witness, and pati_salam solves its
+    # irreducibility commutant on the eigenblocks of a generic element
+    for name in ("thm1", "original_cc", "pati_salam"):
         path = CONFIG_DIR / f"{name}.cfg"
         one = _verify_json(path, "1e-13", 1)
         assert '"tolerance": 1e-13' in one
@@ -404,6 +405,22 @@ def test_cli_clifford(capsys, thm1_report):
         dims = odd if kind == "odd" else even
         assert int(out[f"clifford ({kind}) dim"]) == dims[f"clifford_{kind}"]
         assert int(out["commutant dim"]) == dims[f"commutant_{kind}"]
+
+
+def test_cli_clifford_even_builds_one_closure(capsys, monkeypatch):
+    # the even closure is solved from its own generators, without the odd one
+    calls = []
+    closure = star_algebra.star_closure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(star_algebra, "star_closure", counted)
+    out = _cli_dims(capsys, "clifford", str(CONFIG_DIR / "thm1.cfg"), "--even")
+    assert len(calls) == 1
+    assert int(out["clifford (even) dim"]) == 112
+    assert int(out["commutant dim"]) == 15
 
 
 def test_cli_tol_override(capsys):

@@ -253,7 +253,7 @@ def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     # the diagonal matrices are not the commutant of the seed, whose 2x2
     # blocks couple indices; a closure built on them as C is the diagonal
     # algebra, which misses the seed, and its defect must say so
-    def diagonal(gens, tol=linalg.DEFAULT_TOL, n=None, within=None):
+    def diagonal(gens, tol=linalg.DEFAULT_TOL, n=None):
         flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
         return subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
 

@@ -229,47 +229,10 @@ def test_contains_all_matches_contains_row_by_row():
     assert space.contains_all([1j * inside[0]])
 
 
-def _two_block_algebra(rng):
-    """M2 with multiplicity 2 plus the scalars on C^4, in a random frame of C^8.
-
-    Its commutant is (1_2 (x) M2) + M4, 20-dimensional.
-    """
-    q, _ = np.linalg.qr(_rand_complex(rng, 8, 8))
-    gens = []
-    for unit in np.eye(4).reshape(4, 2, 2):
-        a = np.zeros((8, 8), dtype=complex)
-        a[:4, :4] = np.kron(unit, np.eye(2))
-        gens.append(a)
-    gens.append(np.diag([0.0] * 4 + [1.0] * 4).astype(complex))
-    return q, [q @ g @ q.conj().T for g in gens]
-
-
-def test_commutant_within_is_the_intersection():
-    rng = np.random.default_rng(11)
-    q, gens = _two_block_algebra(rng)
-    dense = oracles.dense_commutant(gens)
-    assert dense.dim == 20
-    diagonal = subspaces.span_of([q @ np.diag(e) @ q.conj().T
-                                  for e in np.eye(8, dtype=complex)])
-    spaces = {
-        "commutant of one generator": oracles.dense_commutant(gens[:1]),
-        "diagonal in the frame": diagonal,
-        "random 30 dimensions": subspaces.OperatorSubspace(_rand_complex(rng, 30, 64), 8),
-    }
-    dims = {}
-    for name, within in spaces.items():
-        got = subspaces.commutant(gens, within=within)
-        assert subspaces.equals(got, subspaces.intersect(within, dense)), name
-        dims[name] = got.dim
-    assert dims == {"commutant of one generator": 20, "diagonal in the frame": 6,
-                    "random 30 dimensions": 0}
-    assert subspaces.commutant([], within=diagonal).dim == 8
-
-
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_opposite_commutant_is_the_j_image(name):
-    # the solver without within keeps its dimensions, and the opposite
-    # commutant is J A' J^{-1} for every shipped config
+    # the solver keeps its dimensions, and the opposite commutant is
+    # J A' J^{-1} for every shipped config
     cfg, t = config_triple(name)
     alg = subspaces.commutant(t.algebra_gens, tol=cfg.tol)
     opp = subspaces.commutant(t.opposite_gens, tol=cfg.tol)
@@ -306,9 +269,9 @@ def _recorded_solves(monkeypatch):
     sizes = []
     solve = subspaces._solve_commutant
 
-    def recorded(gens, tol, n, within):
+    def recorded(gens, tol, n):
         sizes.append(gens[0].shape[0] if gens else n)
-        return solve(gens, tol, n, within)
+        return solve(gens, tol, n)
 
     monkeypatch.setattr(subspaces, "_solve_commutant", recorded)
     return sizes
@@ -327,6 +290,19 @@ def test_algebra_commutant_is_solved_in_the_8x8_factor(name, monkeypatch):
                   else oracles.af_commutant_basis())
     assert subspaces.equals(comm, subspaces.span_of(block_form))
     assert subspaces.equals(comm, _DENSE_ALGEBRA_COMMUTANTS[cfg.algebra])
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_factor_multiplicity_of_the_config_generators(name):
+    # the algebras act through M_8 on M_{8x4}(C); the Dirac operator and the
+    # grading act on the right factor too, so with either one q drops to 1
+    _, t = config_triple(name)
+    gens = list(t.algebra_gens)
+    assert subspaces._factor_multiplicity(gens) == 4
+    assert subspaces._factor_multiplicity(gens + [t.dirac]) == 1
+    if t.grading is not None:
+        assert subspaces._factor_multiplicity(gens + [t.grading]) == 1
+        assert subspaces._factor_multiplicity(gens + [t.dirac, t.grading]) == 1
 
 
 def test_conjugated_algebra_takes_the_eigenblock_path(monkeypatch):
