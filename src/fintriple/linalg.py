@@ -154,11 +154,13 @@ class AntilinearOperator:
 def singular_value_cut(sigma, shape, tol, scale=0.0):
     """Rank cut tol * max(shape) * max(sigma_max, scale).
 
-    Singular values at or below the cut count as zero.  scale is a known
-    norm of the operator, for systems that may be zero up to roundoff
-    (commutators with a scalar), where sigma_max is noise.
+    Singular values at or below the cut count as zero; sigma may come in
+    any order, such as the union of the singular values of the diagonal
+    blocks of one block-diagonal system.  scale is a known norm of the
+    operator, for systems that may be zero up to roundoff (commutators
+    with a scalar), where sigma_max is noise.
     """
-    top = max(sigma[0] if len(sigma) else 0.0, scale)
+    top = max(float(np.max(sigma, initial=0.0)), scale)
     return tol * max(shape) * top
 
 

@@ -7,17 +7,30 @@ Real spaces never need a basis of their own: the Hermitian elements of a
 span are the Hermitian parts of its largest *-closed subspace, and the real
 commutant of morita is a real form of a complex space.
 
-commutant(gens) solves gens' from the generators alone, by one loop: a
-thin SVD over the coordinates of the eigenblocks of a generic element of
-the generators' span (block-diagonalization of a matrix *-algebra by a
-generic element, Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl.
-Math. 27 (2010)), then a certificate that tests the solutions against
-every generator.  It is sound because it imposes only constraints that
-every element of the answer satisfies, so its solution space contains the
-answer, and the certificate proves the reverse inclusion.  Generators that
-are all exactly kron(1_q, x) are solved in the q-fold smaller factor, whose
-commutant tensored with M_q is the whole answer; the catalog algebras act
-through M_8 on M_{8x4}(C), so their commutant is solved on 8 x 8 matrices.
+commutant(gens) solves gens' from the generators alone, by one loop.  A
+generic Hermitian element h1 of the generators' span splits C^n into
+eigenblocks, and every element of gens' is block-diagonal over them
+(block-diagonalization of a matrix *-algebra by a generic element, Murota,
+Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).  Read in
+h1's eigenbasis, the generators couple only some eigenblocks; those they
+join above tol, closed transitively, form the components (for a *-closed
+generator set, the central supports of the algebra it generates, whose
+projections are sums of h1's spectral projections that commute with every
+generator).  Each component is solved on its own, by a thin SVD over the
+units of its eigenblocks, with one rank cut for all of them; a certificate
+then bounds the commutator of every solution with every generator by its
+commutator with the generator's block on the component plus the
+generator's coupling out of it.  The loop is sound because it imposes only
+constraints that every element of the answer satisfies (dropping a
+coupling removes constraints), so its solution space contains the answer,
+and the certificate proves the reverse inclusion.
+Generators that are all exactly kron(1_q, x) are solved in the q-fold
+smaller factor, whose commutant tensored with M_q is the whole answer; the
+catalog algebras act through M_8 on M_{8x4}(C), so their commutant is
+solved on 8 x 8 matrices.  The components do not replace that path: at
+full size each eigenvalue of h1 repeats q times, so every eigenblock
+straddles the q copies and holds q^2 times the units (160 in place of 10
+for A_F).
 conjugated carries a commutant over to the opposite algebra with nothing
 solved.
 commutator_gram is the dense Gram operator of the same problem, kept as a
@@ -45,6 +58,10 @@ BLOCK_DRAWS = 4
 #: floor bounds it near 2e-14 whatever the random draw; closer eigenvalues
 #: only make a block larger, which every solver here tolerates.
 _MIN_GAP = 1e-2
+
+#: Entries of the d x s x s solution stack times the generators tested at
+#: once by the certificate, which bounds its temporaries to a few MB.
+_CERTIFICATE_CHUNK = 1 << 16
 
 
 class OperatorSubspace:
@@ -233,15 +250,16 @@ def _finest_eigenblocks(hermitians, tol):
     return min(draws, key=lambda draw: sum(len(block) ** 2 for block in draw[1]))
 
 
-def _eigenblock_basis(reduced, n, tol, rng):
-    """Orthonormal rows of the matrix units u E_ab u* over the eigenblocks of h1.
+def _generic_eigenblocks(reduced, n, tol, rng):
+    """Eigenbasis u of h1 and its clusters (_finest_eigenblocks).
 
     h1 is a random Hermitian element of the span S of the reduced
     generators, the finest of BLOCK_DRAWS draws.  The Hermitian elements of
     S are the Hermitian parts of W = S ∩ S*, its largest *-closed subspace,
     so each draw is the Hermitian part of a complex Gaussian combination of
     W's basis.  Every element of the generators' commutant commutes with h1,
-    so it lies in this space.  None stands for one block, all of M_n.
+    so it is block-diagonal in u over the clusters.  A single cluster is
+    all of M_n, and u = 1.
     """
     span = OperatorSubspace(reduced, n, tol=tol, orthonormal=True)
     w = intersect(span, adjoint(span)).flat
@@ -250,9 +268,32 @@ def _eigenblock_basis(reduced, n, tol, rng):
     draws = (coeffs @ w).reshape(-1, n, n)
     u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
     if len(clusters) == 1:
-        return None
-    rows, cols = _block_entries(clusters)
-    return np.einsum("pj,qj->jpq", u[:, rows], u[:, cols].conj()).reshape(-1, n * n)
+        return np.eye(n, dtype=complex), clusters
+    return u, clusters
+
+
+def _components(power, clusters, tol):
+    """The clusters, grouped into the components the generators couple.
+
+    power is sum_g |g|^2 entrywise over the generators in h1's eigenbasis.
+    Clusters c, c' are joined when the entries of power in the blocks
+    (c, c') and (c', c) sum to more than tol^2, and the relation is closed
+    transitively.
+    Each component is the list of its clusters, in order of the first one.
+    """
+    member = np.repeat(np.eye(len(clusters)), [len(block) for block in clusters], axis=1)
+    coupling = member @ power @ member.T
+    joined = coupling + coupling.T > tol * tol
+    components = []
+    free = np.ones(len(clusters), dtype=bool)
+    while free.any():
+        found = np.arange(len(clusters)) == np.argmax(free)
+        grown = found | joined[found].any(axis=0)
+        while not np.array_equal(grown, found):
+            found, grown = grown, grown | joined[grown].any(axis=0)
+        free &= ~found
+        components.append([clusters[c] for c in np.nonzero(found)[0]])
+    return components
 
 
 def _factor_multiplicity(gens):
@@ -286,25 +327,6 @@ def _tensor_identity_rows(factor, q):
     return ops.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
 
 
-def _commutator_rows(basis, g):
-    """Row j is [B_j, g] flattened row-major, B_j row j of basis reshaped row-major.
-
-    basis None stands for the units of all of M_n; the rows are then
-    1 (x) g - g^T (x) 1, a single n^2 x n^2 array.
-    """
-    n = g.shape[0]
-    if basis is None:
-        rows = np.kron(-g.T, np.eye(n))
-        blocks = rows.reshape(n, n, n, n)
-        for p in range(n):
-            blocks[p, :, p, :] += g
-        return rows
-    b = basis.reshape(-1, n, n)
-    prod = (b.reshape(-1, n) @ g).reshape(b.shape)
-    prod -= g @ b
-    return prod.reshape(-1, n * n)
-
-
 def commutant(gens, tol=DEFAULT_TOL, n=None):
     """gens': the X commuting with every generator.
 
@@ -333,25 +355,105 @@ def commutant(gens, tol=DEFAULT_TOL, n=None):
     return _solve_commutant(gens, tol, n)
 
 
-def _solve_commutant(gens, tol, n):
-    """commutant's loop: gens' by system, SVD and certificate.
+def _unit_commutators(h, rows, cols):
+    """Column j is [E_ab, h] flattened row-major, (a, b) = (rows[j], cols[j]).
 
-    The generators are span-reduced to an orthonormal set G.  The solve runs
-    in the span of the matrix units over the eigenblocks of h1
-    (_eigenblock_basis).  X = sum z_j W_j runs over the orthonormal basis W
-    of that space.  [X, h2] = 0 is imposed for a random element h2 of
-    span(G) by a thin SVD of the commutators [W_j, h2].  The certificate
-    tests every solution matrix against every g in G at the cut of the last
-    rank decision; the exact constraints of the failing generators are
-    appended and the system re-solved, until a sweep is clean.  Each step
-    imposes only conditions that every element of gens' satisfies, so the
-    solution space contains it, and the certificate proves the reverse
-    inclusion.  Random draws come from a fixed seed per call.  Vec rows are
-    read by their row-major reshape, the transpose of the operator, which
-    keeps commutation and copies nothing.  The only n^2 x n^2 array is the
-    system of a single block, and every rank decision is
-    linalg.rank_from_singular_values on singular values.  Raises
-    RuntimeError when a generator already imposed still fails the sweep.
+    Built by index scatter: [E_ab, h] is row b of h placed in row a, less
+    column a of h placed in column b.
+    """
+    s = h.shape[0]
+    out = np.zeros((s * s, len(rows)), dtype=complex)
+    j = np.arange(len(rows))
+    k = np.arange(s)[:, None]
+    out[rows * s + k, j] = h[cols].T
+    out[k * s + cols, j] -= h[:, rows]
+    return out
+
+
+def _conjugate(u, mats):
+    """u* m u for every m of a (k, n, n) stack, by one GEMM per side."""
+    k, n, _ = mats.shape
+    right = (mats.reshape(k * n, n) @ u).reshape(k, n, n).transpose(1, 0, 2)
+    return (u.conj().T @ right.reshape(n, k * n)).reshape(n, k, n).transpose(1, 0, 2)
+
+
+def _component(members, local, power):
+    """One component of a solve: its units and the generators on it.
+
+    members are the component's clusters, local the generators in h1's
+    eigenbasis and power their entrywise |g|^2.  Returns (idx, rows, cols,
+    blocks, outside): the indices idx of the clusters, the units E_ab over
+    each cluster's diagonal block in turn (_block_entries), local to the
+    component (position i stands for index idx[i]), the generators' blocks
+    g_QQ on it, and the squared HS norms of g_{Q,Q^c} and g_{Q^c,Q}.
+    """
+    idx = np.concatenate(members)
+    offsets = np.cumsum([len(block) for block in members])[:-1]
+    rows, cols = _block_entries(np.split(np.arange(len(idx)), offsets))
+    inside = np.zeros(local.shape[1], dtype=bool)
+    inside[idx] = True
+    outside = (power[:, inside][:, :, ~inside].sum(axis=(1, 2))
+               + power[:, ~inside][:, :, inside].sum(axis=(1, 2)))
+    return idx, rows, cols, local[:, idx[:, None], idx], outside
+
+
+def _certificate(z, rows, cols, blocks, outside):
+    """Bound on ||[X, g]|| over a component's solutions X, per generator g.
+
+    z holds the coefficients of the solutions Z on the units (rows, cols),
+    blocks the generators' blocks g_QQ on the component and outside the
+    squared HS norms of g_{Q,Q^c} and g_{Q^c,Q}.  Off the component [X, g]
+    is Z g_{Q,Q^c} and -g_{Q^c,Q} Z, and ||Z||_2 <= ||Z||_HS = 1, so
+    ||[X, g]||^2 <= ||[Z, g_QQ]||^2 + outside.  One GEMM per side tests
+    every solution against a chunk of generators.
+    """
+    d, s = len(z), blocks.shape[1]
+    if not d:
+        return np.zeros(len(blocks))
+    mats = np.zeros((d, s, s), dtype=complex)
+    mats[:, rows, cols] = z
+    left = mats.reshape(d * s, s)
+    right = mats.transpose(1, 0, 2).reshape(s, d * s)
+    inside = np.empty(len(blocks))
+    step = max(1, _CERTIFICATE_CHUNK // (d * s * s))
+    for start in range(0, len(blocks), step):
+        g = blocks[start:start + step]
+        k = len(g)
+        zg = (left @ g.transpose(1, 0, 2).reshape(s, k * s)).reshape(d, s, k, s)
+        gz = (g.reshape(k * s, s) @ right).reshape(k, s, d, s)
+        comm = zg.transpose(2, 0, 1, 3) - gz.transpose(0, 2, 1, 3)
+        inside[start:start + k] = (comm.real ** 2 + comm.imag ** 2).sum(axis=(2, 3)).max(axis=1)
+    return np.sqrt(inside + outside)
+
+
+def _solve_commutant(gens, tol, n):
+    """commutant's loop: gens' by components, SVDs and certificate.
+
+    The generators are span-reduced to an orthonormal set G and mapped into
+    the eigenbasis u of h1 (_generic_eigenblocks), where every element of
+    gens' is block-diagonal over h1's clusters.  Two clusters are joined
+    when the generators couple them, sum_g ||g[c, c']||^2 + ||g[c', c]||^2
+    > tol^2, closed transitively (_components); the generators have unit
+    norm, so this is the working tolerance.  Dropping the couplings between
+    components only enlarges the solution space, which then splits into
+    one small solve per component Q: [Z, h2] = 0 for a random element h2 of
+    span(G), over the units E_ab of Q's clusters, by a thin SVD of the unit
+    commutators (_unit_commutators).  The components' systems are the
+    diagonal blocks of one system of n_rows x m, m the units of all of
+    them, so one rank cut, singular_value_cut on the union of their
+    singular values with that shape, covers them all.  The certificate
+    tests each component's solutions against each generator's block on it
+    and adds the generator's coupling out of it (_certificate), a bound on
+    ||[X, g]|| for X = u Z u*, at the cut of the last rank decision; the
+    exact constraints of the failing generators are folded into every
+    component and the systems re-solved, until a sweep is clean.  Each
+    step imposes only conditions that every element of gens' satisfies, so
+    the solution space contains it, and the certificate proves the reverse
+    inclusion.  X = u (+)_Q Z_Q u* is assembled once.  Random draws come
+    from a fixed seed per call.  Vec rows are read by their row-major
+    reshape, the transpose of the operator, which keeps commutation and
+    copies nothing.  Raises RuntimeError when a generator already imposed
+    still fails the sweep.
     """
     if gens:
         n = gens[0].shape[0]
@@ -362,33 +464,45 @@ def _solve_commutant(gens, tol, n):
     if reduced.shape[0] == 0:
         return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
     rng = np.random.default_rng(_COMMUTANT_SEED)
-    basis = _eigenblock_basis(reduced, n, tol, rng)
-    local = reduced.reshape(-1, n, n)
+    u, clusters = _generic_eigenblocks(reduced, n, tol, rng)
+    local = _conjugate(u, reduced.reshape(-1, n, n))
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
-    system = _commutator_rows(basis, np.tensordot(c / np.linalg.norm(c), local, axes=1)).T
-    n_rows = n * n
+    c /= np.linalg.norm(c)
+    power = local.real ** 2 + local.imag ** 2
+    parts = [_component(members, local, power)
+             for members in _components(power.sum(axis=0), clusters, tol)]
+    systems = [_unit_commutators(np.tensordot(c, blocks, axes=1), rows, cols)
+               for _, rows, cols, blocks, _ in parts]
+    n_rows, m = n * n, sum(len(rows) for _, rows, *_ in parts)
     imposed = set()
     while True:
-        sigma, vh = linalg.svd_rows(system)
-        shape = (n_rows, system.shape[1])
+        factors = [linalg.svd_rows(system) for system in systems]
         # h2 and the generators have unit norm, which sets the scale of the
         # system when they are scalar on the space and it is pure roundoff
-        cut = linalg.singular_value_cut(sigma, shape, tol, scale=1.0)
-        z = vh[linalg.rank_from_singular_values(sigma, shape, tol, scale=1.0):].conj()
-        x = z if basis is None else z @ basis
-        failing = {i for i, g in enumerate(local)
-                   if np.linalg.norm(_commutator_rows(x, g), axis=1).max(initial=0.0) > cut}
+        cut = linalg.singular_value_cut(np.concatenate([sigma for sigma, _ in factors]),
+                                        (n_rows, m), tol, scale=1.0)
+        sols = [vh[np.count_nonzero(sigma > cut):].conj() for sigma, vh in factors]
+        bound = np.max([_certificate(z, *part[1:]) for z, part in zip(sols, parts)], axis=0)
+        failing = set(np.nonzero(bound > cut)[0].tolist())
         if not failing:
             break
         if failing & imposed:
             raise RuntimeError("commutant certificate did not close: an imposed "
                                "generator still fails at the rank cut")
-        # diag(sigma) Vh keeps the singular values and right vectors of the
+        # diag(sigma) Vh keeps the singular values and right vectors of each
         # system; the failing generators' exact constraints are folded in by QR
-        exact = [_commutator_rows(basis, local[i]).T for i in sorted(failing)]
-        system = np.linalg.qr(np.vstack([sigma[:, None] * vh] + exact), mode="r")
+        systems = [np.linalg.qr(np.vstack([sigma[:, None] * vh]
+                                          + [_unit_commutators(blocks[i], rows, cols)
+                                             for i in sorted(failing)]), mode="r")
+                   for (sigma, vh), (_, rows, cols, blocks, _) in zip(factors, parts)]
         n_rows += n * n * len(failing)
         imposed |= failing
+    z_full = np.zeros((sum(len(z) for z in sols), n, n), dtype=complex)
+    start = 0
+    for z, (idx, rows, cols, *_) in zip(sols, parts):
+        z_full[start:start + len(z), idx[rows], idx[cols]] = z
+        start += len(z)
+    x = _conjugate(u.conj().T, z_full).reshape(-1, n * n)
     return OperatorSubspace(x, n, tol=tol, orthonormal=True)
 
 

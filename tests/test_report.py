@@ -134,9 +134,10 @@ def _verify_json(path, tol, threads):
 def test_json_at_the_tol_floor_independent_of_blas_threads():
     # at the smallest accepted tol the noise floor is linalg.TOL_FLOOR, not
     # 1e-3 * tol, which would sit below roundoff; original_cc is the one
-    # golden with a reducing-projection witness, and pati_salam solves its
-    # irreducibility commutant on the eigenblocks of a generic element
-    for name in ("thm1", "original_cc", "pati_salam"):
+    # golden with a reducing-projection witness, pati_salam solves its
+    # irreducibility commutant on the eigenblocks of a generic element, and
+    # degenerate's B_F closures split their solves into components
+    for name in ("thm1", "original_cc", "pati_salam", "degenerate"):
         path = CONFIG_DIR / f"{name}.cfg"
         one = _verify_json(path, "1e-13", 1)
         assert '"tolerance": 1e-13' in one
@@ -443,6 +444,23 @@ def test_cli_tol_at_floor_matches_manifest(tmp_path):
     assert cli.main(["verify", str(CONFIG_DIR / "thm2.cfg"), "--tol", "1e-13",
                      "--expect", str(CONFIG_DIR / "thm2.expect.json"),
                      "--out", str(tmp_path / "r.txt")]) == 0
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 30 ms of every process that imports it, and
+    # nothing on the verify path needs it; np.unique and the set routines
+    # built on it (np.setdiff1d, ...) import it lazily
+    env = dict(os.environ)
+    src = str(Path(report.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from fintriple import cli\n"
+            "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(status, 'numpy.ma' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIG_DIR / "thm1.cfg"), str(tmp_path / "r.txt")],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "False"]
 
 
 def test_cli_subprocess_smoke():

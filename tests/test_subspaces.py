@@ -173,28 +173,29 @@ def test_commutant_matches_dense_oracle(thm1_triple, af_commutant, af_opposite_c
 
 def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
     # The only Hermitian elements of the span are multiples of P, so h1 splits
-    # C^6 into two 3x3 blocks.  A random element h2 alone leaves the 6
-    # polynomials in h2 (3 per block); the commutant has 4: the polynomials
-    # in the nilpotent upper block and the scalars on the lower block.
+    # C^6 into two 3x3 blocks, which no generator couples: two components.
+    # A random element h2 alone leaves the 6 polynomials in h2 (3 per block);
+    # the commutant has 4: the polynomials in the nilpotent upper block and
+    # the scalars on the lower block.
     rng = np.random.default_rng(41)
     zero = np.zeros((3, 3))
     gens = [np.diag([1, 1, 1, 0, 0, 0]).astype(complex),
             np.block([[np.triu(_rand_complex(rng, 3, 3), 1), zero],
                       [zero, _rand_complex(rng, 3, 3)]]),
             np.block([[zero, zero], [zero, _rand_complex(rng, 3, 3)]])]
-    sizes = []
-    commutators = subspaces._commutator_rows
+    units = []
+    unit_commutators = subspaces._unit_commutators
 
-    def recorded(basis, g):
-        sizes.append(None if basis is None else basis.shape[0])
-        return commutators(basis, g)
+    def recorded(h, rows, cols):
+        units.append(len(rows))
+        return unit_commutators(h, rows, cols)
 
-    monkeypatch.setattr(subspaces, "_commutator_rows", recorded)
+    monkeypatch.setattr(subspaces, "_unit_commutators", recorded)
     comm = subspaces.commutant(gens)
-    # on the 18 coordinates of the two blocks: the system of h2, then the
-    # exact constraint of a generator failing the sweep (the other calls
-    # test the solutions, 6 and then 4 of them)
-    assert sizes.count(18) > 1
+    # on the 9 units of each component: the system of h2, then the exact
+    # constraint of a generator failing the sweep, folded into both
+    assert units[:2] == [9, 9]
+    assert len(units) > 2 and set(units) == {9}
     assert comm.dim == 4
     assert subspaces.equals(comm, oracles.dense_commutant(gens))
     for _ in range(3):
@@ -202,6 +203,88 @@ def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
         comm = subspaces.commutant(pair)
         assert comm.dim == 1
         assert subspaces.equals(comm, oracles.dense_commutant(pair))
+
+
+def _recorded_components(monkeypatch):
+    """Install a recorder of the component sizes of every eigenblock solve."""
+    sizes = []
+    components = subspaces._components
+
+    def recorded(power, clusters, tol):
+        found = components(power, clusters, tol)
+        sizes.append(sorted(sum(len(block) for block in members) for members in found))
+        return found
+
+    monkeypatch.setattr(subspaces, "_components", recorded)
+    return sizes
+
+
+def _direct_sum(v, a, b):
+    """v (a (+) b) v* for square a, b and a unitary v of their total size."""
+    zero = np.zeros((a.shape[0], b.shape[0]))
+    return v @ np.block([[a, zero], [zero.T, b]]) @ v.conj().T
+
+
+def test_commutant_of_a_direct_sum_splits_into_components(monkeypatch):
+    # h1 is a multiple of the Hermitian generator, with simple eigenvalues
+    # 1, 3 on C^2 and 2, 4, 5 on C^3, so its eigenblocks alternate between
+    # the summands; the generators couple them only within a summand, and
+    # the commutant is C 1_2 (+) C 1_3
+    rng = np.random.default_rng(12)
+    v, _ = np.linalg.qr(_rand_complex(rng, 5, 5))
+    gens = [_direct_sum(v, np.diag([1.0, 3.0]), np.diag([2.0, 4.0, 5.0]))]
+    gens += [_direct_sum(v, _rand_complex(rng, 2, 2), _rand_complex(rng, 3, 3))
+             for _ in range(2)]
+    sizes = _recorded_components(monkeypatch)
+    comm = subspaces.commutant(gens)
+    assert sizes == [[2, 3]]
+    assert comm.dim == 2
+    assert comm.contains(_direct_sum(v, np.eye(2), np.zeros((3, 3))))
+    assert subspaces.equals(comm, oracles.dense_commutant(gens))
+
+
+def test_commutant_of_a_doubled_algebra_holds_the_intertwiners(monkeypatch):
+    # x (+) x on C^3 (+) C^3: each eigenblock of h1 straddles both copies,
+    # the non-Hermitian generator couples all three, and the commutant is
+    # M_2 (x) 1_3, whose off-diagonal elements intertwine the copies
+    rng = np.random.default_rng(13)
+    v, _ = np.linalg.qr(_rand_complex(rng, 6, 6))
+    h = np.diag([1.0, 2.0, 3.0])
+    y = _rand_complex(rng, 3, 3)
+    gens = [_direct_sum(v, h, h), _direct_sum(v, y, y)]
+    sizes = _recorded_components(monkeypatch)
+    comm = subspaces.commutant(gens)
+    assert sizes == [[6]]
+    assert comm.dim == 4
+    shift = v @ np.kron([[0, 1], [0, 0]], np.eye(3)) @ v.conj().T
+    assert comm.contains(shift)
+    assert subspaces.equals(comm, oracles.dense_commutant(gens))
+
+
+@pytest.mark.parametrize("coupling, sizes", [(0.1, [2, 2]), (10.0, [4])])
+def test_eigenblocks_join_when_coupled_above_tol(coupling, sizes, monkeypatch):
+    # h1 is a multiple of diag(1, 1, 2, 2); the second generator couples its
+    # two eigenblocks by one entry, scaled so that the reduced generators
+    # carry coupling * tol between them: below tol the blocks are solved
+    # apart, above it together.  The coupling stays under the rank cut, so
+    # both answers have the dimension of the commutant at tol, and they
+    # tilt by about the coupling, the one constraint each solver may drop
+    rng = np.random.default_rng(14)
+    tol = linalg.DEFAULT_TOL
+    diag = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
+    inner = _direct_sum(np.eye(4), _rand_complex(rng, 2, 2), _rand_complex(rng, 2, 2))
+    unit = diag / np.linalg.norm(diag)
+    apart = inner - np.vdot(unit, inner) * unit
+    # the part of the span outside diag is apart + eps E_02, so the coupling
+    # of the reduced generators is eps / ||apart + eps E_02||
+    eps = coupling * tol * np.linalg.norm(apart) / np.sqrt(1 - (coupling * tol) ** 2)
+    inner[0, 2] = eps
+    recorded = _recorded_components(monkeypatch)
+    comm = subspaces.commutant([diag, inner], tol=tol)
+    assert recorded == [sizes]
+    assert comm.dim == 4
+    assert subspaces.equals(comm, oracles.dense_commutant([diag, inner], tol=tol),
+                            tol=max(1.0, 10 * coupling) * tol)
 
 
 def test_commutant_deterministic(thm1_triple):
