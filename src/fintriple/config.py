@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import DiracParams, TripleConfig
+from .catalog import (ALGEBRA_CHOICES, DIRAC_CHOICES, GRADING_CHOICES, DiracParams,
+                      TripleConfig)
 from .linalg import TOL_FLOOR
 
 _SECTIONS = ("algebra", "grading", "dirac", "run")
@@ -117,8 +118,10 @@ def parse_config(text, base_dir=None):
     if "name" not in algebra_section:
         raise ConfigError(0, "missing [algebra] name")
     lineno, algebra = algebra_section["name"]
-    if algebra not in ("A_F", "B_F", "A_ev"):
-        raise ConfigError(lineno, f"unknown algebra {algebra!r} (expected A_F, B_F or A_ev)")
+    if algebra not in ALGEBRA_CHOICES:
+        *first, last = ALGEBRA_CHOICES
+        raise ConfigError(lineno, f"unknown algebra {algebra!r} "
+                                  f"(expected {', '.join(first)} or {last})")
 
     grading_section = sections.get("grading", {})
     for key in grading_section:
@@ -128,7 +131,7 @@ def parse_config(text, base_dir=None):
     grading_line = 0
     if "kind" in grading_section:
         grading_line, grading = grading_section["kind"]
-        if grading not in ("standard", "nonstandard", "none"):
+        if grading not in GRADING_CHOICES:
             raise ConfigError(grading_line, f"unknown grading {grading!r}")
 
     dirac_section = dict(sections.get("dirac", {}))
@@ -139,7 +142,7 @@ def parse_config(text, base_dir=None):
         raise ConfigError(first, "dirac section has parameters but no type")
     else:
         type_line, dirac_kind = 0, "zero"
-    if dirac_kind not in ("zero", "CC", "CC_plus_Gamma", "custom"):
+    if dirac_kind not in DIRAC_CHOICES:
         raise ConfigError(type_line, f"unknown dirac type {dirac_kind!r}")
 
     params_kwargs = {}

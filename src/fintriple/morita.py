@@ -119,7 +119,7 @@ class Derived:
 
     @cached_property
     def algebra_commutant(self):
-        return subspaces.commutant(self.t.algebra_gens, tol=self.tol)
+        return subspaces.commutant(self.algebra_span)
 
     @cached_property
     def opposite_commutant(self):
@@ -181,8 +181,7 @@ def _orthogonal_witness(commutant_space, opposite):
     See MoritaVerdict for the rule; None when the commutant lies inside the
     opposite algebra.
     """
-    resid = commutant_space.flat - (
-        commutant_space.flat @ opposite.flat.conj().T) @ opposite.flat
+    resid = opposite.outside(commutant_space.flat)
     if np.linalg.norm(resid, axis=1).max() <= commutant_space.tol:
         return None
     q = linalg.orthonormal_rows(resid, tol=commutant_space.tol)
@@ -316,7 +315,8 @@ def _complexified_real_commutant(t, tol):
     if min(np.linalg.norm(k @ k - s * np.eye(n)) for s in (1, -1)) > tol * np.sqrt(n):
         raise ValueError("the real commutant needs J^2 = ±1")
     extra = [t.dirac] + ([] if t.grading is None else [t.grading])
-    c0 = subspaces.commutant([*t.algebra_gens, *_normalized(extra)], tol=tol, n=n)
+    c0 = subspaces.commutant(subspaces.span_of([*t.algebra_gens, *_normalized(extra)],
+                                               tol=tol))
     return subspaces.intersect(c0, subspaces.conjugated(c0, t.real_structure))
 
 

@@ -70,11 +70,6 @@ class StarAlgebra:
         return self.space.contains(x, tol=tol)
 
 
-def _residual_norms(rows, flat):
-    """Norms of the parts of rows outside the span of the orthonormal flat."""
-    return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
-
-
 def closure_defect(space):
     """Largest relative residual of basis products/adjoints outside the span.
 
@@ -86,12 +81,14 @@ def closure_defect(space):
     flat, n = space.flat, space.n
     mats = flat.reshape(-1, n, n).transpose(0, 2, 1)
     # vec of the adjoint is the conjugate of the C-order flattening
-    worst = _residual_norms(np.conj(mats.reshape(-1, n * n)), flat).max(initial=0.0)
+    worst = np.linalg.norm(space.outside(np.conj(mats.reshape(-1, n * n))),
+                           axis=1).max(initial=0.0)
     step = max(1, _PRODUCT_CHUNK // max(len(mats), 1))
     for start in range(0, len(mats), step):
         rows = linalg.product_rows(mats[start:start + step], mats)
         scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-        worst = max(worst, (_residual_norms(rows, flat) / scale).max(initial=0.0))
+        resid = np.linalg.norm(space.outside(rows), axis=1)
+        worst = max(worst, (resid / scale).max(initial=0.0))
     return float(worst)
 
 
@@ -99,7 +96,7 @@ def star_closure(gens, tol=DEFAULT_TOL):
     """Smallest complex *-algebra containing the generators.
 
     The generators and their adjoints are span-reduced to the seed S.  Its
-    commutant C and then V = C' are solved from their generators alone
+    commutant C and then V = C' are solved from the spans S and C
     (subspaces.commutant), and when the seed has a common kernel K
     (linalg.left_kernel of the stacked seed matrices) the direction of the
     projection P_K is removed from V; see the module docstring for why that
@@ -109,24 +106,21 @@ def star_closure(gens, tol=DEFAULT_TOL):
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if not gens:
         raise ValueError("star_closure needs at least one generator")
-    n = gens[0].shape[0]
-    seed_rows = [linalg.vec(g) for g in gens] + [linalg.vec(g.conj().T) for g in gens]
-    seed = linalg.orthonormal_rows(np.array(seed_rows), tol=tol)
-    seed_mats = seed.reshape(-1, n, n).transpose(0, 2, 1)
-    comm = subspaces.commutant(seed_mats, tol=tol, n=n)
-    if not len(seed):  # zero generators close onto the zero algebra
-        return StarAlgebra(space=OperatorSubspace(seed, n, tol=tol, orthonormal=True),
-                           defect=0.0, commutant=comm)
-    flat = subspaces.commutant(comm.flat.reshape(-1, n, n).transpose(0, 2, 1),
-                               tol=tol, n=n).flat
+    seed = subspaces.span_of(gens + [g.conj().T for g in gens], tol=tol)
+    n = seed.n
+    comm = subspaces.commutant(seed)
+    if not seed.dim:  # zero generators close onto the zero algebra
+        return StarAlgebra(space=seed, defect=0.0, commutant=comm)
+    flat = subspaces.commutant(comm).flat
     # the rows v with seed_mats v = 0, stacked, are an orthonormal basis of K
+    seed_mats = seed.flat.reshape(-1, n, n).transpose(0, 2, 1)
     kernel = linalg.left_kernel(seed_mats.reshape(-1, n).T, tol)
     if kernel.shape[0]:
         p = linalg.vec(kernel.T @ kernel.conj())
         p /= np.linalg.norm(p)
         flat = linalg.orthonormal_rows(flat - np.outer(flat @ p.conj(), p), tol=tol)
     space = OperatorSubspace(flat, n, tol=tol, orthonormal=True)
-    defect = float(_residual_norms(seed, flat).max())
+    defect = float(np.linalg.norm(space.outside(seed.flat), axis=1).max())
     return StarAlgebra(space=space, defect=defect, commutant=comm)
 
 
@@ -134,11 +128,14 @@ def commutant_of(algebra, tol):
     """The commutant of an algebra at tol.
 
     The commutant the algebra carries is reused when it was solved at tol;
-    otherwise (none carried, or another tol) it is solved from the basis.
+    otherwise (none carried, or another tol) it is solved from the algebra's
+    span, taken at tol.
     """
     comm = algebra.commutant
     if comm is None or comm.tol != tol:
-        comm = subspaces.commutant(algebra.basis_matrices(), tol=tol)
+        space = algebra.space
+        comm = subspaces.commutant(OperatorSubspace(space.flat, space.n, tol=tol,
+                                                    orthonormal=True))
     return comm
 
 

@@ -7,30 +7,24 @@ Real spaces never need a basis of their own: the Hermitian elements of a
 span are the Hermitian parts of its largest *-closed subspace, and the real
 commutant of morita is a real form of a complex space.
 
-commutant(gens) solves gens' from the generators alone, by one loop.  A
-generic Hermitian element h1 of the generators' span splits C^n into
-eigenblocks, and every element of gens' is block-diagonal over them
-(block-diagonalization of a matrix *-algebra by a generic element, Murota,
-Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).  Read in
-h1's eigenbasis, the generators couple only some eigenblocks; those they
-join above tol, closed transitively, form the components (for a *-closed
-generator set, the central supports of the algebra it generates, whose
-projections are sums of h1's spectral projections that commute with every
-generator).  Each component is solved on its own, by a thin SVD over the
-units of its eigenblocks, with one rank cut for all of them; a certificate
-then bounds the commutator of every solution with every generator by its
-commutator with the generator's block on the component plus the
-generator's coupling out of it.  The loop is sound because it imposes only
-constraints that every element of the answer satisfies (dropping a
-coupling removes constraints), so its solution space contains the answer,
-and the certificate proves the reverse inclusion.
-Generators that are all exactly kron(1_q, x) are solved in the q-fold
-smaller factor, whose commutant tensored with M_q is the whole answer; the
-catalog algebras act through M_8 on M_{8x4}(C), so their commutant is
-solved on 8 x 8 matrices.  The components do not replace that path: at
-full size each eigenvalue of h1 repeats q times, so every eigenblock
-straddles the q copies and holds q^2 times the units (160 in place of 10
-for A_F).
+commutant(S) solves S' for a span S by one loop, the same for every span;
+S's orthonormal basis is the generator set it runs on.  A generic
+Hermitian element h1 of S splits C^n into eigenblocks, and every element
+of S' is block-diagonal over them (block-diagonalization of a matrix
+*-algebra by a generic element, Murota, Kanno, Kojima and Kojima, Japan J.
+Indust. Appl. Math. 27 (2010)).  Read in h1's eigenbasis, the basis
+couples only some eigenblocks; those it joins above tol, closed
+transitively, form the components (for a *-closed span, the central
+supports of the algebra it generates, whose projections are sums of h1's
+spectral projections that commute with every generator).  Each component
+is solved on its own, by a thin SVD over the units of its eigenblocks,
+with one rank cut for all of them; a certificate then bounds the
+commutator of every solution with every basis element by its commutator
+with the element's block on the component plus the element's coupling
+out of it.  The loop is sound because it imposes only constraints that
+every element of S' satisfies (dropping a coupling removes constraints),
+so its solution space contains S', and the certificate proves the reverse
+inclusion.
 conjugated carries a commutant over to the opposite algebra with nothing
 solved.
 commutator_gram is the dense Gram operator of the same problem, kept as a
@@ -118,10 +112,18 @@ class OperatorSubspace:
 
     def contains_all(self, mats, tol=None):
         """contains for every operator, all projected by one GEMM."""
-        tol = self.tol if tol is None else tol
         rows = np.array([linalg.vec(m) for m in mats]).reshape(-1, self.ambient_dim)
-        resid = np.linalg.norm(rows - (rows @ self.flat.conj().T) @ self.flat, axis=1)
+        return self.contains_rows(rows, tol=tol)
+
+    def contains_rows(self, rows, tol=None):
+        """contains for every operator given by its vec row."""
+        tol = self.tol if tol is None else tol
+        resid = np.linalg.norm(self.outside(rows), axis=1)
         return bool(np.all(resid <= tol * np.linalg.norm(rows, axis=1)))
+
+    def outside(self, rows):
+        """The parts of the vec rows outside the span: rows less their projections."""
+        return rows - (rows @ self.flat.conj().T) @ self.flat
 
     def __repr__(self):
         return f"OperatorSubspace(dim={self.dim}, n={self.n})"
@@ -162,7 +164,7 @@ def intersect(s, t):
     tol = min(s.tol, t.tol)
     if s.dim == 0 or t.dim == 0:
         return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, tol=tol, orthonormal=True)
-    outside = s.flat - (s.flat @ t.flat.conj().T) @ t.flat
+    outside = t.outside(s.flat)
     # the rows of outside are residuals of orthonormal rows, so its norm is
     # at most 1, the scale of the cut
     combos = linalg.left_kernel(outside, tol, scale=1.0)
@@ -174,9 +176,7 @@ def equals(s, t, tol=None):
     _check_compatible(s, t)
     if s.dim != t.dim:
         return False
-    mats_s = [linalg.unvec(row, s.n, s.n) for row in s.flat]
-    mats_t = [linalg.unvec(row, t.n, t.n) for row in t.flat]
-    return t.contains_all(mats_s, tol=tol) and s.contains_all(mats_t, tol=tol)
+    return t.contains_rows(s.flat, tol=tol) and s.contains_rows(t.flat, tol=tol)
 
 
 def complement(s):
@@ -250,23 +250,23 @@ def _finest_eigenblocks(hermitians, tol):
     return min(draws, key=lambda draw: sum(len(block) ** 2 for block in draw[1]))
 
 
-def _generic_eigenblocks(reduced, n, tol, rng):
+def _generic_eigenblocks(span, rng):
     """Eigenbasis u of h1 and its clusters (_finest_eigenblocks).
 
-    h1 is a random Hermitian element of the span S of the reduced
-    generators, the finest of BLOCK_DRAWS draws.  The Hermitian elements of
-    S are the Hermitian parts of W = S ∩ S*, its largest *-closed subspace,
-    so each draw is the Hermitian part of a complex Gaussian combination of
-    W's basis.  Every element of the generators' commutant commutes with h1,
-    so it is block-diagonal in u over the clusters.  A single cluster is
-    all of M_n, and u = 1.
+    h1 is a random Hermitian element of the span S, the finest of
+    BLOCK_DRAWS draws.  The Hermitian elements of S are the Hermitian parts
+    of W = S ∩ S*, its largest *-closed subspace, so each draw is the
+    Hermitian part of a complex Gaussian combination of W's basis.  Every
+    element of S' commutes with h1, so it is block-diagonal in u over the
+    clusters.  A single cluster is all of M_n, and u = 1.
     """
-    span = OperatorSubspace(reduced, n, tol=tol, orthonormal=True)
+    n = span.n
     w = intersect(span, adjoint(span)).flat
     shape = (BLOCK_DRAWS, len(w))
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     draws = (coeffs @ w).reshape(-1, n, n)
-    u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
+    u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)),
+                                      span.tol)
     if len(clusters) == 1:
         return np.eye(n, dtype=complex), clusters
     return u, clusters
@@ -294,65 +294,6 @@ def _components(power, clusters, tol):
         free &= ~found
         components.append([clusters[c] for c in np.nonzero(found)[0]])
     return components
-
-
-def _factor_multiplicity(gens):
-    """Largest q dividing n with every generator exactly kron(1_q, x).
-
-    The test is np.array_equal against kron(1_q, x) of the leading
-    (n/q) x (n/q) block x, with no tolerance; q = 1 when no larger one fits.
-    """
-    n = gens[0].shape[0]
-    for q in range(n, 1, -1):
-        m = n // q
-        if n % q == 0 and all(np.array_equal(g, linalg.kron_action(g[:m, :m], np.eye(q)))
-                              for g in gens):
-            return q
-    return 1
-
-
-def _tensor_identity_rows(factor, q):
-    """vec rows of E_kl (x) b_j over the q x q matrix units and factor's basis b_j.
-
-    The rows come out k-major, then l, then j; an orthonormal basis b_j
-    gives orthonormal rows.
-    """
-    m = factor.n
-    b = factor.flat.reshape(-1, m, m).transpose(0, 2, 1)
-    ops = np.zeros((q, q, len(b), q, m, q, m), dtype=complex)
-    for k in range(q):
-        for l in range(q):
-            ops[k, l, :, k, :, l, :] = b
-    n = q * m
-    return ops.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
-
-
-def commutant(gens, tol=DEFAULT_TOL, n=None):
-    """gens': the X commuting with every generator.
-
-    The solve runs in the eigenblock space of a random Hermitian element h1
-    of the generators' span, which holds their whole commutant.  Generators
-    that are all exactly kron(1_q, x), for the largest such q
-    (_factor_multiplicity: an exact test, no tolerance), are solved in the
-    factor: {x}' at size n/q, lifted to the orthonormal rows E_kl (x) b_j.
-    That is the whole answer, since X commutes with every 1_q (x) x exactly
-    when X lies in M_q (x) {x}'.  The factor's certificate also certifies
-    the lifted basis, because ||[E_kl (x) b, 1_q (x) x]|| = ||[b, x]||.  The
-    algebras of the catalog act on M_{8x4}(C) by left multiplication through
-    M_8, so their A' is solved with 8 x 8 matrices.
-
-    Any other generator set runs the loop of _solve_commutant at full size.
-    n is read only when there are no generators, whose commutant is M_n.
-    """
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    if gens:
-        q = _factor_multiplicity(gens)
-        if q > 1:
-            m = gens[0].shape[0] // q
-            factor = _solve_commutant([g[:m, :m] for g in gens], tol, m)
-            return OperatorSubspace(_tensor_identity_rows(factor, q), q * m,
-                                    tol=tol, orthonormal=True)
-    return _solve_commutant(gens, tol, n)
 
 
 def _unit_commutators(h, rows, cols):
@@ -426,46 +367,38 @@ def _certificate(z, rows, cols, blocks, outside):
     return np.sqrt(inside + outside)
 
 
-def _solve_commutant(gens, tol, n):
-    """commutant's loop: gens' by components, SVDs and certificate.
+def commutant(space):
+    """S': the X commuting with every element of the span S = space, at its tol.
 
-    The generators are span-reduced to an orthonormal set G and mapped into
-    the eigenbasis u of h1 (_generic_eigenblocks), where every element of
-    gens' is block-diagonal over h1's clusters.  Two clusters are joined
-    when the generators couple them, sum_g ||g[c, c']||^2 + ||g[c', c]||^2
-    > tol^2, closed transitively (_components); the generators have unit
-    norm, so this is the working tolerance.  Dropping the couplings between
-    components only enlarges the solution space, which then splits into
-    one small solve per component Q: [Z, h2] = 0 for a random element h2 of
-    span(G), over the units E_ab of Q's clusters, by a thin SVD of the unit
-    commutators (_unit_commutators).  The components' systems are the
-    diagonal blocks of one system of n_rows x m, m the units of all of
-    them, so one rank cut, singular_value_cut on the union of their
-    singular values with that shape, covers them all.  The certificate
-    tests each component's solutions against each generator's block on it
-    and adds the generator's coupling out of it (_certificate), a bound on
-    ||[X, g]|| for X = u Z u*, at the cut of the last rank decision; the
-    exact constraints of the failing generators are folded into every
-    component and the systems re-solved, until a sweep is clean.  Each
-    step imposes only conditions that every element of gens' satisfies, so
-    the solution space contains it, and the certificate proves the reverse
-    inclusion.  X = u (+)_Q Z_Q u* is assembled once.  Random draws come
-    from a fixed seed per call.  Vec rows are read by their row-major
-    reshape, the transpose of the operator, which keeps commutation and
-    copies nothing.  Raises RuntimeError when a generator already imposed
-    still fails the sweep.
+    The orthonormal basis G of S is the generator set, used as it is, and
+    is mapped into the eigenbasis u of h1 (_generic_eigenblocks), where
+    every element of S' is block-diagonal over h1's clusters.  Two
+    clusters are joined when G couples them, sum_g ||g[c, c']||^2 +
+    ||g[c', c]||^2 > tol^2, closed transitively (_components); the g have
+    unit norm, so this is the working tolerance.  Each component Q is
+    solved alone: [Z, h2] = 0 for a random element h2 of S, over the units
+    E_ab of Q's clusters, by a thin SVD of the unit commutators
+    (_unit_commutators).
+    The components' systems are the diagonal blocks of one system of
+    n_rows x m, m the units of all of them, so one rank cut,
+    singular_value_cut on the union of their singular values with that
+    shape, covers them all.  The certificate tests each component's
+    solutions against each g's block on it and adds g's coupling out of it
+    (_certificate), a bound on ||[X, g]|| for X = u Z u*, at the cut of the
+    last rank decision; the exact constraints of the failing g are folded
+    into every component and the systems re-solved, until a sweep is
+    clean.  X = u (+)_Q Z_Q u* is assembled once.  Random draws come from a
+    fixed seed per call.  Vec rows are read by their row-major reshape, the
+    transpose of the operator, which keeps commutation and copies nothing.
+    The commutant of the zero space is all of M_n.  Raises RuntimeError
+    when an element already imposed still fails the sweep.
     """
-    if gens:
-        n = gens[0].shape[0]
-    elif n is None:
-        raise ValueError("empty generator list needs an explicit ambient n")
-    reduced = linalg.orthonormal_rows(
-        np.array([linalg.vec(g) for g in gens]).reshape(-1, n * n), tol=tol)
-    if reduced.shape[0] == 0:
+    n, tol = space.n, space.tol
+    if not space.dim:
         return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
     rng = np.random.default_rng(_COMMUTANT_SEED)
-    u, clusters = _generic_eigenblocks(reduced, n, tol, rng)
-    local = _conjugate(u, reduced.reshape(-1, n, n))
+    u, clusters = _generic_eigenblocks(space, rng)
+    local = _conjugate(u, space.flat.reshape(-1, n, n))
     c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
     c /= np.linalg.norm(c)
     power = local.real ** 2 + local.imag ** 2

@@ -71,12 +71,12 @@ def pati_salam_triple():
 
 @pytest.fixture(scope="session")
 def af_commutant(thm1_triple):
-    return subspaces.commutant(thm1_triple.algebra_gens)
+    return subspaces.commutant(subspaces.span_of(thm1_triple.algebra_gens))
 
 
 @pytest.fixture(scope="session")
 def af_opposite_commutant(thm1_triple):
-    return subspaces.commutant(thm1_triple.opposite_gens)
+    return subspaces.commutant(subspaces.span_of(thm1_triple.opposite_gens))
 
 
 @pytest.fixture(scope="session")

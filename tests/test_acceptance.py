@@ -30,13 +30,13 @@ def _triple_for(params, algebra="A_F", grading="nonstandard", dirac="CC"):
 
 
 def test_criterion_01_commutant_dimensions():
-    af = subspaces.commutant(catalog.algebra_af_generators())
+    af = subspaces.commutant(subspaces.span_of(catalog.algebra_af_generators()))
     assert af.dim == 112
     j = catalog.real_structure()
     opp_gens = [j.conjugate_operator(g) for g in catalog.algebra_af_generators()]
-    opp = subspaces.commutant(opp_gens)
+    opp = subspaces.commutant(subspaces.span_of(opp_gens))
     assert opp.dim == 112
-    aev = subspaces.commutant(catalog.algebra_aev_generators())
+    aev = subspaces.commutant(subspaces.span_of(catalog.algebra_aev_generators()))
     assert aev.dim == 48
     opp_span = subspaces.span_of(oracles.opposite_algebra_basis())
     z = star_algebra.center(star_algebra.StarAlgebra(space=opp_span))
@@ -69,7 +69,7 @@ def test_criterion_03_morita_with_grading(draws):
         assert v.commutant_even_dim == 15
         opp = morita.opposite_span(t)
         comm_even = subspaces.commutant(
-            cl.basis_matrices() + [np.asarray(t.grading)], tol=1e-9)
+            subspaces.span_of(cl.basis_matrices() + [np.asarray(t.grading)], tol=1e-9))
         assert subspaces.equals(comm_even, opp, tol=1e-9)
         assert not cl.contains(t.grading)
     _line(3, "Morita property holds with the grading only (19 vs 15), "
@@ -242,8 +242,7 @@ def test_criterion_11_property_suite(af_commutant, af_opposite_commutant,
     for _ in range(100):
         gens = _random_block_gens(rng, 8)
         alg = star_algebra.star_closure(gens)
-        double = subspaces.commutant(
-            subspaces.commutant(alg.basis_matrices()).basis_matrices())
+        double = subspaces.commutant(subspaces.commutant(alg.space))
         assert subspaces.equals(double, alg.space, tol=1e-9)
         again = star_algebra.star_closure(alg.basis_matrices())
         assert subspaces.equals(again.space, alg.space, tol=1e-9)

@@ -109,7 +109,7 @@ def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_derived):
 def test_even_clifford_dim_is_the_bicommutant_dim(thm1_derived):
     cl_even = thm1_derived.clifford_even
     v = morita.property_m(thm1_derived, with_grading=True)
-    double = subspaces.commutant(subspaces.commutant(cl_even.basis_matrices()).basis_matrices())
+    double = subspaces.commutant(subspaces.commutant(cl_even.space))
     assert v.clifford_even_dim == double.dim == 112
 
 
@@ -118,7 +118,7 @@ def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
     p = np.diag(np.r_[np.ones(16), np.zeros(16)]).astype(complex)
     closure = star_algebra.star_closure([p])
     assert closure.dim == 1 and not closure.unital
-    double = subspaces.commutant(subspaces.commutant([p]).basis_matrices())
+    double = subspaces.commutant(subspaces.commutant(subspaces.span_of([p])))
     d = morita.Derived(thm1_triple)
     d.clifford_odd = thm1_clifford
     d.clifford_even = closure
@@ -127,7 +127,7 @@ def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
 
 
 def test_property_m_commutant_matches_block_form(thm1_clifford):
-    comm = subspaces.commutant(thm1_clifford.basis_matrices())
+    comm = subspaces.commutant(thm1_clifford.space)
     oracle = subspaces.span_of(oracles.clifford_commutant_19_basis())
     assert subspaces.equals(comm, oracle)
 
@@ -166,14 +166,13 @@ def test_property_m_scale_invariance(thm1_triple):
 
 
 def test_opposite_always_inside_clifford_commutant(thm1_triple, thm1_clifford):
-    comm = subspaces.commutant(thm1_clifford.basis_matrices())
+    comm = subspaces.commutant(thm1_clifford.space)
     opp = morita.opposite_span(thm1_triple)
     assert all(comm.contains(b) for b in opp.basis_matrices())
 
 
 def test_clifford_bicommutant(thm1_clifford):
-    double = subspaces.commutant(
-        subspaces.commutant(thm1_clifford.basis_matrices()).basis_matrices())
+    double = subspaces.commutant(subspaces.commutant(thm1_clifford.space))
     assert subspaces.equals(double, thm1_clifford.space)
 
 
@@ -185,8 +184,8 @@ def test_lemma_consequence_equalities(thm2_triple, thm2_clifford):
     za = star_algebra.center(thm2_clifford)
     zb = star_algebra.center(star_algebra.StarAlgebra(space=opp))
     z_cap = subspaces.intersect(za, zb)
-    comm_a = subspaces.commutant(thm2_clifford.basis_matrices())
-    comm_b = subspaces.commutant(opp.basis_matrices())
+    comm_a = subspaces.commutant(thm2_clifford.space)
+    comm_b = subspaces.commutant(opp)
     c_cap = subspaces.intersect(comm_a, comm_b)
     assert subspaces.equals(a_cap_b, z_cap)
     assert subspaces.equals(z_cap, c_cap)
@@ -198,7 +197,7 @@ def test_replacing_commuting_part_preserves_clifford(thm1_triple, thm1_clifford)
     rng = np.random.default_rng(67)
     j = thm1_triple.real_structure
     d0 = thm1_triple.free_part
-    comm = subspaces.commutant(thm1_triple.algebra_gens)
+    comm = subspaces.commutant(subspaces.span_of(thm1_triple.algebra_gens))
     c = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
     d1 = linalg.unvec(c @ comm.flat, 32, 32)
     d1 = 0.5 * (d1 + d1.conj().T)
@@ -482,5 +481,6 @@ def test_commutants_solved_from_scratch_nest(name):
         even = star_algebra.commutant_of(d.clifford_even, tol)
         assert odd.contains_all(even.basis_matrices())
     extra = [t.dirac] + ([] if t.grading is None else [t.grading])
-    c0 = subspaces.commutant([*t.algebra_gens, *triple._normalized(extra)], tol=tol)
+    c0 = subspaces.commutant(subspaces.span_of([*t.algebra_gens, *triple._normalized(extra)],
+                                               tol=tol))
     assert alg.contains_all(c0.basis_matrices())

@@ -14,7 +14,7 @@ import pytest
 from fintriple import catalog, cli, morita, report, star_algebra, subspaces, triple
 from fintriple.config import parse_config_file
 
-from conftest import BASE
+from conftest import BASE, CONFIG_NAMES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,9 +135,10 @@ def test_json_at_the_tol_floor_independent_of_blas_threads():
     # at the smallest accepted tol the noise floor is linalg.TOL_FLOOR, not
     # 1e-3 * tol, which would sit below roundoff; original_cc is the one
     # golden with a reducing-projection witness, pati_salam solves its
-    # irreducibility commutant on the eigenblocks of a generic element, and
-    # degenerate's B_F closures split their solves into components
-    for name in ("thm1", "original_cc", "pati_salam", "degenerate"):
+    # irreducibility commutant on the eigenblocks of a generic element,
+    # degenerate's B_F closures split their solves into components, and
+    # every config takes the rank decisions of A' on its 32 x 32 eigenblocks
+    for name in CONFIG_NAMES:
         path = CONFIG_DIR / f"{name}.cfg"
         one = _verify_json(path, "1e-13", 1)
         assert '"tolerance": 1e-13' in one

@@ -58,7 +58,7 @@ def test_closure_block_structure():
     gens = _block_algebra([(2, 2), (1, 4)], 8)
     alg = star_algebra.star_closure(gens)
     assert alg.dim == 2 * 2 + 1
-    comm = subspaces.commutant(alg.basis_matrices())
+    comm = subspaces.commutant(alg.space)
     assert comm.dim == 2 * 2 + 4 * 4
 
 
@@ -69,7 +69,7 @@ def test_closure_reaches_full_algebra():
 
 
 def test_clifford_commutant_19(thm1_clifford):
-    comm = subspaces.commutant(thm1_clifford.basis_matrices())
+    comm = subspaces.commutant(thm1_clifford.space)
     assert comm.dim == 19
     oracle = subspaces.span_of(oracles.clifford_commutant_19_basis())
     assert subspaces.equals(comm, oracle)
@@ -167,7 +167,7 @@ def test_closure_idempotent_random():
 def test_bicommutant_for_catalog_algebras():
     for gens in (catalog.algebra_af_generators(), catalog.algebra_aev_generators()):
         span = subspaces.span_of(gens)
-        double = subspaces.commutant(subspaces.commutant(gens).basis_matrices())
+        double = subspaces.commutant(subspaces.commutant(subspaces.span_of(gens)))
         assert subspaces.equals(double, span)
 
 
@@ -189,7 +189,7 @@ def test_star_subalgebra_complement_commutator_property():
 def test_center_contained_in_algebra_and_commutant():
     alg = star_algebra.star_closure(catalog.algebra_af_generators())
     z = star_algebra.center(alg)
-    comm = subspaces.commutant(alg.basis_matrices())
+    comm = subspaces.commutant(alg.space)
     for m in z.basis_matrices():
         assert alg.space.contains(m)
         assert comm.contains(m)
@@ -222,7 +222,7 @@ def _assert_matches_dense_closure(gens):
     # the certified defect agrees with an independent sweep in vec coordinates
     recheck = star_algebra.closure_defect(alg.space)
     assert alg.defect <= 1e-13 and recheck <= 1e-13
-    assert subspaces.equals(alg.commutant, subspaces.commutant(gens))
+    assert subspaces.equals(alg.commutant, subspaces.commutant(subspaces.span_of(gens)))
     return alg
 
 
@@ -253,9 +253,10 @@ def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     # the diagonal matrices are not the commutant of the seed, whose 2x2
     # blocks couple indices; a closure built on them as C is the diagonal
     # algebra, which misses the seed, and its defect must say so
-    def diagonal(gens, tol=linalg.DEFAULT_TOL, n=None):
+    def diagonal(space):
+        n = space.n
         flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
-        return subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+        return subspaces.OperatorSubspace(flat, n, tol=space.tol, orthonormal=True)
 
     gens = _block_algebra([(2, 2), (1, 4)], 8)
     monkeypatch.setattr(subspaces, "commutant", diagonal)

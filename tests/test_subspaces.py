@@ -88,15 +88,14 @@ def test_bicommutant_equals_closure_random():
         gens = [_rand_complex(rng, 6, 6) for _ in range(2)]
         gens.append(np.eye(6, dtype=complex))
         closure = star_algebra.star_closure(gens)
-        double = subspaces.commutant(
-            subspaces.commutant(closure.basis_matrices()).basis_matrices())
+        double = subspaces.commutant(subspaces.commutant(closure.space))
         assert subspaces.equals(double, closure.space)
 
 
 def test_commutant_schur():
     shift = np.roll(np.eye(32, dtype=complex), 1, axis=0)
     diag = np.diag(np.arange(1, 33).astype(complex))
-    comm = subspaces.commutant([shift, diag])
+    comm = subspaces.commutant(subspaces.span_of([shift, diag]))
     assert comm.dim == 1
     assert comm.contains(np.eye(32))
 
@@ -114,7 +113,7 @@ def test_commutant_opposite_equals_lemma_form(af_opposite_commutant):
 
 
 def test_commutant_aev_equals_block_form():
-    comm = subspaces.commutant(catalog.algebra_aev_generators())
+    comm = subspaces.commutant(subspaces.span_of(catalog.algebra_aev_generators()))
     oracle = subspaces.span_of(oracles.aev_commutant_basis())
     assert comm.dim == 48
     assert subspaces.equals(comm, oracle)
@@ -146,8 +145,8 @@ def test_monotonicity():
 
 def test_commutant_antitone():
     gens = catalog.algebra_af_generators()
-    small = subspaces.commutant(gens[:6])
-    big = subspaces.commutant(gens)
+    small = subspaces.commutant(subspaces.span_of(gens[:6]))
+    big = subspaces.commutant(subspaces.span_of(gens))
     assert all(small.contains(m) for m in big.basis_matrices())
 
 
@@ -159,10 +158,10 @@ def test_double_complement():
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-13])
 def test_commutant_dims_stable_across_tol(tol, thm1_triple, thm1_clifford):
-    assert subspaces.commutant(thm1_triple.algebra_gens, tol=tol).dim == 112
-    assert subspaces.commutant(thm1_triple.opposite_gens, tol=tol).dim == 112
-    assert subspaces.commutant(catalog.algebra_aev_generators(), tol=tol).dim == 48
-    assert subspaces.commutant(thm1_clifford.basis_matrices(), tol=tol).dim == 19
+    for gens, dim in ((thm1_triple.algebra_gens, 112), (thm1_triple.opposite_gens, 112),
+                      (catalog.algebra_aev_generators(), 48),
+                      (thm1_clifford.basis_matrices(), 19)):
+        assert subspaces.commutant(subspaces.span_of(gens, tol=tol)).dim == dim
 
 
 def test_commutant_matches_dense_oracle(thm1_triple, af_commutant, af_opposite_commutant):
@@ -191,7 +190,7 @@ def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
         return unit_commutators(h, rows, cols)
 
     monkeypatch.setattr(subspaces, "_unit_commutators", recorded)
-    comm = subspaces.commutant(gens)
+    comm = subspaces.commutant(subspaces.span_of(gens))
     # on the 9 units of each component: the system of h2, then the exact
     # constraint of a generator failing the sweep, folded into both
     assert units[:2] == [9, 9]
@@ -200,7 +199,7 @@ def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
     assert subspaces.equals(comm, oracles.dense_commutant(gens))
     for _ in range(3):
         pair = [_rand_complex(rng, 6, 6) for _ in range(2)]
-        comm = subspaces.commutant(pair)
+        comm = subspaces.commutant(subspaces.span_of(pair))
         assert comm.dim == 1
         assert subspaces.equals(comm, oracles.dense_commutant(pair))
 
@@ -236,7 +235,7 @@ def test_commutant_of_a_direct_sum_splits_into_components(monkeypatch):
     gens += [_direct_sum(v, _rand_complex(rng, 2, 2), _rand_complex(rng, 3, 3))
              for _ in range(2)]
     sizes = _recorded_components(monkeypatch)
-    comm = subspaces.commutant(gens)
+    comm = subspaces.commutant(subspaces.span_of(gens))
     assert sizes == [[2, 3]]
     assert comm.dim == 2
     assert comm.contains(_direct_sum(v, np.eye(2), np.zeros((3, 3))))
@@ -253,7 +252,7 @@ def test_commutant_of_a_doubled_algebra_holds_the_intertwiners(monkeypatch):
     y = _rand_complex(rng, 3, 3)
     gens = [_direct_sum(v, h, h), _direct_sum(v, y, y)]
     sizes = _recorded_components(monkeypatch)
-    comm = subspaces.commutant(gens)
+    comm = subspaces.commutant(subspaces.span_of(gens))
     assert sizes == [[6]]
     assert comm.dim == 4
     shift = v @ np.kron([[0, 1], [0, 0]], np.eye(3)) @ v.conj().T
@@ -280,7 +279,7 @@ def test_eigenblocks_join_when_coupled_above_tol(coupling, sizes, monkeypatch):
     eps = coupling * tol * np.linalg.norm(apart) / np.sqrt(1 - (coupling * tol) ** 2)
     inner[0, 2] = eps
     recorded = _recorded_components(monkeypatch)
-    comm = subspaces.commutant([diag, inner], tol=tol)
+    comm = subspaces.commutant(subspaces.span_of([diag, inner], tol=tol))
     assert recorded == [sizes]
     assert comm.dim == 4
     assert subspaces.equals(comm, oracles.dense_commutant([diag, inner], tol=tol),
@@ -288,15 +287,15 @@ def test_eigenblocks_join_when_coupled_above_tol(coupling, sizes, monkeypatch):
 
 
 def test_commutant_deterministic(thm1_triple):
-    first = subspaces.commutant(thm1_triple.algebra_gens)
-    again = subspaces.commutant(thm1_triple.algebra_gens)
+    first = subspaces.commutant(subspaces.span_of(thm1_triple.algebra_gens))
+    again = subspaces.commutant(subspaces.span_of(thm1_triple.algebra_gens))
     assert first.flat.tobytes() == again.flat.tobytes()
 
 
 def test_commutant_of_zero_generators_is_everything():
-    comm = subspaces.commutant([np.zeros((3, 3), dtype=complex)])
+    comm = subspaces.commutant(subspaces.span_of([np.zeros((3, 3), dtype=complex)]))
     assert comm.dim == 9
-    assert subspaces.commutant([], n=3).dim == 9
+    assert subspaces.commutant(subspaces.span_of([], n=3)).dim == 9
 
 
 def test_contains_all_matches_contains_row_by_row():
@@ -317,8 +316,8 @@ def test_opposite_commutant_is_the_j_image(name):
     # the solver keeps its dimensions, and the opposite commutant is
     # J A' J^{-1} for every shipped config
     cfg, t = config_triple(name)
-    alg = subspaces.commutant(t.algebra_gens, tol=cfg.tol)
-    opp = subspaces.commutant(t.opposite_gens, tol=cfg.tol)
+    alg = subspaces.commutant(subspaces.span_of(t.algebra_gens, tol=cfg.tol))
+    opp = subspaces.commutant(subspaces.span_of(t.opposite_gens, tol=cfg.tol))
     expected = report.EXPECTED_COMMUTANT_DIMS[cfg.algebra][:2]
     assert (alg.dim, opp.dim) == expected
     image = subspaces.conjugated(alg, t.real_structure)
@@ -347,27 +346,12 @@ def test_finest_eigenblocks_takes_a_later_draw_that_splits_a_cluster():
 _DENSE_ALGEBRA_COMMUTANTS = {}
 
 
-def _recorded_solves(monkeypatch):
-    """Install a recorder of the size of every matrix the solver loop runs on."""
-    sizes = []
-    solve = subspaces._solve_commutant
-
-    def recorded(gens, tol, n):
-        sizes.append(gens[0].shape[0] if gens else n)
-        return solve(gens, tol, n)
-
-    monkeypatch.setattr(subspaces, "_solve_commutant", recorded)
-    return sizes
-
-
 @pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_algebra_commutant_is_solved_in_the_8x8_factor(name, monkeypatch):
+def test_algebra_commutant_matches_block_form_and_dense_oracle(name):
     cfg, t = config_triple(name)
     if cfg.algebra not in _DENSE_ALGEBRA_COMMUTANTS:
         _DENSE_ALGEBRA_COMMUTANTS[cfg.algebra] = oracles.dense_commutant(t.algebra_gens)
-    sizes = _recorded_solves(monkeypatch)
-    comm = subspaces.commutant(t.algebra_gens, tol=cfg.tol)
-    assert sizes == [8]
+    comm = subspaces.commutant(subspaces.span_of(t.algebra_gens, tol=cfg.tol))
     assert np.linalg.norm(comm.flat @ comm.flat.conj().T - np.eye(comm.dim)) <= 1e-12
     block_form = (oracles.aev_commutant_basis() if cfg.algebra == "A_ev"
                   else oracles.af_commutant_basis())
@@ -375,42 +359,29 @@ def test_algebra_commutant_is_solved_in_the_8x8_factor(name, monkeypatch):
     assert subspaces.equals(comm, _DENSE_ALGEBRA_COMMUTANTS[cfg.algebra])
 
 
-@pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_factor_multiplicity_of_the_config_generators(name):
-    # the algebras act through M_8 on M_{8x4}(C); the Dirac operator and the
-    # grading act on the right factor too, so with either one q drops to 1
-    _, t = config_triple(name)
-    gens = list(t.algebra_gens)
-    assert subspaces._factor_multiplicity(gens) == 4
-    assert subspaces._factor_multiplicity(gens + [t.dirac]) == 1
-    if t.grading is not None:
-        assert subspaces._factor_multiplicity(gens + [t.grading]) == 1
-        assert subspaces._factor_multiplicity(gens + [t.dirac, t.grading]) == 1
-
-
-def test_conjugated_algebra_takes_the_eigenblock_path(monkeypatch):
-    # U kron(1_4, x) U* is no kron(1_q, y), so the solve runs at size 32
+def test_conjugated_algebra_commutant_is_conjugated():
+    # (U S U*)' = U S' U*
     rng = np.random.default_rng(8)
     u, _ = np.linalg.qr(_rand_complex(rng, 32, 32))
     gens = catalog.algebra_af_generators()
-    expected = subspaces.span_of([u @ m @ u.conj().T
-                                  for m in subspaces.commutant(gens).basis_matrices()])
-    sizes = _recorded_solves(monkeypatch)
-    comm = subspaces.commutant([u @ g @ u.conj().T for g in gens])
-    assert sizes == [32]
+    plain = subspaces.commutant(subspaces.span_of(gens))
+    expected = subspaces.span_of([u @ m @ u.conj().T for m in plain.basis_matrices()])
+    comm = subspaces.commutant(subspaces.span_of([u @ g @ u.conj().T for g in gens]))
     assert comm.dim == 112
     assert subspaces.equals(comm, expected)
 
 
-def test_one_off_block_entry_takes_the_eigenblock_path(monkeypatch):
-    # an entry of 1e-300 outside the diagonal 8x8 blocks is below every
-    # tolerance, yet the factor test is exact, so the full-size loop runs;
-    # numerically the algebra is A_F, and so is its commutant
-    gens = catalog.algebra_af_generators()
-    gens[0] = gens[0].copy()
-    gens[0][0, 8] = 1e-300
-    sizes = _recorded_solves(monkeypatch)
-    comm = subspaces.commutant(gens)
-    assert sizes == [32]
-    assert subspaces.equals(comm, subspaces.span_of(oracles.af_commutant_basis()))
+def test_commutant_of_an_orthonormal_span_reduces_nothing(monkeypatch, thm1_triple,
+                                                         thm1_clifford):
+    # the span's basis is the generator set the solve runs on
+    reduce = linalg.orthonormal_rows
+    calls = []
 
+    def recorded(*args, **kwargs):
+        calls.append(args[0].shape)
+        return reduce(*args, **kwargs)
+
+    spans = (subspaces.span_of(thm1_triple.algebra_gens), thm1_clifford.commutant)
+    monkeypatch.setattr(linalg, "orthonormal_rows", recorded)
+    assert [subspaces.commutant(span).dim for span in spans] == [112, 96]
+    assert calls == []
