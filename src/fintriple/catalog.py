@@ -378,22 +378,39 @@ def rho_degenerate(g):
     """Unitary representation of U(1) x U(2) x U(3) for the degenerate
     representation: fundamental piece on the conjugate lepton column, its
     dual, and the adjoint piece on the rest."""
-    _require_unitary(g)
-    b4 = np.zeros((4, 4), dtype=complex)
-    b4[0, 0] = g.phase
-    b4[1:4, 1:4] = g.color
-    u4 = np.zeros((4, 4), dtype=complex)
-    u4[0, 0] = g.phase
-    u4[2:4, 2:4] = g.weak
-    lower_b = np.zeros((LEFT_DIM, LEFT_DIM), dtype=complex)
-    lower_b[4:8, 4:8] = b4
-    upper_u = np.zeros((LEFT_DIM, LEFT_DIM), dtype=complex)
-    upper_u[0:4, 0:4] = u4
-    e22 = right_unit(2, 2)
-    pibar0 = kron_action(lower_b, e22)
-    pi1 = kron_action(upper_u, _EYE4) + kron_action(lower_b, _EYE4 - e22)
-    j = real_structure()
-    return pibar0 + j.conjugate_operator(pibar0) + pi1 @ j.conjugate_operator(pi1)
+    return rho_degenerate_stack([g])[0]
+
+
+def rho_degenerate_stack(elements):
+    """rho_degenerate of every group element, as one (k, 32, 32) stack.
+
+    The representation is pibar0 + J pibar0 J^{-1} + pi1 J pi1 J^{-1} with
+    pibar0 = kron_action(lower(b), E_22) and pi1 = kron_action(upper(u), 1)
+    + kron_action(lower(b), 1 - E_22), where b = diag(phase, color) and
+    u = diag(phase, 0, weak) are 4 x 4 and upper, lower place a 4 x 4 block
+    on the particle or the antiparticle rows.  J swaps the two halves of
+    V = [P; A] and conjugate-transposes each, so
+    J kron_action(upper(x) + lower(y), c) J^{-1} = kron_action(upper(c*), y*)
+    + kron_action(lower(c*), x*), and the sum is two 8 x 8 (x) 4 x 4 terms:
+    rho = kron_action(upper(w), b*) + kron_action(lower(b), w*), with
+    w = u + E_22 = diag(phase, 1, weak).  The fundamental acts on one side
+    of each half and the dual on the other.
+    """
+    for g in elements:
+        _require_unitary(g)
+    k = len(elements)
+    w = np.zeros((k, RIGHT_DIM, RIGHT_DIM), dtype=complex)
+    b = np.zeros((k, RIGHT_DIM, RIGHT_DIM), dtype=complex)
+    w[:, 0, 0] = b[:, 0, 0] = [g.phase for g in elements]
+    w[:, 1, 1] = 1.0
+    w[:, 2:, 2:] = [g.weak for g in elements]
+    b[:, 1:, 1:] = [g.color for g in elements]
+    upper = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
+    lower = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
+    upper[:, :4, :4] = w
+    lower[:, 4:, 4:] = b
+    return (kron_action(upper, b.conj().transpose(0, 2, 1))
+            + kron_action(lower, w.conj().transpose(0, 2, 1)))
 
 
 def cover_map(g):

@@ -16,7 +16,9 @@ system may be pure roundoff), applied to the singular values of an explicit
 constraint matrix and never squared.  Those singular values, and the right
 singular vectors that span the kernel, are computed through svd_rows, the
 one thin-SVD kernel of the package; the cut is always taken with the shape
-of the constraint matrix itself.  Every span and kernel is taken over C:
+of the constraint matrix itself, also where orthonormal_rows factors only
+the rows and columns of a stack that are nonzero.  Every span and kernel
+is taken over C:
 the one real space the package asks about, the commutant with the real
 structure, is reached as a real form of a complex space (morita).  The
 solvers proper live in subspaces (commutant).
@@ -64,14 +66,15 @@ def unvec(v, rows, cols):
 def product_rows(left, right):
     """vec rows of every product a @ b, a over left and b over right.
 
-    left is a (s, n, n) stack and right a (d, n, n) stack; row i * d + j is
-    vec(left[i] @ right[j]).  All s * d products come from one stacked GEMM.
+    left is an (s, p, m) stack and right a (d, m, q) stack; row i * d + j is
+    vec(left[i] @ right[j]), of length p * q.  All s * d products come from
+    one stacked GEMM.
     """
-    s, n, _ = left.shape
-    d = right.shape[0]
-    prod = left.reshape(s * n, n) @ right.transpose(1, 0, 2).reshape(n, d * n)
+    s, p, m = left.shape
+    d, _, q = right.shape
+    prod = left.reshape(s * p, m) @ right.transpose(1, 0, 2).reshape(m, d * q)
     # vec is the column-major flattening, i.e. C-order of the transpose.
-    return prod.reshape(s, n, d, n).transpose(0, 2, 3, 1).reshape(s * d, n * n)
+    return prod.reshape(s, p, d, q).transpose(0, 2, 3, 1).reshape(s * d, q * p)
 
 
 def kron_action(a, b):
@@ -79,18 +82,20 @@ def kron_action(a, b):
 
     a multiplies from the left, b from the right.  Both factors must be
     square; the primary use is a in M_8 and b in M_4, giving a 32x32
-    operator, but the construction is generic in the dimensions.
+    operator, but the construction is generic in the dimensions.  a and b
+    may also be stacks with the same leading shape, one operator each.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"left factor must be square, got {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ValueError(f"right factor must be square, got {b.shape}")
     # np.kron(b.T, a) as one broadcast product: entry (i m + p, j m + r) is
     # b[j, i] a[p, r], with np.kron's operand order and so its bits
-    k, m = b.shape[0], a.shape[0]
-    return (b.T[:, None, :, None] * a[None, :, None, :]).reshape(k * m, k * m)
+    k, m = b.shape[-1], a.shape[-1]
+    prod = np.swapaxes(b, -1, -2)[..., :, None, :, None] * a[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], k * m, k * m)
 
 
 def adjoint(op):
@@ -120,7 +125,8 @@ class AntilinearOperator:
     """Antilinear map v -> K conj(v) with a real orthogonal matrix K.
 
     Houses the real structure: K orthogonal makes the map an antiunitary
-    isometry.  conjugate_operator gives the linear map X -> J X J^{-1}.
+    isometry.  conjugate_operator gives the linear map X -> J X J^{-1}; when
+    K is a permutation matrix, as the catalog's is, it permutes entries.
     """
 
     def __init__(self, matrix, tol=1e-12):
@@ -130,6 +136,11 @@ class AntilinearOperator:
         if np.linalg.norm(k @ k.T - np.eye(k.shape[0])) > tol * k.shape[0]:
             raise ValueError("antilinear matrix must be orthogonal")
         self.matrix = k
+        # K[i, p[i]] = 1 is the only nonzero of row i when K is a permutation;
+        # entry (i, j) of K X K^T is then entry (p[i], p[j]) of X
+        perm = np.argmax(k, axis=1)
+        self._entries = ((perm[:, None] * len(k) + perm).ravel()
+                         if np.array_equal(k, np.eye(len(k))[perm]) else None)
 
     @property
     def dim(self):
@@ -142,8 +153,17 @@ class AntilinearOperator:
         return self.matrix.T @ np.conj(np.asarray(v, dtype=complex))
 
     def conjugate_operator(self, x):
-        """J X J^{-1} for a linear operator X, again as a matrix."""
-        return self.matrix @ np.conj(np.asarray(x, dtype=complex)) @ self.matrix.T
+        """J X J^{-1} for a linear operator X, again as a matrix.
+
+        X may be a stack.  For a permutation K this gathers the entries of
+        conj(X); adding 0.0 writes its zeros as +0, as the matrix product
+        does, so both give the same bits.
+        """
+        x = np.conj(np.asarray(x, dtype=complex))
+        if self._entries is None:
+            return self.matrix @ x @ self.matrix.T
+        flat = x.reshape(*x.shape[:-2], -1)
+        return np.take(flat, self._entries, axis=-1).reshape(x.shape) + 0.0
 
     def commutation_residual(self, x):
         """HS norm of X J - J X, i.e. of X K - K conj(X)."""
@@ -188,6 +208,10 @@ def svd_rows(a):
     the adjoint has the same singular values, and Q has orthonormal
     columns, so a and R share their singular values and right vectors.
     Callers take rank cuts with a's own shape, so no rank decision moves.
+    A caller may pass a's nonzero columns alone (the support rule of
+    orthonormal_rows): a zero column adds only zero singular values and
+    zero entries of the right vectors, so the vectors on the support are
+    those of a, and the rank cut is still taken with a's full shape.
     """
     m, n = a.shape
     if m < n:
@@ -210,27 +234,50 @@ def left_kernel(a, tol, scale=0.0):
     return vh[rank_from_singular_values(sigma, a.shape, tol, scale):]
 
 
-def orthonormal_rows(rows, tol=DEFAULT_TOL):
+def orthonormal_rows(rows, tol=DEFAULT_TOL, columns=None, width=None):
     """Orthonormal basis (as rows) of the complex span of the given flat vectors.
 
     Rows are normalized before the rank decision so tolerances are
     scale-free in the generating coefficients; rows more than a tolerance
     factor smaller than the largest one are noise at the working precision
     and are dropped rather than amplified.
+
+    The rows may come on a subset of the coordinates of vectors of length
+    width: columns, increasing, gives the coordinate of each of their
+    columns, and they are zero on every other one.  Support rule: the
+    exactly zero rows, which the norm filter never keeps, are dropped, the
+    norms are taken on the columns nonzero in some row, and the SVD on
+    those nonzero in some kept row; its right vectors are scattered back
+    to the width coordinates.  The norm filter and the rank cut are those
+    of the full system, kept rows x width, so neither the span nor its
+    rank depends on which zero rows and columns the rows came with, and
+    two stacks with the same nonzero rows, in order, give the same bits.
     """
     v = np.asarray(rows, dtype=complex)
     if v.ndim == 1:
         v = v.reshape(1, -1)
-    if v.size == 0:
-        return v.reshape(0, v.shape[-1] if v.ndim == 2 else 0)
+    if columns is None:
+        width = v.shape[1]
+        columns = np.arange(width)
+    nonzero = v.any(axis=1)
+    support = np.flatnonzero(v.any(axis=0))
+    if not nonzero.any():
+        return np.zeros((0, width), dtype=complex)
+    if len(support) < v.shape[1] or not nonzero.all():
+        v = v[np.ix_(nonzero, support)]
     norms = np.linalg.norm(v, axis=1)
-    top = norms.max()
-    if top == 0.0:
-        return v[:0]
-    keep = norms > tol * top
+    keep = norms > tol * norms.max()
     v = v[keep] / norms[keep, None]
+    live = v.any(axis=0)
+    if not live.all():
+        v, support = v[:, live], support[live]
     sigma, vh = svd_rows(v)
-    return vh[:rank_from_singular_values(sigma, v.shape, tol)]
+    rank = rank_from_singular_values(sigma, (len(v), width), tol)
+    if len(support) == width:
+        return vh[:rank]
+    basis = np.zeros((rank, width), dtype=complex)
+    basis[:, columns[support]] = vh[:rank]
+    return basis
 
 
 def kernel_from_gram(gram, scale, tol):

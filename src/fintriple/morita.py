@@ -69,16 +69,16 @@ def opposite_span(t, tol=DEFAULT_TOL):
 def one_forms(t, span):
     """Complex span of a [D, b] over the represented algebra.
 
-    Computed at span.tol over a basis of span, the algebra's complex span; it
-    is a two-sided module over the algebra by the Leibniz identity, which the
-    test-suite verifies rather than assumes.
+    Computed at span.tol over a basis of span, the algebra's complex span, by
+    subspaces.product_span, one basis element a at a time; it is a two-sided
+    module over the algebra by the Leibniz identity, which the test-suite
+    verifies rather than assumes.
     """
     basis = np.array(span.basis_matrices()).reshape(-1, t.n, t.n)
     if not len(basis):
         return subspaces.span_of([], tol=span.tol, n=t.n)
     d = np.asarray(t.dirac, dtype=complex)
-    products = linalg.product_rows(basis, d @ basis - basis @ d)
-    return OperatorSubspace(products, t.n, tol=span.tol)
+    return subspaces.product_span(basis, d @ basis - basis @ d, tol=span.tol)
 
 
 def clifford(derived, even=False):

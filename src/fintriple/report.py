@@ -143,22 +143,13 @@ def _describe_operator(op, floor):
 def _bimodule_span(gens, alg_basis, tol):
     """Span of the products a g b over the generators g and basis elements a, b.
 
-    The products are built one generator at a time, and only rows with norm
-    above tol times the largest norm so far are kept.  That is a superset of
-    the rows linalg.orthonormal_rows keeps (norm above tol times the largest
-    norm), with the same largest norm, so the same rows in the same order
-    reach its SVD as from the list of all products, which is never held.
+    subspaces.product_span builds it one product a g at a time, times every
+    b, on the products' structural support; the list of all products is
+    never held.
     """
     n = gens[0].shape[0]
     basis = np.array(alg_basis).reshape(-1, n, n)
-    kept = []
-    top = 0.0
-    for g in gens:
-        rows = linalg.product_rows(basis @ g, basis)
-        norms = np.linalg.norm(rows, axis=1)
-        top = max(top, float(norms.max()))
-        kept.append(rows[norms > tol * top])
-    return subspaces.OperatorSubspace(np.vstack(kept), n, tol=tol)
+    return subspaces.product_span(basis, basis, tol=tol, middle=np.array(gens))
 
 
 class _Run:
@@ -232,11 +223,12 @@ def _one_forms(run, rec):
     om = run.derived.one_forms
     rec.dims["one_forms"] = om.dim
     alg_basis = run.derived.algebra_span.basis_matrices()
+    om_basis = om.basis_matrices()
     worst = 0.0
     for _ in range(8):
         a = alg_basis[rng.integers(len(alg_basis))]
         b = alg_basis[rng.integers(len(alg_basis))]
-        w = om.basis_matrices()[rng.integers(max(om.dim, 1))] if om.dim else None
+        w = om_basis[rng.integers(max(om.dim, 1))] if om.dim else None
         if w is not None:
             worst = max(worst, om.residual(a @ w @ b))
     rec.residuals["bimodule_closure"] = worst
@@ -372,19 +364,17 @@ def _gauge_adjoint_rep(run, rec):
     scale = np.sqrt(layout.HILBERT_DIM)
     ident = catalog.GroupElement(1.0, np.eye(2, dtype=complex),
                                  np.eye(3, dtype=complex))
-    worst = linalg.hs_norm(catalog.rho_degenerate(ident) - eye) / scale
-    for _ in range(20):
-        u = catalog.random_group_element(run.rng)
-        v = catalog.random_group_element(run.rng)
-        ru = catalog.rho_degenerate(u)
-        rv = catalog.rho_degenerate(v)
-        uv = catalog.GroupElement(u.phase * v.phase, u.weak @ v.weak,
-                                  u.color @ v.color)
-        worst = max(worst, linalg.hs_norm(ru @ rv - catalog.rho_degenerate(uv)) / scale)
-        worst = max(worst, linalg.hs_norm(ru @ ru.conj().T - eye) / scale)
-    for el in catalog.z6_elements():
-        worst = max(worst, linalg.hs_norm(
-            catalog.rho_degenerate(catalog.cover_map(el)) - eye) / scale)
+    pairs = [(catalog.random_group_element(run.rng), catalog.random_group_element(run.rng))
+             for _ in range(20)]
+    us, vs = zip(*pairs)
+    uvs = [catalog.GroupElement(u.phase * v.phase, u.weak @ v.weak, u.color @ v.color)
+           for u, v in pairs]
+    kernel = [catalog.cover_map(el) for el in catalog.z6_elements()]
+    rho = catalog.rho_degenerate_stack([ident, *us, *vs, *uvs, *kernel])
+    ru, rv, ruv = rho[1:21], rho[21:41], rho[41:61]
+    defects = [rho[:1] - eye, rho[61:] - eye, ru @ rv - ruv,
+               ru @ ru.conj().transpose(0, 2, 1) - eye]
+    worst = max(float(np.linalg.norm(d, axis=(1, 2)).max()) for d in defects) / scale
     rec.residuals["defect"] = worst
     rec.status = PASS if worst <= 1e-12 else FAIL
 

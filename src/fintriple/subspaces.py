@@ -3,6 +3,8 @@
 An OperatorSubspace stores an orthonormal Hilbert-Schmidt basis of a complex
 space of n x n operators.  Sum, intersection, complement, membership and
 commutant all reduce subspace questions to the single rank rule in linalg.
+product_span spans the products of stacks of operators one chunk at a
+time, each on its structural support.
 Real spaces never need a basis of their own: the Hermitian elements of a
 span are the Hermitian parts of its largest *-closed subspace, and the real
 commutant of morita is a real form of a complex space.
@@ -142,6 +144,54 @@ def span_of(mats, tol=DEFAULT_TOL, n=None):
             raise ValueError("empty generator list needs an explicit ambient n")
         return OperatorSubspace(np.zeros((0, n * n)), n, tol=tol, orthonormal=True)
     return OperatorSubspace.from_matrices(mats, tol=tol)
+
+
+def product_span(left, right, tol=DEFAULT_TOL, middle=None):
+    """Span of the products a @ m @ b, a over left, m over middle, b over right.
+
+    left, middle and right are stacks of n x n operators; without middle
+    the products are a @ b.  They are listed m-major, then a, then b, and
+    never all held: each a @ m enters alone, as one chunk of products
+    with every b, on its structural support.  With K the columns of a @ m
+    that are nonzero rows of some b, R its rows nonzero on K and C the
+    columns of the b nonzero on K, the chunk is the R x C blocks
+    (a @ m)[R, K] @ b[K, C] from one GEMM; every other entry is a sum of
+    products with an exact zero.  The blocks are gathered on S, the
+    boolean product of the union nonzero patterns of the three stacks,
+    and the rows that are exactly zero are dropped as they come.  The
+    rows kept, in product order, are the nonzero rows of the full stack
+    on S, and linalg.orthonormal_rows factors them on their support with
+    the full stack's width, so the rank decision is that of the full
+    stack.
+    """
+    n = right.shape[-1]
+    patterns = [(stack != 0).any(axis=0) for stack in (left, middle, right)
+                if stack is not None]
+    support = patterns[0]
+    for pattern in patterns[1:]:
+        support = support @ pattern
+    # vec index c * n + r of entry (r, c), the C-order of the transpose
+    coords = np.flatnonzero(support.T)
+    slot = np.full(n * n, -1)
+    slot[coords] = np.arange(len(coords))
+    on_right = right != 0
+    right_rows = on_right.any(axis=(0, 2))
+    kept = [np.zeros((0, len(coords)), dtype=complex)]
+    for m in ([None] if middle is None else middle):
+        for a in left:
+            am = a if m is None else a @ m
+            nonzero = am != 0
+            k = np.flatnonzero(nonzero.any(axis=0) & right_rows)
+            r = np.flatnonzero(nonzero[:, k].any(axis=1))
+            c = np.flatnonzero(on_right[:, k].any(axis=(0, 1)))
+            block = linalg.product_rows(am[np.ix_(r, k)][None], right[:, k[:, None], c])
+            at = slot[(c[:, None] * n + r).ravel()]
+            inside = at >= 0
+            rows = np.zeros((len(right), len(coords)), dtype=complex)
+            rows[:, at[inside]] = block[:, inside]
+            kept.append(rows[rows.any(axis=1)])
+    flat = linalg.orthonormal_rows(np.vstack(kept), tol=tol, columns=coords, width=n * n)
+    return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
 
 
 def subspace_sum(s, t):

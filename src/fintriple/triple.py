@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, subspaces
+from . import linalg
 from .linalg import DEFAULT_TOL, AntilinearOperator
 
 
@@ -254,8 +254,9 @@ def grading_compatible(free_part, grading, tol=DEFAULT_TOL):
 class DiracDecomposition:
     """Least-squares splitting D = D0 + D1 with D0 in (A°)' and D1 in A'.
 
-    The splitting is the minimum-norm solution; ambiguity_dim records the
-    dimension of A' ∩ (A°)' responsible for its non-uniqueness.  When D
+    D1 is the minimum-norm solution of the part of D outside (A°)', and D0
+    the rest of the projection onto (A°)'; ambiguity_dim records the
+    dimension of A' ∩ (A°)' responsible for the non-uniqueness.  When D
     commutes with J, j_symmetric_part is a self-adjoint D0' with
     D = D0' + J D0' J and j_residual the achieved error.
     """
@@ -280,20 +281,25 @@ def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     n = t.n
 
     d = np.asarray(t.dirac, dtype=complex)
+    dvec = linalg.vec(d)
     b0 = opposite_commutant.flat
     b1 = algebra_commutant.flat
-    # Least squares on R only, Q never formed: the R of [B | vec(d)], B the
-    # n^2 x k matrix of both bases, is [[R, Q* vec(d)], [0, rho]] with B = Q R.
-    # R has the singular values of B, and rcond keeps the cut lstsq would
-    # take on the full n^2-row system.
-    k = b0.shape[0] + b1.shape[0]
-    r = np.linalg.qr(np.vstack([b0, b1, linalg.vec(d)]).T, mode="r")
-    coeffs, *_ = np.linalg.lstsq(r[:k, :k], r[:k, k],
-                                 rcond=np.finfo(float).eps * max(k, n * n))
-    d0 = linalg.unvec(coeffs[: b0.shape[0]] @ b0, n, n)
-    d1 = linalg.unvec(coeffs[b0.shape[0]:] @ b1, n, n)
+    # one factorization of outside, the part of b1 outside (A°)': its
+    # kernel is A' ∩ (A°)', cut as subspaces.intersect cuts it, and its
+    # kept triplets give the least-squares c1 of c1 outside = d - P0 d
+    cross = b1 @ b0.conj().T
+    outside = b1 - cross @ b0
+    sigma, vh = linalg.svd_rows(outside.conj().T)
+    rank = linalg.rank_from_singular_values(sigma, outside.shape, tol, scale=1.0)
+    # outside* = U S vh with U = outside* vh* / S never formed, and
+    # b0 outside* = 0, so (d - P0 d) U = d outside* vh* / S
+    kept = vh[:rank]
+    c1 = ((outside.conj() @ dvec) @ kept.conj().T / sigma[:rank] ** 2) @ kept
+    c0 = b0.conj() @ dvec - c1 @ cross
+    d0 = linalg.unvec(c0 @ b0, n, n)
+    d1 = linalg.unvec(c1 @ b1, n, n)
     residual = linalg.hs_norm(d - d0 - d1)
-    ambiguity = subspaces.intersect(algebra_commutant, opposite_commutant).dim
+    ambiguity = len(b1) - rank
 
     j_sym = None
     j_res = None

@@ -220,6 +220,31 @@ def test_adjoint_representation_basics():
                                    atol=1e-12)
 
 
+def test_adjoint_representation_blocks_match_the_real_structure_form():
+    # rho_degenerate_stack writes pibar0 + J pibar0 J^-1 + pi1 J pi1 J^-1
+    # as two 8x8 (x) 4x4 terms; rebuild it from the pieces and J
+    rng = np.random.default_rng(41)
+    j = catalog.real_structure()
+    e22 = layout.right_unit(2, 2)
+    elements = [catalog.random_group_element(rng) for _ in range(6)]
+    for g, rho in zip(elements, catalog.rho_degenerate_stack(elements)):
+        b4 = np.zeros((4, 4), dtype=complex)
+        b4[0, 0], b4[1:, 1:] = g.phase, g.color
+        u4 = np.zeros((4, 4), dtype=complex)
+        u4[0, 0], u4[2:, 2:] = g.phase, g.weak
+        lower_b = np.zeros((8, 8), dtype=complex)
+        lower_b[4:, 4:] = b4
+        upper_u = np.zeros((8, 8), dtype=complex)
+        upper_u[:4, :4] = u4
+        pibar0 = linalg.kron_action(lower_b, e22)
+        pi1 = (linalg.kron_action(upper_u, np.eye(4))
+               + linalg.kron_action(lower_b, np.eye(4) - e22))
+        expected = (pibar0 + j.conjugate_operator(pibar0)
+                    + pi1 @ j.conjugate_operator(pi1))
+        np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(catalog.rho_degenerate(g), rho, rtol=0, atol=0)
+
+
 def test_adjoint_representation_covers_sm():
     rng = np.random.default_rng(37)
     eye = np.eye(32)

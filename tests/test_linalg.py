@@ -279,3 +279,64 @@ def test_left_kernel_annihilates_and_cuts_on_the_shape():
     # scale raises the cut above a tiny matrix's own largest singular value
     assert linalg.left_kernel(1e-12 * a, 1e-9).shape == (2, 6)
     assert linalg.left_kernel(1e-12 * a, 1e-9, scale=1.0).shape == (6, 6)
+
+
+def test_product_rows_of_rectangular_factors():
+    rng = np.random.default_rng(10)
+    left = _rand_complex(rng, 2, 3, 4)
+    right = _rand_complex(rng, 5, 4, 6)
+    rows = linalg.product_rows(left, right)
+    expected = np.array([linalg.vec(a @ b) for a in left for b in right])
+    assert rows.shape == (10, 18)
+    assert np.allclose(rows, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-13])
+def test_orthonormal_rows_on_zero_columns_matches_a_dense_rotation(tol):
+    # 12 rows on 8 of 400 columns: rank 5, and a sixth singular value of
+    # about 70 tol, above the cut a 12 x 8 shape would take (12 tol) and
+    # below the one of the full 12 x 400 system (400 tol).  Row 3 is zero
+    # and row 7 is noise below the norm filter, with a column of its own.
+    # A unitary rotation makes every column nonzero; the support rule must
+    # give the same rank and span.
+    rng = np.random.default_rng(31)
+    width = 400
+    support = np.sort(rng.choice(width, 8, replace=False))
+    lone = np.setdiff1d(np.arange(width), support)[0]
+    u, _ = np.linalg.qr(_rand_complex(rng, 12, 6))
+    v, _ = np.linalg.qr(_rand_complex(rng, 8, 6))
+    sparse = np.zeros((12, width), dtype=complex)
+    sparse[:, support] = u @ np.diag([1, 1, 1, 1, 1, 70 * tol]) @ v.conj().T
+    sparse[3] = 0.0
+    sparse[7] *= 1e-16
+    sparse[7, lone] = 1e-16
+    q, _ = np.linalg.qr(_rand_complex(rng, width, width))
+    basis = linalg.orthonormal_rows(sparse, tol=tol)
+    dense = linalg.orthonormal_rows(sparse @ q, tol=tol)
+    assert basis.shape == dense.shape == (5, width)
+    assert not basis[:, np.setdiff1d(np.arange(width), support)].any()
+    np.testing.assert_allclose(basis @ basis.conj().T, np.eye(5), atol=1e-12)
+    rotated = basis @ q
+    outside = rotated - (rotated @ dense.conj().T) @ dense
+    assert np.linalg.norm(outside, 2) <= 1e-12
+    # the same rows given on their support alone give the same bits
+    columns = np.append(support, lone)
+    order = np.argsort(columns)
+    compact = linalg.orthonormal_rows(sparse[:, columns[order]], tol=tol,
+                                      columns=columns[order], width=width)
+    assert np.array_equal(compact, basis)
+
+
+def test_permutation_real_structure_conjugates_bit_for_bit():
+    j = catalog.real_structure()
+    k = j.matrix
+    rng = np.random.default_rng(19)
+    x = _rand_complex(rng, 3, 32, 32)
+    x[rng.random(x.shape) < 0.5] = 0.0
+    x.real[rng.random(x.shape) < 0.2] = -0.0
+    for m in (x[0], x):
+        _assert_same_bits(j.conjugate_operator(m), k @ np.conj(m) @ k.T)
+    # a general orthogonal K keeps the matrix product
+    rot = linalg.AntilinearOperator(np.linalg.qr(rng.standard_normal((6, 6)))[0])
+    y = _rand_complex(rng, 6, 6)
+    _assert_same_bits(rot.conjugate_operator(y), rot.matrix @ np.conj(y) @ rot.matrix.T)

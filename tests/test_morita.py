@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,22 @@ def test_one_forms_named_generators_with_gamma(thm2_derived):
     alg = thm2_derived.algebra_span.basis_matrices()
     named = _bimodule(catalog.one_form_generators(BASE, include_gamma=True), alg)
     assert subspaces.equals(om, named)
+
+
+def test_one_forms_traced_peak_on_pati_salam():
+    # the products a [D, b] enter one basis element a at a time, on their
+    # structural support; the dense 576 x 1024 stack of all of them and its
+    # SVD peaked at 18.8 MB
+    _, t = config_triple("pati_salam")
+    span = morita.algebra_span(t)
+    tracemalloc.start()
+    try:
+        om = morita.one_forms(t, span)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert om.dim == 64
+    assert peak <= 8 * 2 ** 20
 
 
 def test_one_forms_two_sided_module(thm2_derived):

@@ -385,3 +385,17 @@ def test_commutant_of_an_orthonormal_span_reduces_nothing(monkeypatch, thm1_trip
     monkeypatch.setattr(linalg, "orthonormal_rows", recorded)
     assert [subspaces.commutant(span).dim for span in spans] == [112, 96]
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["thm1", "pati_salam"])
+def test_product_span_matches_the_span_of_all_products(name):
+    # a [D, b] over the algebra's basis: one left factor at a time on the
+    # structural support gives the bits of the dense stack of all products
+    _, t = config_triple(name)
+    span = subspaces.span_of(t.algebra_gens)
+    basis = np.array(span.basis_matrices())
+    forms = t.dirac @ basis - basis @ t.dirac
+    built = subspaces.product_span(basis, forms, tol=span.tol)
+    dense = subspaces.OperatorSubspace(linalg.product_rows(basis, forms), t.n)
+    assert built.dim == dense.dim > 0
+    assert np.array_equal(built.flat, dense.flat)

@@ -181,6 +181,17 @@ def test_decompose_random_roundtrip(thm1_triple, af_commutant, af_opposite_commu
         assert af_commutant.contains(dec.commuting_part)
 
 
+@pytest.mark.parametrize("name", ["thm1", "thm2", "degenerate"])
+def test_decompose_ambiguity_is_the_commutant_intersection(name):
+    # the kernel of the one factorization is cut as intersect cuts it
+    _, t = config_triple(name)
+    d = morita.Derived(t)
+    dec = triple.decompose_dirac(t, d.algebra_commutant, d.opposite_commutant)
+    inter = subspaces.intersect(d.algebra_commutant, d.opposite_commutant)
+    assert dec.ambiguity_dim == inter.dim > 0
+    assert dec.residual <= 1e-9 * linalg.hs_norm(t.dirac)
+
+
 def test_grading_compatibility_interface():
     d0 = catalog.dirac_free_part(BASE)
     assert triple.grading_compatible(d0, catalog.grading("nonstandard"))
