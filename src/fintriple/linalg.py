@@ -125,8 +125,7 @@ class AntilinearOperator:
     """Antilinear map v -> K conj(v) with a real orthogonal matrix K.
 
     Houses the real structure: K orthogonal makes the map an antiunitary
-    isometry.  conjugate_operator gives the linear map X -> J X J^{-1}; when
-    K is a permutation matrix, as the catalog's is, it permutes entries.
+    isometry.  conjugate_operator gives the linear map X -> J X J^{-1}.
     """
 
     def __init__(self, matrix, tol=1e-12):
@@ -136,11 +135,6 @@ class AntilinearOperator:
         if np.linalg.norm(k @ k.T - np.eye(k.shape[0])) > tol * k.shape[0]:
             raise ValueError("antilinear matrix must be orthogonal")
         self.matrix = k
-        # K[i, p[i]] = 1 is the only nonzero of row i when K is a permutation;
-        # entry (i, j) of K X K^T is then entry (p[i], p[j]) of X
-        perm = np.argmax(k, axis=1)
-        self._entries = ((perm[:, None] * len(k) + perm).ravel()
-                         if np.array_equal(k, np.eye(len(k))[perm]) else None)
 
     @property
     def dim(self):
@@ -153,17 +147,8 @@ class AntilinearOperator:
         return self.matrix.T @ np.conj(np.asarray(v, dtype=complex))
 
     def conjugate_operator(self, x):
-        """J X J^{-1} for a linear operator X, again as a matrix.
-
-        X may be a stack.  For a permutation K this gathers the entries of
-        conj(X); adding 0.0 writes its zeros as +0, as the matrix product
-        does, so both give the same bits.
-        """
-        x = np.conj(np.asarray(x, dtype=complex))
-        if self._entries is None:
-            return self.matrix @ x @ self.matrix.T
-        flat = x.reshape(*x.shape[:-2], -1)
-        return np.take(flat, self._entries, axis=-1).reshape(x.shape) + 0.0
+        """J X J^{-1} for a linear operator X, again as a matrix."""
+        return self.matrix @ np.conj(np.asarray(x, dtype=complex)) @ self.matrix.T
 
     def commutation_residual(self, x):
         """HS norm of X J - J X, i.e. of X K - K conj(X)."""

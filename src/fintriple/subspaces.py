@@ -201,24 +201,40 @@ def subspace_sum(s, t):
     return OperatorSubspace(flat, s.n, tol=min(s.tol, t.tol))
 
 
+def outside_svd(s, t):
+    """The part of the basis of s outside t, and one factorization of it.
+
+    Returns (outside, sigma, vh, rank): outside = t.outside(s.flat), sigma
+    and vh from linalg.svd_rows of its adjoint, and rank the number of
+    singular values above the cut.  The combinations vh[rank:] of the
+    basis of s vanish outside t and span s ∩ t; the kept triplets solve
+    least-squares problems in the span of outside.  Because the basis rows
+    are unit vectors, the rank cut is taken against a scale of 1, and not
+    against the largest residual alone (which is legitimately ~0 when s is
+    a subset of t).
+    """
+    _check_compatible(s, t)
+    outside = t.outside(s.flat)
+    sigma, vh = linalg.svd_rows(outside.conj().T)
+    # the rows of outside are residuals of orthonormal rows, so its norm is
+    # at most 1, the scale of the cut
+    rank = linalg.rank_from_singular_values(sigma, outside.shape, min(s.tol, t.tol),
+                                            scale=1.0)
+    return outside, sigma, vh, rank
+
+
 def intersect(s, t):
     """Intersection, computed inside the span of s.
 
     Looks for combinations of the basis of s whose component outside t
-    vanishes: the left kernel of the residual matrix.  Because the basis
-    rows are unit vectors, the rank cut is taken against a scale of 1, and
-    not against the largest residual alone (which is legitimately ~0 when s
-    is a subset of t).
+    vanishes: the left kernel of the residual matrix, cut by outside_svd.
     """
     _check_compatible(s, t)
     tol = min(s.tol, t.tol)
     if s.dim == 0 or t.dim == 0:
         return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, tol=tol, orthonormal=True)
-    outside = t.outside(s.flat)
-    # the rows of outside are residuals of orthonormal rows, so its norm is
-    # at most 1, the scale of the cut
-    combos = linalg.left_kernel(outside, tol, scale=1.0)
-    return OperatorSubspace(combos @ s.flat, s.n, tol=tol, orthonormal=True)
+    _, _, vh, rank = outside_svd(s, t)
+    return OperatorSubspace(vh[rank:] @ s.flat, s.n, tol=tol, orthonormal=True)
 
 
 def equals(s, t, tol=None):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, subspaces
 from .linalg import DEFAULT_TOL, AntilinearOperator
 
 
@@ -255,7 +255,7 @@ class DiracDecomposition:
     """Least-squares splitting D = D0 + D1 with D0 in (A°)' and D1 in A'.
 
     D1 is the minimum-norm solution of the part of D outside (A°)', and D0
-    the rest of the projection onto (A°)'; ambiguity_dim records the
+    the projection of D - D1 onto (A°)'; ambiguity_dim records the
     dimension of A' ∩ (A°)' responsible for the non-uniqueness.  When D
     commutes with J, j_symmetric_part is a self-adjoint D0' with
     D = D0' + J D0' J and j_residual the achieved error.
@@ -281,25 +281,18 @@ def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     n = t.n
 
     d = np.asarray(t.dirac, dtype=complex)
-    dvec = linalg.vec(d)
-    b0 = opposite_commutant.flat
-    b1 = algebra_commutant.flat
-    # one factorization of outside, the part of b1 outside (A°)': its
-    # kernel is A' ∩ (A°)', cut as subspaces.intersect cuts it, and its
-    # kept triplets give the least-squares c1 of c1 outside = d - P0 d
-    cross = b1 @ b0.conj().T
-    outside = b1 - cross @ b0
-    sigma, vh = linalg.svd_rows(outside.conj().T)
-    rank = linalg.rank_from_singular_values(sigma, outside.shape, tol, scale=1.0)
+    # one factorization of the part of A' outside (A°)': its kernel is
+    # A' ∩ (A°)', and its kept triplets give the least-squares D1 of
+    # D1 outside = D - P0 D; D0 is then the (A°)' projection of D - D1
+    outside, sigma, vh, rank = subspaces.outside_svd(algebra_commutant, opposite_commutant)
     # outside* = U S vh with U = outside* vh* / S never formed, and
-    # b0 outside* = 0, so (d - P0 d) U = d outside* vh* / S
+    # P0 outside* = 0, so (D - P0 D) U = D outside* vh* / S
     kept = vh[:rank]
-    c1 = ((outside.conj() @ dvec) @ kept.conj().T / sigma[:rank] ** 2) @ kept
-    c0 = b0.conj() @ dvec - c1 @ cross
-    d0 = linalg.unvec(c0 @ b0, n, n)
-    d1 = linalg.unvec(c1 @ b1, n, n)
+    c1 = ((outside.conj() @ linalg.vec(d)) @ kept.conj().T / sigma[:rank] ** 2) @ kept
+    d1 = linalg.unvec(c1 @ algebra_commutant.flat, n, n)
+    d0 = opposite_commutant.project(d - d1)
     residual = linalg.hs_norm(d - d0 - d1)
-    ambiguity = len(b1) - rank
+    ambiguity = algebra_commutant.dim - rank
 
     j_sym = None
     j_res = None

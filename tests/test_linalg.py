@@ -325,18 +325,3 @@ def test_orthonormal_rows_on_zero_columns_matches_a_dense_rotation(tol):
     compact = linalg.orthonormal_rows(sparse[:, columns[order]], tol=tol,
                                       columns=columns[order], width=width)
     assert np.array_equal(compact, basis)
-
-
-def test_permutation_real_structure_conjugates_bit_for_bit():
-    j = catalog.real_structure()
-    k = j.matrix
-    rng = np.random.default_rng(19)
-    x = _rand_complex(rng, 3, 32, 32)
-    x[rng.random(x.shape) < 0.5] = 0.0
-    x.real[rng.random(x.shape) < 0.2] = -0.0
-    for m in (x[0], x):
-        _assert_same_bits(j.conjugate_operator(m), k @ np.conj(m) @ k.T)
-    # a general orthogonal K keeps the matrix product
-    rot = linalg.AntilinearOperator(np.linalg.qr(rng.standard_normal((6, 6)))[0])
-    y = _rand_complex(rng, 6, 6)
-    _assert_same_bits(rot.conjugate_operator(y), rot.matrix @ np.conj(y) @ rot.matrix.T)
