@@ -6,21 +6,24 @@ in ``GOLDEN_CONFIGS``. ``make_goldens.py --check`` writes nothing; it exits 1
 and names each config whose canonical report differs from its golden.
 
 ``make_goldens.py --snapshot DIR`` writes the normalized report of every
-config at every tol of ``SNAPSHOT_TOLS`` to ``DIR/<name>-<tol>.json``, and
+config at every tol of ``SNAPSHOT_TOLS``, at every BLAS thread count of
+``SNAPSHOT_THREADS``, to ``DIR/<threads>/<name>-<tol>.json``, and
 ``make_goldens.py --compare DIR`` exits 1 and names each one that the
 current code renders differently.  Together they check that a change keeps
-the bytes of all 20 reports.  The package is the one on PYTHONPATH, and
-the BLAS thread count is fixed when numpy is loaded, so snapshot the old
-tree's package at both thread counts and compare the new one's with each:
+the bytes of all 40 reports.  The BLAS thread count is fixed when numpy is
+loaded, so both modes re-run this script once per count, with
+OPENBLAS_NUM_THREADS set, into ``DIR/<threads>``.  The package is the one
+on PYTHONPATH, so snapshot the old tree's package and compare the new
+one's:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=OLD/src python3 scripts/make_goldens.py --snapshot DIR/1
-    OPENBLAS_NUM_THREADS=2 PYTHONPATH=OLD/src python3 scripts/make_goldens.py --snapshot DIR/2
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/make_goldens.py --compare DIR/1
-    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 scripts/make_goldens.py --compare DIR/2
+    PYTHONPATH=OLD/src python3 scripts/make_goldens.py --snapshot DIR
+    PYTHONPATH=src python3 scripts/make_goldens.py --compare DIR
 """
 
 import argparse
 import dataclasses
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +34,12 @@ GOLDEN_CONFIGS = ("thm1", "thm2", "original_cc", "pati_salam", "degenerate")
 
 #: The tols of a snapshot: the default, the smallest accepted and two more.
 SNAPSHOT_TOLS = ("1e-6", "1e-9", "1e-12", "1e-13")
+
+#: The OPENBLAS_NUM_THREADS values of a snapshot, one process each.
+SNAPSHOT_THREADS = ("1", "2")
+
+#: Set in the environment of the per-count re-runs of a snapshot or compare.
+_ONE_COUNT = "MAKE_GOLDENS_ONE_THREAD_COUNT"
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,20 +83,38 @@ def _snapshot(directory, compare):
     return differing
 
 
+def _each_thread_count(directory, compare):
+    """Re-run this script at every count of SNAPSHOT_THREADS, into DIR/<count>."""
+    mode = "--compare" if compare else "--snapshot"
+    failed = []
+    for threads in SNAPSHOT_THREADS:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, **{_ONE_COUNT: "1"})
+        result = subprocess.run([sys.executable, str(Path(__file__).resolve()), mode,
+                                 str(directory / threads)], env=env)
+        if result.returncode:
+            failed.append(threads)
+    return failed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true",
                       help="compare with the committed goldens; write nothing")
     mode.add_argument("--snapshot", type=Path, metavar="DIR",
-                      help="write every config's report at every snapshot tol to DIR")
+                      help="write every config's report at every snapshot tol and BLAS "
+                           "thread count to DIR/<threads>")
     mode.add_argument("--compare", type=Path, metavar="DIR",
-                      help="compare every config's report at every snapshot tol with DIR")
+                      help="compare every config's report at every snapshot tol and BLAS "
+                           "thread count with DIR/<threads>")
     args = parser.parse_args(argv)
-    if args.snapshot or args.compare:
-        differing = _snapshot(args.snapshot or args.compare, compare=bool(args.compare))
-    else:
+    directory = args.snapshot or args.compare
+    if directory is None:
         differing = _goldens(args.check)
+    elif os.environ.get(_ONE_COUNT):
+        differing = _snapshot(directory, compare=bool(args.compare))
+    else:
+        differing = _each_thread_count(directory, compare=bool(args.compare))
     return 1 if differing else 0
 
 

@@ -432,15 +432,19 @@ def z6_elements():
 
 
 def random_unitary(rng, n):
-    """Haar-ish unitary from a QR factorization with phase fixing."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    """Haar-ish unitary from a QR factorization with phase fixing.
+
+    rng is a random.Random; its Gaussian draws fill z (linalg.complex_gaussian).
+    """
+    z = linalg.complex_gaussian(rng, (n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_group_element(rng, special=False):
-    """Random unitary group element; special=True normalizes determinants
-    so the blocks land in SU(2) and SU(3)."""
+    """Random unitary group element drawn from the random.Random rng;
+    special=True normalizes determinants so the blocks land in SU(2) and
+    SU(3)."""
     phase = np.exp(2j * np.pi * rng.random())
     weak = random_unitary(rng, 2)
     color = random_unitary(rng, 3)

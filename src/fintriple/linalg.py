@@ -63,6 +63,18 @@ def unvec(v, rows, cols):
     return np.asarray(v, dtype=complex).reshape((rows, cols), order="F")
 
 
+def complex_gaussian(rng, shape):
+    """Array of complex standard Gaussians drawn from a random.Random.
+
+    The real parts of all entries are drawn first, in C order, then the
+    imaginary parts, each by rng.gauss; a few thousand draws do not need
+    numpy.random, whose import costs every process about 6 MB.
+    """
+    count = int(np.prod(shape))
+    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * count)])
+    return (draws[:count] + 1j * draws[count:]).reshape(shape)
+
+
 def product_rows(left, right):
     """vec rows of every product a @ b, a over left and b over right.
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -161,7 +162,7 @@ class _Run:
         self.floor = _noise_floor(cfg.tol)
         self.t = catalog.build_triple(cfg)
         self.derived = morita.Derived(self.t, cfg.tol)
-        self.rng = np.random.default_rng(seed)
+        self.rng = random.Random(seed)
 
 
 def _commutant_dimensions(run, rec):
@@ -226,9 +227,9 @@ def _one_forms(run, rec):
     om_basis = om.basis_matrices()
     worst = 0.0
     for _ in range(8):
-        a = alg_basis[rng.integers(len(alg_basis))]
-        b = alg_basis[rng.integers(len(alg_basis))]
-        w = om_basis[rng.integers(max(om.dim, 1))] if om.dim else None
+        a = alg_basis[rng.randrange(len(alg_basis))]
+        b = alg_basis[rng.randrange(len(alg_basis))]
+        w = om_basis[rng.randrange(max(om.dim, 1))] if om.dim else None
         if w is not None:
             worst = max(worst, om.residual(a @ w @ b))
     rec.residuals["bimodule_closure"] = worst

@@ -26,7 +26,9 @@ with the element's block on the component plus the element's coupling
 out of it.  The loop is sound because it imposes only constraints that
 every element of S' satisfies (dropping a coupling removes constraints),
 so its solution space contains S', and the certificate proves the reverse
-inclusion.
+inclusion.  Each component's solutions u_Q Z_Q u_Q* are written straight
+into the one n^2-wide result, and the random elements are drawn from a
+seeded random.Random, so the solver never loads numpy.random.
 conjugated carries a commutant over to the opposite algebra with nothing
 solved.
 commutator_gram is the dense Gram operator of the same problem, kept as a
@@ -34,6 +36,8 @@ test oracle.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -56,8 +60,10 @@ BLOCK_DRAWS = 4
 _MIN_GAP = 1e-2
 
 #: Entries of the d x s x s solution stack times the generators tested at
-#: once by the certificate, which bounds its temporaries to a few MB.
-_CERTIFICATE_CHUNK = 1 << 16
+#: once by the certificate.  Each of its complex temporaries then holds
+#: 256 KB, and all of them stay under about 1 MB (unless one generator
+#: alone is more than a chunk).
+_CERTIFICATE_CHUNK = 1 << 14
 
 
 class OperatorSubspace:
@@ -124,8 +130,13 @@ class OperatorSubspace:
         return bool(np.all(resid <= tol * np.linalg.norm(rows, axis=1)))
 
     def outside(self, rows):
-        """The parts of the vec rows outside the span: rows less their projections."""
-        return rows - (rows @ self.flat.conj().T) @ self.flat
+        """The parts of the vec rows outside the span: rows less their projections.
+
+        The difference is written over the projections, so the only array
+        as large as rows is the one returned.
+        """
+        resid = (rows @ self.flat.conj().T) @ self.flat
+        return np.subtract(rows, resid, out=resid)
 
     def __repr__(self):
         return f"OperatorSubspace(dim={self.dim}, n={self.n})"
@@ -205,17 +216,21 @@ def outside_svd(s, t):
     """The part of the basis of s outside t, and one factorization of it.
 
     Returns (outside, sigma, vh, rank): outside = t.outside(s.flat), sigma
-    and vh from linalg.svd_rows of its adjoint, and rank the number of
-    singular values above the cut.  The combinations vh[rank:] of the
-    basis of s vanish outside t and span s ∩ t; the kept triplets solve
-    least-squares problems in the span of outside.  Because the basis rows
-    are unit vectors, the rank cut is taken against a scale of 1, and not
-    against the largest residual alone (which is legitimately ~0 when s is
-    a subset of t).
+    and vh the singular values and right vectors of its adjoint, and rank
+    the number of singular values above the cut.  The adjoint is the
+    conjugate of outside.T, and so are its R factor and right vectors, so
+    linalg.svd_rows factors the transpose, a view, and the small vh is
+    conjugated: no conjugated copy of outside is made.  The combinations
+    vh[rank:] of the basis of s vanish outside t and span s ∩ t; the kept
+    triplets solve least-squares problems in the span of outside.  Because
+    the basis rows are unit vectors, the rank cut is taken against a scale
+    of 1, and not against the largest residual alone (which is
+    legitimately ~0 when s is a subset of t).
     """
     _check_compatible(s, t)
     outside = t.outside(s.flat)
-    sigma, vh = linalg.svd_rows(outside.conj().T)
+    sigma, vh = linalg.svd_rows(outside.T)
+    vh = vh.conj()
     # the rows of outside are residuals of orthonormal rows, so its norm is
     # at most 1, the scale of the cut
     rank = linalg.rank_from_singular_values(sigma, outside.shape, min(s.tol, t.tol),
@@ -320,16 +335,19 @@ def _generic_eigenblocks(span, rng):
     """Eigenbasis u of h1 and its clusters (_finest_eigenblocks).
 
     h1 is a random Hermitian element of the span S, the finest of
-    BLOCK_DRAWS draws.  The Hermitian elements of S are the Hermitian parts
-    of W = S ∩ S*, its largest *-closed subspace, so each draw is the
-    Hermitian part of a complex Gaussian combination of W's basis.  Every
-    element of S' commutes with h1, so it is block-diagonal in u over the
-    clusters.  A single cluster is all of M_n, and u = 1.
+    BLOCK_DRAWS draws, rng a random.Random.  The Hermitian elements of S
+    are the Hermitian parts of W = S ∩ S*, its largest *-closed subspace,
+    so each draw is the Hermitian part of a complex Gaussian combination of
+    W's basis.  W is S itself when S* lies in S, which one projection of
+    S*'s basis decides; the seed, C and every algebra are *-closed, and
+    only the other spans pay for the intersection.  Every element of S'
+    commutes with h1, so it is block-diagonal in u over the clusters.  A
+    single cluster is all of M_n, and u = 1.
     """
     n = span.n
-    w = intersect(span, adjoint(span)).flat
-    shape = (BLOCK_DRAWS, len(w))
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    star = adjoint(span)
+    w = span.flat if span.contains_rows(star.flat) else intersect(span, star).flat
+    coeffs = linalg.complex_gaussian(rng, (BLOCK_DRAWS, len(w)))
     draws = (coeffs @ w).reshape(-1, n, n)
     u, clusters = _finest_eigenblocks(0.5 * (draws + draws.conj().transpose(0, 2, 1)),
                                       span.tol)
@@ -404,6 +422,13 @@ def _component(members, local, power):
     return idx, rows, cols, local[:, idx[:, None], idx], outside
 
 
+def _unit_stack(z, rows, cols, s):
+    """The s x s matrices with coefficients z on the units (rows, cols)."""
+    mats = np.zeros((len(z), s, s), dtype=complex)
+    mats[:, rows, cols] = z
+    return mats
+
+
 def _certificate(z, rows, cols, blocks, outside):
     """Bound on ||[X, g]|| over a component's solutions X, per generator g.
 
@@ -417,8 +442,7 @@ def _certificate(z, rows, cols, blocks, outside):
     d, s = len(z), blocks.shape[1]
     if not d:
         return np.zeros(len(blocks))
-    mats = np.zeros((d, s, s), dtype=complex)
-    mats[:, rows, cols] = z
+    mats = _unit_stack(z, rows, cols, s)
     left = mats.reshape(d * s, s)
     right = mats.transpose(1, 0, 2).reshape(s, d * s)
     inside = np.empty(len(blocks))
@@ -453,19 +477,22 @@ def commutant(space):
     (_certificate), a bound on ||[X, g]|| for X = u Z u*, at the cut of the
     last rank decision; the exact constraints of the failing g are folded
     into every component and the systems re-solved, until a sweep is
-    clean.  X = u (+)_Q Z_Q u* is assembled once.  Random draws come from a
-    fixed seed per call.  Vec rows are read by their row-major reshape, the
-    transpose of the operator, which keeps commutation and copies nothing.
+    clean.  X = u (+)_Q Z_Q u* is assembled component by component: with
+    u_Q the columns of u on Q, u_Q Z_Q u_Q* is written straight into its
+    rows of the one (d, n, n) result, so no other n^2-wide stack is held.
+    Random draws come from a random.Random with a fixed seed per call.
+    Vec rows are read by their row-major reshape, the transpose of the
+    operator, which keeps commutation and copies nothing.
     The commutant of the zero space is all of M_n.  Raises RuntimeError
     when an element already imposed still fails the sweep.
     """
     n, tol = space.n, space.tol
     if not space.dim:
         return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
-    rng = np.random.default_rng(_COMMUTANT_SEED)
+    rng = random.Random(_COMMUTANT_SEED)
     u, clusters = _generic_eigenblocks(space, rng)
     local = _conjugate(u, space.flat.reshape(-1, n, n))
-    c = rng.standard_normal(len(local)) + 1j * rng.standard_normal(len(local))
+    c = linalg.complex_gaussian(rng, len(local))
     c /= np.linalg.norm(c)
     power = local.real ** 2 + local.imag ** 2
     parts = [_component(members, local, power)
@@ -496,13 +523,14 @@ def commutant(space):
                    for (sigma, vh), (_, rows, cols, blocks, _) in zip(factors, parts)]
         n_rows += n * n * len(failing)
         imposed |= failing
-    z_full = np.zeros((sum(len(z) for z in sols), n, n), dtype=complex)
+    x = np.empty((sum(len(z) for z in sols), n, n), dtype=complex)
     start = 0
     for z, (idx, rows, cols, *_) in zip(sols, parts):
-        z_full[start:start + len(z), idx[rows], idx[cols]] = z
+        u_q = u[:, idx]
+        np.matmul(u_q @ _unit_stack(z, rows, cols, len(idx)), u_q.conj().T,
+                  out=x[start:start + len(z)])
         start += len(z)
-    x = _conjugate(u.conj().T, z_full).reshape(-1, n * n)
-    return OperatorSubspace(x, n, tol=tol, orthonormal=True)
+    return OperatorSubspace(x.reshape(-1, n * n), n, tol=tol, orthonormal=True)
 
 
 def adjoint(space):

@@ -286,9 +286,11 @@ def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     # D1 outside = D - P0 D; D0 is then the (A°)' projection of D - D1
     outside, sigma, vh, rank = subspaces.outside_svd(algebra_commutant, opposite_commutant)
     # outside* = U S vh with U = outside* vh* / S never formed, and
-    # P0 outside* = 0, so (D - P0 D) U = D outside* vh* / S
+    # P0 outside* = 0, so (D - P0 D) U = D outside* vh* / S; conj(outside)
+    # vec D is taken as conj(outside conj(vec D)), with no conjugated copy
     kept = vh[:rank]
-    c1 = ((outside.conj() @ linalg.vec(d)) @ kept.conj().T / sigma[:rank] ** 2) @ kept
+    c1 = (np.conj(outside @ np.conj(linalg.vec(d))) @ kept.conj().T
+          / sigma[:rank] ** 2) @ kept
     d1 = linalg.unvec(c1 @ algebra_commutant.flat, n, n)
     d0 = opposite_commutant.project(d - d1)
     residual = linalg.hs_norm(d - d0 - d1)

@@ -5,6 +5,8 @@ on success (run with -s to see them; any assertion failure marks the
 criterion failed).
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,7 @@ def test_criterion_09_gauge_identities():
     scale = np.sqrt(32.0)
     for el in catalog.z6_elements():
         assert linalg.hs_norm(catalog.pi_sm(el) - eye) / scale <= 1e-12
-    rng = np.random.default_rng(0x96E)
+    rng = random.Random(0x96E)
     for _ in range(10):
         theta = 0.05 + 0.4 * rng.random()
         lam = np.exp(1j * theta)

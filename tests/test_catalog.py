@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_sm_representation_identity():
 
 
 def test_sm_representation_forms_agree():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(10):
         g = catalog.random_group_element(rng, special=True)
         np.testing.assert_allclose(catalog.pi_sm(g), catalog.pi_sm_direct(g),
@@ -206,7 +208,7 @@ def test_hypercharge_antiparticle_negation():
 
 
 def test_adjoint_representation_basics():
-    rng = np.random.default_rng(29)
+    rng = random.Random(29)
     eye = np.eye(32)
     ident = catalog.GroupElement(1.0, np.eye(2, dtype=complex),
                                  np.eye(3, dtype=complex))
@@ -223,7 +225,7 @@ def test_adjoint_representation_basics():
 def test_adjoint_representation_blocks_match_the_real_structure_form():
     # rho_degenerate_stack writes pibar0 + J pibar0 J^-1 + pi1 J pi1 J^-1
     # as two 8x8 (x) 4x4 terms; rebuild it from the pieces and J
-    rng = np.random.default_rng(41)
+    rng = random.Random(41)
     j = catalog.real_structure()
     e22 = layout.right_unit(2, 2)
     elements = [catalog.random_group_element(rng) for _ in range(6)]
@@ -246,7 +248,7 @@ def test_adjoint_representation_blocks_match_the_real_structure_form():
 
 
 def test_adjoint_representation_covers_sm():
-    rng = np.random.default_rng(37)
+    rng = random.Random(37)
     eye = np.eye(32)
     for el in catalog.z6_elements():
         np.testing.assert_allclose(
@@ -261,7 +263,7 @@ def test_adjoint_representation_covers_sm():
 def test_unimodularity_condition_cuts_out_gauge_subgroup():
     # elements with weak and color determinants both inverse to the phase
     # satisfy det = 1 in both representation blocks
-    rng = np.random.default_rng(43)
+    rng = random.Random(43)
     for _ in range(5):
         q = catalog.random_unitary(rng, 2)
         lam = 1.0 / np.linalg.det(q)
@@ -279,6 +281,14 @@ def test_unimodularity_condition_cuts_out_gauge_subgroup():
         assert abs(np.linalg.det(u3) * np.linalg.det(b4) - 1.0) <= 1e-12
         rho = catalog.rho_degenerate(u)
         assert abs(np.linalg.det(rho) - 1.0) <= 1e-10
+
+
+def test_random_unitary_is_reproducible_from_its_seed():
+    # the draws come from random.Random, whose streams are fixed by the seed
+    first = catalog.random_unitary(random.Random(7), 3)
+    second = catalog.random_unitary(random.Random(7), 3)
+    assert first.tobytes() == second.tobytes()
+    np.testing.assert_allclose(first @ first.conj().T, np.eye(3), atol=1e-14)
 
 
 def test_witness_omega_nu_matches_commutator():

@@ -54,6 +54,23 @@ def test_one_forms_traced_peak_on_pati_salam():
     assert peak <= 8 * 2 ** 20
 
 
+def test_algebra_commutant_traced_peak_on_thm1():
+    # each component's u_Q Z_Q u_Q* is written into the one (112, 32, 32)
+    # result; the full-width z_full stack and its conjugation peaked at
+    # 7.9 MB
+    cfg, t = config_triple("thm1")
+    d = morita.Derived(t, cfg.tol)
+    d.algebra_span
+    tracemalloc.start()
+    try:
+        comm = d.algebra_commutant
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert comm.dim == 112
+    assert peak <= 4 * 2 ** 20
+
+
 def test_one_forms_two_sided_module(thm2_derived):
     rng = np.random.default_rng(61)
     om = thm2_derived.one_forms

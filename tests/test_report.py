@@ -465,6 +465,23 @@ def test_verify_does_not_import_numpy_ma(tmp_path):
     assert result.stdout.split() == ["0", "False"]
 
 
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB of RSS and 15 ms of import in every
+    # process that loads it; the few thousand draws of a report come from
+    # random.Random
+    env = dict(os.environ)
+    src = str(Path(report.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from fintriple import cli\n"
+            "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(status, 'numpy.random' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIG_DIR / "thm1.cfg"), str(tmp_path / "r.txt")],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "False"]
+
+
 def test_cli_subprocess_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "fintriple.cli", "axioms",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ def test_decompose_full_family(thm1_triple, af_commutant, af_opposite_commutant)
     assert dec.j_residual <= 1e-9 * max(linalg.hs_norm(thm1_triple.dirac), 1.0)
     sym = dec.j_symmetric_part
     np.testing.assert_allclose(sym, sym.conj().T, atol=1e-12)
+
+
+def test_decompose_dirac_traced_peak_on_thm1():
+    # outside_svd factors the transpose of the 112 x 1024 part of A'
+    # outside (A°)', a view, and D is paired with it unconjugated; the
+    # conjugated copies peaked at 5.6 MB
+    cfg, t = config_triple("thm1")
+    d = morita.Derived(t, cfg.tol)
+    comm, opposite = d.algebra_commutant, d.opposite_commutant
+    tracemalloc.start()
+    try:
+        dec = triple.decompose_dirac(t, comm, opposite, tol=cfg.tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.residual <= cfg.tol
+    assert peak <= 4.5 * 2 ** 20
 
 
 def test_decompose_requires_first_order(pati_salam_triple):
