@@ -142,12 +142,7 @@ def algebra_bf_element(lam, q, m):
     Identical to the C + H + M3 block form except that the slot tracking the
     conjugate scalar is held at zero, and all three summands are complex.
     """
-    a = np.zeros((LEFT_DIM, LEFT_DIM), dtype=complex)
-    a[0, 0] = lam
-    a[2:4, 2:4] = q
-    a[4, 4] = lam
-    a[5:8, 5:8] = m
-    return kron_action(a, _EYE4)
+    return kron_action(_embed_af(lam, 0.0, q, m), _EYE4)
 
 
 def algebra_bf_generators():

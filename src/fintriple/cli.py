@@ -7,8 +7,11 @@
     fintriple axioms <config> [--tol X]
 
 verify runs the full check plan; with --expect the exit code is 0 exactly
-when every non-skipped check matches its expected status.  The focused
-subcommands print the corresponding dimensions and residuals as text.
+when every check matches its expected status, and 1 otherwise.  An error
+outside the checks (a bad config, manifest or custom matrix, or an even
+Clifford algebra asked of an odd triple) exits 2 with a one-line message.
+The focused subcommands print the corresponding dimensions and residuals
+as text.
 """
 
 from __future__ import annotations
@@ -153,7 +156,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # a malformed manifest or input, never a mismatch (exit 1)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -148,31 +148,25 @@ class Derived:
 
 @dataclass(frozen=True)
 class MoritaVerdict:
-    """Outcome of the Morita-equivalence comparison.
+    """Outcome of one Morita-equivalence comparison.
 
-    property_m is True when the odd Clifford commutant equals the
-    (complexified, minimally unitalized) opposite algebra; the with-grading
-    fields repeat the comparison for the even Clifford algebra and are None
-    for odd triples.  On failure, witness is a unit commutant element
-    HS-orthogonal to the opposite algebra, chosen canonically so that it
-    depends on the two spaces and not on their bases: the normalized
-    projection onto (commutant minus opposite algebra) of the first
-    vec-order matrix unit whose projection has norm at least PROBE_FLOOR,
-    with the phase that makes its largest-modulus entry real and positive
-    (moduli rounded to MODULUS_DECIMALS places, lowest vec index on ties).
-    The opposite algebra lies in the commutant whenever the order conditions
-    hold, so the witness is a commutant element.
+    holds is True when the commutant of the Clifford closure equals the
+    (complexified, minimally unitalized) opposite algebra.  On failure,
+    witness is a unit commutant element HS-orthogonal to the opposite
+    algebra, chosen canonically so that it depends on the two spaces and not
+    on their bases: the normalized projection onto (commutant minus opposite
+    algebra) of the first vec-order matrix unit whose projection has norm at
+    least PROBE_FLOOR, with the phase that makes its largest-modulus entry
+    real and positive (moduli rounded to MODULUS_DECIMALS places, lowest vec
+    index on ties).  The opposite algebra lies in the commutant whenever the
+    order conditions hold, so the witness is a commutant element.
     """
 
-    clifford_odd_dim: int
-    clifford_even_dim: int | None
-    commutant_odd_dim: int
-    commutant_even_dim: int | None
+    clifford_dim: int
+    commutant_dim: int
     opposite_dim: int
-    property_m: bool
-    property_m_with_grading: bool | None
+    holds: bool
     witness: np.ndarray | None
-    witness_side: str | None
 
 
 def _orthogonal_witness(commutant_space, opposite):
@@ -194,16 +188,17 @@ def _orthogonal_witness(commutant_space, opposite):
     return linalg.unvec(w, commutant_space.n, commutant_space.n)
 
 
-def property_m(derived, with_grading=False):
+def property_m(derived, even=False):
     """Morita check: does the Clifford commutant equal the opposite algebra?
 
-    Requires the order conditions; raises OrderConditionError otherwise.
-    The closures (the even one only with_grading) and the opposite span come
-    from derived; the commutants the closures carry are reused when solved
-    at its tol (star_algebra.commutant_of).  The even Clifford dimension is
-    that of the bicommutant, read off the closure: a finite-dimensional
-    *-algebra A has A'' = A + C 1, so it is the closure's dimension, plus
-    one when the closure is not unital.
+    Compares the commutant of derived.clifford_odd, or of
+    derived.clifford_even when even (which raises ValueError on an odd
+    triple), with derived.opposite_span.  Requires the order conditions;
+    raises OrderConditionError otherwise.  The commutant the closure carries
+    is reused when solved at derived's tol (star_algebra.commutant_of).  The
+    even Clifford dimension is that of the bicommutant, read off the
+    closure: a finite-dimensional *-algebra A has A'' = A + C 1, so it is the
+    closure's dimension, plus one when the closure is not unital.
     """
     t, tol = derived.t, derived.tol
     z = zeroth_order_violation(t)
@@ -211,40 +206,16 @@ def property_m(derived, with_grading=False):
     if z > tol or f > tol:
         raise OrderConditionError(
             f"order-conditions-violated (zeroth {z:.3e}, first {f:.3e}, tol {tol:g})")
-    if with_grading and t.grading is None:
-        raise ValueError("with_grading requires an even triple")
-    cl = derived.clifford_odd
-    comm_odd = star_algebra.commutant_of(cl, tol)
+    cl = derived.clifford_even if even else derived.clifford_odd
+    comm = star_algebra.commutant_of(cl, tol)
     opp = derived.opposite_span
-    holds_odd = subspaces.equals(comm_odd, opp)
-
-    comm_even = None
-    cl_even_dim = None
-    holds_even = None
-    if with_grading:
-        cl_even = derived.clifford_even
-        comm_even = star_algebra.commutant_of(cl_even, tol)
-        cl_even_dim = cl_even.dim + (0 if cl_even.unital else 1)
-        holds_even = subspaces.equals(comm_even, opp)
-
-    witness = None
-    side = None
-    if with_grading and holds_even is False:
-        witness = _orthogonal_witness(comm_even, opp)
-        side = "even"
-    elif not holds_odd:
-        witness = _orthogonal_witness(comm_odd, opp)
-        side = "odd"
+    holds = subspaces.equals(comm, opp)
     return MoritaVerdict(
-        clifford_odd_dim=cl.dim,
-        clifford_even_dim=cl_even_dim,
-        commutant_odd_dim=comm_odd.dim,
-        commutant_even_dim=None if comm_even is None else comm_even.dim,
+        clifford_dim=cl.dim + (1 if even and not cl.unital else 0),
+        commutant_dim=comm.dim,
         opposite_dim=opp.dim,
-        property_m=holds_odd,
-        property_m_with_grading=holds_even,
-        witness=witness,
-        witness_side=side,
+        holds=holds,
+        witness=None if holds else _orthogonal_witness(comm, opp),
     )
 
 

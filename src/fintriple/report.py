@@ -30,7 +30,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -281,24 +281,18 @@ def _gamma_in_clifford_odd(run, rec):
         rec.status = PASS if (member_std and member_non) else FAIL
 
 
-def _property_m(run, rec):
-    verdict = morita.property_m(run.derived, with_grading=False)
-    rec.dims["clifford_odd"] = verdict.clifford_odd_dim
-    rec.dims["commutant_odd"] = verdict.commutant_odd_dim
-    rec.dims["opposite"] = verdict.opposite_dim
-    if verdict.witness is not None:
-        rec.details = "witness: " + _describe_operator(verdict.witness, run.floor)
-    rec.status = PASS if verdict.property_m else FAIL
+def _property_m(even):
+    side = "even" if even else "odd"
 
-
-def _property_m_with_grading(run, rec):
-    verdict = morita.property_m(run.derived, with_grading=True)
-    rec.dims["clifford_even"] = verdict.clifford_even_dim
-    rec.dims["commutant_even"] = verdict.commutant_even_dim
-    rec.dims["opposite"] = verdict.opposite_dim
-    if not verdict.property_m_with_grading and verdict.witness is not None:
-        rec.details = "witness: " + _describe_operator(verdict.witness, run.floor)
-    rec.status = PASS if verdict.property_m_with_grading else FAIL
+    def check(run, rec):
+        verdict = morita.property_m(run.derived, even=even)
+        rec.dims[f"clifford_{side}"] = verdict.clifford_dim
+        rec.dims[f"commutant_{side}"] = verdict.commutant_dim
+        rec.dims["opposite"] = verdict.opposite_dim
+        if verdict.witness is not None:
+            rec.details = "witness: " + _describe_operator(verdict.witness, run.floor)
+        rec.status = PASS if verdict.holds else FAIL
+    return check
 
 
 def _zero_chain_grading(run, rec):
@@ -311,12 +305,11 @@ def _zero_chain_grading(run, rec):
 
 
 def _zero_chain_obstruction(run, rec):
-    cfg, t, tol = run.cfg, run.t, run.tol
+    t, tol = run.t, run.tol
     x = catalog.witness_catalog()["e15_e11"]
-    probe = t if t.grading is not None else catalog.build_triple(
-        catalog.TripleConfig(algebra=cfg.algebra, grading="standard",
-                             dirac=cfg.dirac, params=cfg.params,
-                             custom_matrix=cfg.custom_matrix, tol=tol))
+    # the zero-chain mode reads only the generators and the grading
+    probe = t if t.grading is not None else replace(
+        t, grading=catalog.grading("standard"))
     ok = morita.obstruction_check(x, probe, "zero_chain", tol=max(tol, 1e-10))
     rec.details = "commuting witness anticommutes with the grading"
     rec.status = PASS if ok else FAIL
@@ -424,8 +417,8 @@ PLAN = (
     Step("clifford_odd", _clifford_odd, _ORDERS, _ORDERS_FAIL),
     Step("clifford_even", _clifford_even, _ORDERS, _ORDERS_FAIL, _odd_triple),
     Step("gamma_in_clifford_odd", _gamma_in_clifford_odd, _ORDERS, _ORDERS_FAIL),
-    Step("property_m", _property_m, _ORDERS, _ORDERS_FAIL),
-    Step("property_m_with_grading", _property_m_with_grading,
+    Step("property_m", _property_m(even=False), _ORDERS, _ORDERS_FAIL),
+    Step("property_m_with_grading", _property_m(even=True),
          _ORDERS, _ORDERS_FAIL, _odd_triple),
     Step("zero_chain_grading", _zero_chain_grading),
     Step("zero_chain_obstruction", _zero_chain_obstruction, excluded=lambda run: (

@@ -64,11 +64,11 @@ def test_criterion_03_morita_with_grading(draws):
         t = _triple_for(params)
         d = morita.Derived(t)
         cl = d.clifford_odd
-        v = morita.property_m(d, with_grading=True)
-        assert v.property_m is False
-        assert v.commutant_odd_dim == 19
-        assert v.property_m_with_grading is True
-        assert v.commutant_even_dim == 15
+        odd, even = morita.property_m(d), morita.property_m(d, even=True)
+        assert odd.holds is False
+        assert odd.commutant_dim == 19
+        assert even.holds is True
+        assert even.commutant_dim == 15
         opp = morita.opposite_span(t)
         comm_even = subspaces.commutant(
             subspaces.span_of(cl.basis_matrices() + [np.asarray(t.grading)], tol=1e-9))
@@ -83,8 +83,8 @@ def test_criterion_04_morita_odd_case(draws):
         t = _triple_for(params, grading="none", dirac="CC_plus_Gamma")
         d = morita.Derived(t)
         cl = d.clifford_odd
-        v = morita.property_m(d, with_grading=False)
-        assert v.property_m is True
+        v = morita.property_m(d)
+        assert v.holds is True
         assert cl.contains(catalog.grading("standard"))
         assert cl.contains(catalog.grading("nonstandard"))
     _line(4, "Morita property holds for the augmented odd triple and the "
@@ -103,18 +103,16 @@ def test_criterion_05_negative_controls(draws):
         t = _triple_for(params, grading=grading)
         d = morita.Derived(t)
         cl = d.clifford_odd
-        v = morita.property_m(d, with_grading=True)
-        assert v.property_m is False
-        assert v.property_m_with_grading is False
-        w = v.witness
-        assert w is not None
-        assert linalg.hs_norm(w) == pytest.approx(1.0, abs=1e-9)
-        basis = (cl.basis_matrices()
-                 if v.witness_side == "odd"
-                 else cl.basis_matrices() + [np.asarray(t.grading)])
-        assert max(linalg.hs_norm(w @ b - b @ w) for b in basis) <= 1e-10
         opp = morita.opposite_span(t)
-        assert opp.residual(w) >= 0.9
+        for even in (False, True):
+            v = morita.property_m(d, even=even)
+            assert v.holds is False
+            w = v.witness
+            assert w is not None
+            assert linalg.hs_norm(w) == pytest.approx(1.0, abs=1e-9)
+            basis = cl.basis_matrices() + ([np.asarray(t.grading)] if even else [])
+            assert max(linalg.hs_norm(w @ b - b @ w) for b in basis) <= 1e-10
+            assert opp.residual(w) >= 0.9
     _line(5, "vanishing mixing coupling breaks the Morita property with a "
              "certified commutant witness outside the opposite algebra")
 

@@ -117,14 +117,16 @@ def test_gamma_inside_odd_clifford_with_extra_coupling(thm2_clifford):
 
 
 def test_property_m_theorem_even_case(thm1_derived):
-    v = morita.property_m(thm1_derived, with_grading=True)
-    assert not v.property_m
-    assert v.commutant_odd_dim == 19
-    assert v.property_m_with_grading
-    assert v.commutant_even_dim == 15
-    assert v.opposite_dim == 15
-    assert v.clifford_even_dim == 112
-    assert v.witness is not None and v.witness_side == "odd"
+    odd = morita.property_m(thm1_derived)
+    even = morita.property_m(thm1_derived, even=True)
+    assert not odd.holds
+    assert odd.commutant_dim == 19
+    assert even.holds
+    assert even.commutant_dim == 15
+    assert odd.opposite_dim == even.opposite_dim == 15
+    assert even.clifford_dim == 112
+    # only the failing odd side has a witness
+    assert odd.witness is not None and even.witness is None
 
 
 def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_derived):
@@ -133,19 +135,19 @@ def test_property_m_with_wrapped_clifford_algebras(thm1_triple, thm1_derived):
     d = morita.Derived(thm1_triple)
     d.clifford_odd = star_algebra.StarAlgebra(space=thm1_clifford.space)
     d.clifford_even = star_algebra.StarAlgebra(space=cl_even.space)
-    v = morita.property_m(d, with_grading=True)
-    assert not v.property_m
-    assert v.commutant_odd_dim == 19
-    assert v.property_m_with_grading
-    assert v.commutant_even_dim == 15
-    assert v.clifford_even_dim == 112
+    odd, even = morita.property_m(d), morita.property_m(d, even=True)
+    assert not odd.holds
+    assert odd.commutant_dim == 19
+    assert even.holds
+    assert even.commutant_dim == 15
+    assert even.clifford_dim == 112
 
 
 def test_even_clifford_dim_is_the_bicommutant_dim(thm1_derived):
     cl_even = thm1_derived.clifford_even
-    v = morita.property_m(thm1_derived, with_grading=True)
+    v = morita.property_m(thm1_derived, even=True)
     double = subspaces.commutant(subspaces.commutant(cl_even.space))
-    assert v.clifford_even_dim == double.dim == 112
+    assert v.clifford_dim == double.dim == 112
 
 
 def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
@@ -157,8 +159,8 @@ def test_even_clifford_dim_of_a_non_unital_closure(thm1_triple, thm1_clifford):
     d = morita.Derived(thm1_triple)
     d.clifford_odd = thm1_clifford
     d.clifford_even = closure
-    v = morita.property_m(d, with_grading=True)
-    assert v.clifford_even_dim == double.dim == 2
+    v = morita.property_m(d, even=True)
+    assert v.clifford_dim == double.dim == 2
 
 
 def test_property_m_commutant_matches_block_form(thm1_clifford):
@@ -168,17 +170,23 @@ def test_property_m_commutant_matches_block_form(thm1_clifford):
 
 
 def test_property_m_theorem_odd_case(thm2_derived):
-    v = morita.property_m(thm2_derived, with_grading=False)
-    assert v.property_m
-    assert v.commutant_odd_dim == 15
+    v = morita.property_m(thm2_derived)
+    assert v.holds
+    assert v.commutant_dim == 15
     assert v.witness is None
 
 
 def test_property_m_negative_controls(original_cc_triple):
-    v = morita.property_m(morita.Derived(original_cc_triple), with_grading=True)
-    assert not v.property_m
-    assert not v.property_m_with_grading
-    assert v.witness is not None
+    d = morita.Derived(original_cc_triple)
+    odd, even = morita.property_m(d), morita.property_m(d, even=True)
+    assert not odd.holds
+    assert not even.holds
+    assert odd.witness is not None and even.witness is not None
+
+
+def test_property_m_even_requires_a_grading(thm2_derived):
+    with pytest.raises(ValueError):
+        morita.property_m(thm2_derived, even=True)
 
 
 def test_property_m_requires_order_conditions(pati_salam_triple):
@@ -194,10 +202,11 @@ def test_property_m_scale_invariance(thm1_triple):
         real_structure=thm1_triple.real_structure,
         grading=thm1_triple.grading,
         free_part=3.7 * thm1_triple.free_part)
-    v = morita.property_m(morita.Derived(scaled), with_grading=True)
-    assert not v.property_m
-    assert v.property_m_with_grading
-    assert (v.commutant_odd_dim, v.commutant_even_dim) == (19, 15)
+    d = morita.Derived(scaled)
+    odd, even = morita.property_m(d), morita.property_m(d, even=True)
+    assert not odd.holds
+    assert even.holds
+    assert (odd.commutant_dim, even.commutant_dim) == (19, 15)
 
 
 def test_opposite_always_inside_clifford_commutant(thm1_triple, thm1_clifford):

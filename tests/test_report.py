@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -366,6 +368,31 @@ def test_cli_config_error(tmp_path):
     assert cli.main(["axioms", str(bad)]) == 2
 
 
+def _assert_cli_error(capsys, argv):
+    """argv exits 2 with a one-line error, not 1 (an --expect mismatch)."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_non_hermitian_custom_dirac_is_an_error(tmp_path, capsys):
+    (tmp_path / "d.json").write_text(json.dumps([[[0.0, 1.0]] * 32] * 32))
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("[algebra]\nname = A_F\n[dirac]\ntype = custom\nmatrix_file = d.json\n")
+    _assert_cli_error(capsys, ["verify", str(cfg), "--out", str(tmp_path / "r.txt")])
+
+
+def test_cli_malformed_manifest_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "expect.json"
+    bad.write_text("{not json")
+    _assert_cli_error(capsys, ["verify", str(CONFIG_DIR / "pati_salam.cfg"),
+                               "--expect", str(bad), "--out", str(tmp_path / "r.txt")])
+
+
+def test_cli_even_clifford_of_an_odd_triple_is_an_error(capsys):
+    _assert_cli_error(capsys, ["clifford", str(CONFIG_DIR / "thm2.cfg"), "--even"])
+
+
 def _cli_dims(capsys, *argv):
     """The 'label: value' lines a focused subcommand prints, as a dict."""
     assert cli.main(list(argv)) == 0
@@ -488,3 +515,30 @@ def test_cli_subprocess_smoke():
          str(CONFIG_DIR / "thm1.cfg")],
         capture_output=True, text=True, check=True)
     assert "first_order" in result.stdout
+
+
+def test_morita_witness_computed_once_per_report(monkeypatch):
+    # thm1 fails the odd comparison only; the even check builds no witness
+    calls = []
+    witness = morita._orthogonal_witness
+
+    def counted(*args):
+        calls.append(1)
+        return witness(*args)
+
+    monkeypatch.setattr(morita, "_orthogonal_witness", counted)
+    rep = report.run_all(parse_config_file(CONFIG_DIR / "thm1.cfg"))
+    assert rep.check("property_m").status == report.FAIL
+    assert rep.check("property_m_with_grading").status == report.PASS
+    assert len(calls) == 1
+
+
+def test_perfbench_traced_names_resolve():
+    # the benchmark wraps these by name; a renamed or deleted one breaks it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for module, name, _ in child.TRACED:
+        assert callable(getattr(importlib.import_module(f"fintriple.{module}"), name)), \
+            (module, name)
