@@ -9,10 +9,11 @@ and names each config whose canonical report differs from its golden.
 config at every tol of ``SNAPSHOT_TOLS``, at every BLAS thread count of
 ``SNAPSHOT_THREADS``, to ``DIR/<threads>/<name>-<tol>.json``, and
 ``make_goldens.py --compare DIR`` exits 1 and names each one that the
-current code renders differently.  Together they check that a change keeps
-the bytes of all 40 reports.  The BLAS thread count is fixed when numpy is
-loaded, so both modes re-run this script once per count, with
-OPENBLAS_NUM_THREADS set, into ``DIR/<threads>``.  The package is the one
+current code renders differently, with its first differing line, old and
+new.  Together they check that a change keeps the bytes of all 40 reports.
+The BLAS thread count is fixed when numpy is loaded, so both modes re-run
+this script once per count, with OPENBLAS_NUM_THREADS set, into
+``DIR/<threads>``.  The package is the one
 on PYTHONPATH, so snapshot the old tree's package and compare the new
 one's:
 
@@ -25,6 +26,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from fintriple.config import parse_config_file
@@ -51,6 +53,29 @@ def _report(name, tol=None):
     return render_json(run_all(cfg), normalize_timing=True)
 
 
+def _differs(path, text):
+    """Whether the report at path is missing or differs from text.
+
+    Prints ``differs: <file>`` and, for a file that exists, its first
+    differing line, old and new.
+    """
+    if not path.exists():
+        print(f"differs: {path.name} (missing)")
+        return True
+    old = path.read_text()
+    if old == text:
+        return False
+    print(f"differs: {path.name}")
+    lines = zip_longest(old.splitlines(), text.splitlines(), fillvalue="<end of file>")
+    for number, (was, now) in enumerate(lines, start=1):
+        if was != now:
+            print(f"  line {number} old: {was}\n  line {number} new: {now}")
+            break
+    else:
+        print("  the lines agree; only the line endings differ")
+    return True
+
+
 def _goldens(check):
     differing = []
     for name in GOLDEN_CONFIGS:
@@ -59,9 +84,8 @@ def _goldens(check):
         if not check:
             path.write_text(text)
             print(f"wrote {path.name}")
-        elif not path.exists() or path.read_text() != text:
+        elif _differs(path, text):
             differing.append(name)
-            print(f"differs: {path.name}")
     return differing
 
 
@@ -75,9 +99,8 @@ def _snapshot(directory, compare):
             path = directory / f"{name}-{tol}.json"
             if not compare:
                 path.write_text(text)
-            elif not path.exists() or path.read_text() != text:
+            elif _differs(path, text):
                 differing.append(path.name)
-                print(f"differs: {path.name}")
     if not compare:
         print(f"wrote {len(GOLDEN_CONFIGS) * len(SNAPSHOT_TOLS)} reports to {directory}")
     return differing

@@ -10,6 +10,7 @@ by the obstruction and irreducibility arguments.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -27,10 +28,23 @@ DIRAC_CHOICES = ("zero", "CC", "CC_plus_Gamma", "custom")
 _EYE4 = np.eye(RIGHT_DIM, dtype=complex)
 _EYE8 = np.eye(LEFT_DIM, dtype=complex)
 
+#: The couplings of the Dirac family: config key -> value type, in
+#: DiracParams field order; each field name is its key in lower case.
+COUPLINGS = {"ups_nu": complex, "ups_e": complex, "ups_u": complex,
+             "ups_d": complex, "ups_R": complex, "omega": complex,
+             "delta": float, "gamma": float}
+
+#: The couplings each Dirac kind takes; zero and custom take none.
+DIRAC_COUPLINGS = {"CC": tuple(key for key in COUPLINGS if key != "gamma"),
+                   "CC_plus_Gamma": tuple(COUPLINGS)}
+
+#: The Majorana-type coupling: its term lies in both commutants, no one-form.
+MAJORANA_COUPLING = "ups_R"
+
 
 @dataclass(frozen=True)
 class DiracParams:
-    """Coefficients of the Dirac family.
+    """Coefficients of the Dirac family, one field per entry of COUPLINGS.
 
     The four Yukawa-type couplings, the right-handed Majorana-type coupling
     and omega are complex; delta and gamma are real.  Zero values are
@@ -48,10 +62,12 @@ class DiracParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        values = [self.ups_nu, self.ups_e, self.ups_u, self.ups_d,
-                  self.ups_r, self.omega, self.delta, self.gamma]
-        if not all(np.isfinite(np.asarray(values, dtype=complex).view(float))):
+        if not all(cmath.isfinite(getattr(self, key.lower())) for key in COUPLINGS):
             raise ValueError("Dirac coefficients must be finite")
+
+    def couplings(self, dirac):
+        """{config key: value} of the couplings that Dirac kind dirac takes."""
+        return {key: getattr(self, key.lower()) for key in DIRAC_COUPLINGS.get(dirac, ())}
 
 
 #: Golden-fixture coefficient values used by the committed matrix fixtures.

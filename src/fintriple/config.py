@@ -18,24 +18,27 @@ The format is a flat key-value file with sections:
     [run]
     tol = 1e-9              # 1e-13 <= tol < 1 (linalg.TOL_FLOOR)
 
-An empty or missing [dirac] section selects the zero Dirac operator.  Every
-error carries the offending line number.
+An empty or missing [dirac] section selects the zero Dirac operator.  The
+accepted keys are declared once (_KEYS), the couplings and the Dirac types
+that take them once (catalog.COUPLINGS, catalog.DIRAC_COUPLINGS).  Every
+error about a line names that line; unknown keys are reported as read.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import (ALGEBRA_CHOICES, DIRAC_CHOICES, GRADING_CHOICES, DiracParams,
-                      TripleConfig)
+from .catalog import (ALGEBRA_CHOICES, COUPLINGS, DIRAC_CHOICES, DIRAC_COUPLINGS,
+                      GRADING_CHOICES, DiracParams, TripleConfig)
 from .linalg import TOL_FLOOR
 
-_SECTIONS = ("algebra", "grading", "dirac", "run")
-_COMPLEX_KEYS = ("ups_nu", "ups_e", "ups_u", "ups_d", "ups_R", "omega")
-_REAL_KEYS = ("delta", "gamma")
+#: The keys each section accepts.
+_KEYS = {"algebra": ("name",), "grading": ("kind",),
+         "dirac": ("type", "matrix_file", *COUPLINGS), "run": ("tol",)}
 
 
 class ConfigError(ValueError):
@@ -55,7 +58,7 @@ def _parse_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise ConfigError(lineno, f"unknown section [{name}]")
             if name in sections:
                 raise ConfigError(lineno, f"duplicate section [{name}]")
@@ -69,6 +72,8 @@ def _parse_sections(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(lineno, "empty key")
+        if key not in _KEYS[current]:
+            raise ConfigError(lineno, f"unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(lineno, f"duplicate key {key!r} in [{current}]")
         sections[current][key] = (lineno, value)
@@ -111,37 +116,23 @@ def parse_config(text, base_dir=None):
     """Parse a configuration file into a TripleConfig."""
     sections = _parse_sections(text)
 
-    algebra_section = sections.get("algebra", {})
-    for key in algebra_section:
-        if key != "name":
-            raise ConfigError(algebra_section[key][0], f"unknown key {key!r} in [algebra]")
-    if "name" not in algebra_section:
+    lineno, algebra = sections.get("algebra", {}).get("name", (0, None))
+    if algebra is None:
         raise ConfigError(0, "missing [algebra] name")
-    lineno, algebra = algebra_section["name"]
     if algebra not in ALGEBRA_CHOICES:
         *first, last = ALGEBRA_CHOICES
         raise ConfigError(lineno, f"unknown algebra {algebra!r} "
                                   f"(expected {', '.join(first)} or {last})")
 
-    grading_section = sections.get("grading", {})
-    for key in grading_section:
-        if key != "kind":
-            raise ConfigError(grading_section[key][0], f"unknown key {key!r} in [grading]")
-    grading = "none"
-    grading_line = 0
-    if "kind" in grading_section:
-        grading_line, grading = grading_section["kind"]
-        if grading not in GRADING_CHOICES:
-            raise ConfigError(grading_line, f"unknown grading {grading!r}")
+    grading_line, grading = sections.get("grading", {}).get("kind", (0, "none"))
+    if grading not in GRADING_CHOICES:
+        raise ConfigError(grading_line, f"unknown grading {grading!r}")
 
     dirac_section = dict(sections.get("dirac", {}))
-    if "type" in dirac_section:
-        type_line, dirac_kind = dirac_section.pop("type")
-    elif dirac_section:
+    type_line, dirac_kind = dirac_section.pop("type", (0, "zero"))
+    if dirac_section and not type_line:
         first = min(line for line, _ in dirac_section.values())
         raise ConfigError(first, "dirac section has parameters but no type")
-    else:
-        type_line, dirac_kind = 0, "zero"
     if dirac_kind not in DIRAC_CHOICES:
         raise ConfigError(type_line, f"unknown dirac type {dirac_kind!r}")
 
@@ -151,43 +142,30 @@ def parse_config(text, base_dir=None):
         if key == "matrix_file":
             if dirac_kind != "custom":
                 raise ConfigError(lineno, "matrix_file requires dirac type custom")
-            base = Path(base_dir) if base_dir is not None else Path(".")
-            custom_matrix = _load_custom_matrix(lineno, base / value)
-        elif key in _COMPLEX_KEYS:
-            if dirac_kind not in ("CC", "CC_plus_Gamma"):
-                raise ConfigError(lineno, f"{key} requires dirac type CC or CC_plus_Gamma")
-            params_kwargs[key.lower()] = _parse_complex(lineno, value)
-        elif key in _REAL_KEYS:
-            if key == "gamma" and dirac_kind != "CC_plus_Gamma":
-                raise ConfigError(lineno, "gamma requires dirac type CC_plus_Gamma")
-            if dirac_kind not in ("CC", "CC_plus_Gamma"):
-                raise ConfigError(lineno, f"{key} requires dirac type CC or CC_plus_Gamma")
-            params_kwargs[key] = _parse_real(lineno, value)
-        else:
-            raise ConfigError(lineno, f"unknown key {key!r} in [dirac]")
+            custom_matrix = _load_custom_matrix(lineno, Path(base_dir or ".") / value)
+            continue
+        kinds = [kind for kind, keys in DIRAC_COUPLINGS.items() if key in keys]
+        if dirac_kind not in kinds:
+            raise ConfigError(lineno, f"{key} requires dirac type {' or '.join(kinds)}")
+        parse = _parse_complex if COUPLINGS[key] is complex else _parse_real
+        coupling = parse(lineno, value)
+        if not cmath.isfinite(coupling):
+            raise ConfigError(lineno, f"{key} must be finite")
+        params_kwargs[key.lower()] = coupling
     if dirac_kind == "custom" and custom_matrix is None:
         raise ConfigError(type_line, "dirac type custom requires matrix_file")
 
-    run_section = sections.get("run", {})
-    tol = 1e-9
-    for key, (lineno, value) in run_section.items():
-        if key != "tol":
-            raise ConfigError(lineno, f"unknown key {key!r} in [run]")
-        tol = _parse_real(lineno, value)
-        if not (TOL_FLOOR <= tol < 1):
-            raise ConfigError(lineno, f"tol must be in [{TOL_FLOOR:g}, 1), got {value}")
+    lineno, value = sections.get("run", {}).get("tol", (0, "1e-9"))
+    tol = _parse_real(lineno, value)
+    if not (TOL_FLOOR <= tol < 1):
+        raise ConfigError(lineno, f"tol must be in [{TOL_FLOOR:g}, 1), got {value}")
 
     try:
-        return TripleConfig(
-            algebra=algebra,
-            grading=grading,
-            dirac=dirac_kind,
-            params=DiracParams(**params_kwargs),
-            custom_matrix=custom_matrix,
-            tol=tol,
-        )
+        return TripleConfig(algebra=algebra, grading=grading, dirac=dirac_kind,
+                            params=DiracParams(**params_kwargs),
+                            custom_matrix=custom_matrix, tol=tol)
     except ValueError as exc:
-        raise ConfigError(grading_line or 0, str(exc)) from None
+        raise ConfigError(grading_line, str(exc)) from None
 
 
 def parse_config_file(path):

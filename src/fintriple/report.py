@@ -91,25 +91,18 @@ class VerificationReport:
 
 
 def _config_echo(cfg):
-    def cpl(z):
-        return [float(np.real(z)), float(np.imag(z))]
-
     echo = {
         "algebra": cfg.algebra,
         "grading": cfg.grading,
         "dirac": cfg.dirac,
         "tol": cfg.tol,
     }
-    if cfg.dirac in ("CC", "CC_plus_Gamma"):
-        p = cfg.params
+    couplings = cfg.params.couplings(cfg.dirac)
+    if couplings:
         echo["params"] = {
-            "ups_nu": cpl(p.ups_nu), "ups_e": cpl(p.ups_e),
-            "ups_u": cpl(p.ups_u), "ups_d": cpl(p.ups_d),
-            "ups_R": cpl(p.ups_r), "omega": cpl(p.omega),
-            "delta": float(p.delta),
-        }
-        if cfg.dirac == "CC_plus_Gamma":
-            echo["params"]["gamma"] = float(p.gamma)
+            key: ([float(np.real(z)), float(np.imag(z))]
+                  if catalog.COUPLINGS[key] is complex else float(z))
+            for key, z in couplings.items()}
     return echo
 
 
@@ -234,16 +227,13 @@ def _one_forms(run, rec):
             worst = max(worst, om.residual(a @ w @ b))
     rec.residuals["bimodule_closure"] = worst
     ok = worst <= tol * 10
-    p = cfg.params
-    couplings = [p.ups_nu, p.ups_e, p.ups_u, p.ups_d, p.omega, p.delta]
-    if cfg.dirac == "CC_plus_Gamma":
-        couplings.append(p.gamma)
-    named_applicable = (cfg.algebra == "A_F"
-                        and cfg.dirac in ("CC", "CC_plus_Gamma")
-                        and all(abs(c) > 1e-12 for c in couplings))
+    couplings = cfg.params.couplings(cfg.dirac)
+    couplings.pop(catalog.MAJORANA_COUPLING, None)
+    named_applicable = (cfg.algebra == "A_F" and bool(couplings)
+                        and all(abs(c) > 1e-12 for c in couplings.values()))
     if named_applicable:
         gens = catalog.one_form_generators(
-            p, include_gamma=(cfg.dirac == "CC_plus_Gamma"))
+            cfg.params, include_gamma=(cfg.dirac == "CC_plus_Gamma"))
         named = _bimodule_span(gens + [g.conj().T for g in gens], alg_basis, tol)
         rec.dims["named_generator_bimodule"] = named.dim
         ok = ok and subspaces.equals(om, named)
@@ -334,21 +324,17 @@ def _gauge_z6_kernel(run, rec):
 
 
 def _gauge_hypercharges(run, rec):
+    expected = layout.HYPERCHARGE_EXPONENTS.ravel(order="F")  # slot_index order
     ok = True
     worst = 0.0
     for _ in range(10):
         theta = 0.05 + 0.4 * run.rng.random()
         lam = np.exp(1j * theta)
-        op = catalog.pi_sm(catalog.GroupElement(
-            lam, np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
-        for r in range(1, 9):
-            for c in range(1, 5):
-                idx = layout.slot_index(r, c)
-                expected = int(layout.HYPERCHARGE_EXPONENTS[r - 1][c - 1])
-                recovered = int(round(float(np.angle(op[idx, idx])) / theta))
-                worst = max(worst, abs(op[idx, idx] - lam ** expected))
-                if recovered != expected:
-                    ok = False
+        diag = np.diagonal(catalog.pi_sm(catalog.GroupElement(
+            lam, np.eye(2, dtype=complex), np.eye(3, dtype=complex))))
+        recovered = np.rint(np.angle(diag) / theta)
+        worst = max(worst, float(np.max(np.abs(diag - lam ** expected))))
+        ok = ok and bool(np.all(recovered == expected))
     rec.residuals["eigenvalue"] = worst
     rec.status = PASS if ok and worst <= 1e-12 else FAIL
 

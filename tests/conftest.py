@@ -19,17 +19,14 @@ BASE = catalog.DiracParams(
 def draw_params(rng, with_gamma=False, **overrides):
     """Random coefficients bounded away from zero, with the up-type Yukawa
     separation |ups_nu^2 - ups_u^2| kept away from zero as well."""
-    def cpl():
-        return (0.6 + 0.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
+    def draw(kind):
+        if kind is complex:
+            return (0.6 + 0.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        return float((0.6 + 0.8 * rng.random()) * rng.choice([-1, 1]))
 
+    keys = catalog.DIRAC_COUPLINGS["CC_plus_Gamma" if with_gamma else "CC"]
     while True:
-        values = {
-            "ups_nu": cpl(), "ups_e": cpl(), "ups_u": cpl(), "ups_d": cpl(),
-            "ups_r": cpl(), "omega": cpl(),
-            "delta": float((0.6 + 0.8 * rng.random()) * rng.choice([-1, 1])),
-        }
-        if with_gamma:
-            values["gamma"] = float((0.6 + 0.8 * rng.random()) * rng.choice([-1, 1]))
+        values = {key.lower(): draw(catalog.COUPLINGS[key]) for key in keys}
         values.update(overrides)
         sep = abs(values["ups_nu"] ** 2 - values["ups_u"] ** 2)
         if sep >= 0.3:

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fintriple.catalog import TripleConfig
+from fintriple.catalog import COUPLINGS, FIXTURE_PARAMS, DiracParams, TripleConfig
 from fintriple.config import ConfigError, parse_config
 from fintriple.linalg import TOL_FLOOR
+from fintriple.report import _config_echo
 
 MINIMAL = """
 [algebra]
@@ -54,6 +56,66 @@ def test_unknown_key_reports_line():
     text = "[algebra]\nname = A_F\n[dirac]\ntype = CC\nups_x = [1, 0]\n"
     with pytest.raises(ConfigError, match="line 5"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("section, key_line", [
+    ("algebra", "name = A_F\nflavor = x"),
+    ("grading", "kind = none\nflavor = x"),
+    ("dirac", "type = CC\nflavor = x"),
+    ("run", "tol = 1e-9\nflavor = x"),
+])
+def test_unknown_key_in_each_section(section, key_line):
+    head = "" if section == "algebra" else "[algebra]\nname = A_F\n"
+    text = f"{head}[{section}]\n{key_line}\n"
+    line = text.count("\n")
+    with pytest.raises(ConfigError, match=rf"^line {line}: unknown key 'flavor' in \[{section}\]$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("assignment", ["delta = inf", "ups_nu = [1e999, 0]",
+                                        "omega = [NaN, 0]"])
+def test_non_finite_coupling_names_its_line(assignment):
+    key = assignment.split()[0]
+    text = ("[algebra]\nname = A_F\n[grading]\nkind = standard\n"
+            f"[dirac]\ntype = CC\n{assignment}\n")
+    with pytest.raises(ConfigError, match=rf"^line 7: {key} must be finite$"):
+        parse_config(text)
+
+
+def test_dirac_params_rejects_non_finite():
+    for bad in ({"delta": float("nan")}, {"omega": complex(0, float("inf"))}):
+        with pytest.raises(ValueError, match="Dirac coefficients must be finite"):
+            DiracParams(**bad)
+
+
+def test_coupling_table_fills_params_and_echo():
+    values = {key: f"[{i + 1}, {-i}]" if kind is complex else f"{i + 1}.5"
+              for i, (key, kind) in enumerate(COUPLINGS.items())}
+    text = ("[algebra]\nname = A_F\n[dirac]\ntype = CC_plus_Gamma\n"
+            + "".join(f"{key} = {value}\n" for key, value in values.items()))
+    params = parse_config(text).params
+    assert [f.name for f in dataclasses.fields(DiracParams)] == [k.lower() for k in COUPLINGS]
+    assert all(getattr(params, f.name) != 0 for f in dataclasses.fields(DiracParams))
+    assert params.ups_r == 5 - 4j and params.gamma == 8.5
+
+    cc = {"ups_nu", "ups_e", "ups_u", "ups_d", "ups_R", "omega", "delta"}
+    assert set(_config_echo(TripleConfig(dirac="CC", params=FIXTURE_PARAMS))["params"]) == cc
+    echo = _config_echo(TripleConfig(dirac="CC_plus_Gamma", params=FIXTURE_PARAMS))
+    assert echo["params"] == {"ups_nu": [1.0, 0.0], "ups_e": [2.0, 0.0], "ups_u": [3.0, 0.0],
+                              "ups_d": [4.0, 0.0], "ups_R": [5.0, 0.0], "omega": [6.0, 0.0],
+                              "delta": 7.0, "gamma": 8.0}
+    assert "params" not in _config_echo(TripleConfig(dirac="zero", params=FIXTURE_PARAMS))
+    custom = TripleConfig(dirac="custom", params=FIXTURE_PARAMS,
+                          custom_matrix=np.zeros((32, 32)))
+    assert "params" not in _config_echo(custom)
+
+
+def test_coupling_requires_its_dirac_type():
+    with pytest.raises(ConfigError, match=r"^line 5: gamma requires dirac type CC_plus_Gamma$"):
+        parse_config("[algebra]\nname = A_F\n[dirac]\ntype = CC\ngamma = 0.5\n")
+    with pytest.raises(ConfigError,
+                       match=r"^line 5: omega requires dirac type CC or CC_plus_Gamma$"):
+        parse_config("[algebra]\nname = A_F\n[dirac]\ntype = zero\nomega = [1, 0]\n")
 
 
 def test_malformed_complex():
