@@ -9,8 +9,9 @@ and names each config whose canonical report differs from its golden.
 config at every tol of ``SNAPSHOT_TOLS``, at every BLAS thread count of
 ``SNAPSHOT_THREADS``, to ``DIR/<threads>/<name>-<tol>.json``, and
 ``make_goldens.py --compare DIR`` exits 1 and names each one that the
-current code renders differently, with its first differing line, old and
-new.  Together they check that a change keeps the bytes of all 40 reports.
+current code renders differently, by its path under DIR (such as
+``2/thm1-1e-13.json``), with its first differing line, old and new.
+Together they check that a change keeps the bytes of all 40 reports.
 The BLAS thread count is fixed when numpy is loaded, so both modes re-run
 this script once per count, with OPENBLAS_NUM_THREADS set, into
 ``DIR/<threads>``.  The package is the one
@@ -53,19 +54,20 @@ def _report(name, tol=None):
     return render_json(run_all(cfg), normalize_timing=True)
 
 
-def _differs(path, text):
+def _differs(path, text, root):
     """Whether the report at path is missing or differs from text.
 
-    Prints ``differs: <file>`` and, for a file that exists, its first
-    differing line, old and new.
+    Prints ``differs: <file>``, the path relative to root, and, for a file
+    that exists, its first differing line, old and new.
     """
+    name = path.relative_to(root)
     if not path.exists():
-        print(f"differs: {path.name} (missing)")
+        print(f"differs: {name} (missing)")
         return True
     old = path.read_text()
     if old == text:
         return False
-    print(f"differs: {path.name}")
+    print(f"differs: {name}")
     lines = zip_longest(old.splitlines(), text.splitlines(), fillvalue="<end of file>")
     for number, (was, now) in enumerate(lines, start=1):
         if was != now:
@@ -84,7 +86,7 @@ def _goldens(check):
         if not check:
             path.write_text(text)
             print(f"wrote {path.name}")
-        elif _differs(path, text):
+        elif _differs(path, text, CONFIG_DIR):
             differing.append(name)
     return differing
 
@@ -99,7 +101,7 @@ def _snapshot(directory, compare):
             path = directory / f"{name}-{tol}.json"
             if not compare:
                 path.write_text(text)
-            elif _differs(path, text):
+            elif _differs(path, text, directory.parent):
                 differing.append(path.name)
     if not compare:
         print(f"wrote {len(GOLDEN_CONFIGS) * len(SNAPSHOT_TOLS)} reports to {directory}")

@@ -236,14 +236,15 @@ def grading(kind):
     raise ValueError(f"unknown grading kind {kind!r}")
 
 
-def dirac_free_part(params, include_gamma=False):
+def dirac_free_part(params, dirac):
     """The Dirac component generating one-forms.
 
     Lepton block: Yukawa entries coupling right and left rows, the omega
     entry mixing the down-type right slot with the antilepton row, and the
     delta entries mixing leptons with quarks inside the antiparticle rows.
-    Quark block: Yukawa and delta entries only.  include_gamma adds the
-    extra antiparticle-row coupling in the down-type right column.
+    Quark block: Yukawa and delta entries only.  The Dirac kinds that take
+    gamma (DIRAC_COUPLINGS) add the extra antiparticle-row coupling in the
+    down-type right column.
     """
     p = params
     lepton = np.zeros((LEFT_DIM, LEFT_DIM), dtype=complex)
@@ -264,7 +265,7 @@ def dirac_free_part(params, include_gamma=False):
     quark[5, 4] = p.delta
     d0 = (kron_action(lepton, right_unit(1, 1))
           + kron_action(quark, _EYE4 - right_unit(1, 1)))
-    if include_gamma:
+    if "gamma" in DIRAC_COUPLINGS.get(dirac, ()):
         d0 = d0 + p.gamma * kron_action(left_unit(5, 7) + left_unit(7, 5),
                                         right_unit(2, 2))
     return d0
@@ -291,8 +292,7 @@ def build_dirac(config):
         if linalg.hs_norm(d - d.conj().T) > config.tol * max(linalg.hs_norm(d), 1.0):
             raise ValueError("custom Dirac matrix must be Hermitian")
         return d, None
-    include_gamma = config.dirac == "CC_plus_Gamma"
-    d0 = dirac_free_part(config.params, include_gamma=include_gamma)
+    d0 = dirac_free_part(config.params, config.dirac)
     j = real_structure()
     d = d0 + j.conjugate_operator(d0) + dirac_majorana_term(config.params.ups_r)
     return d, d0
@@ -469,12 +469,12 @@ def random_group_element(rng, special=False):
 # One-form generators and witness operators
 
 
-def one_form_generators(params, include_gamma=False):
-    """The named generators of the one-form bimodule for the Dirac family.
+def one_form_generators(params, dirac):
+    """The named generators of the one-form bimodule for Dirac kind dirac.
 
     omega_nu and omega_e carry the Yukawa couplings on the up- and down-type
     left rows; xi and eta come from the omega and delta entries; zeta (only
-    with the extra coupling present) from the gamma entry.
+    for a kind that takes gamma, DIRAC_COUPLINGS) from the gamma entry.
     """
     p = params
     omega_nu = kron_action(left_unit(3, 1),
@@ -486,7 +486,7 @@ def one_form_generators(params, include_gamma=False):
     xi = kron_action(left_unit(5, 2), right_unit(1, 1))
     eta = kron_action(left_unit(5, 6), _EYE4)
     gens = [omega_nu, omega_e, xi, eta]
-    if include_gamma:
+    if "gamma" in DIRAC_COUPLINGS.get(dirac, ()):
         gens.append(kron_action(left_unit(5, 7), right_unit(2, 2)))
     return gens
 
@@ -505,7 +505,7 @@ def witness_catalog(params=FIXTURE_PARAMS):
         "e15_e11": kron_action(left_unit(1, 5), right_unit(1, 1)),
         "lepton_projection": lepton_projection(),
     }
-    omega_nu, omega_e, xi, eta, zeta = one_form_generators(params, include_gamma=True)
+    omega_nu, omega_e, xi, eta, zeta = one_form_generators(params, "CC_plus_Gamma")
     cat.update({"omega_nu": omega_nu, "omega_e": omega_e,
                 "xi": xi, "eta": eta, "zeta": zeta})
     return cat

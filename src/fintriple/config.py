@@ -34,6 +34,7 @@ import numpy as np
 
 from .catalog import (ALGEBRA_CHOICES, COUPLINGS, DIRAC_CHOICES, DIRAC_COUPLINGS,
                       GRADING_CHOICES, DiracParams, TripleConfig)
+from .layout import HILBERT_DIM
 from .linalg import TOL_FLOOR
 
 #: The keys each section accepts.
@@ -105,10 +106,16 @@ def _load_custom_matrix(lineno, path):
         raise ConfigError(lineno, f"cannot read matrix file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(lineno, f"matrix file {path} is not valid JSON: {exc.msg}") from None
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (32, 32, 2):
-        raise ConfigError(lineno, f"matrix file must hold a 32x32 array of [re, im] pairs, "
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(lineno, f"matrix file {path} is not an array of numbers") from None
+    n = HILBERT_DIM
+    if arr.shape != (n, n, 2):
+        raise ConfigError(lineno, f"matrix file must hold a {n}x{n} array of [re, im] pairs, "
                                   f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(lineno, f"matrix file {path} has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

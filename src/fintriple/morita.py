@@ -23,7 +23,6 @@ import numpy as np
 
 from . import catalog, linalg, star_algebra, subspaces
 from .linalg import DEFAULT_TOL
-from .subspaces import OperatorSubspace
 from .triple import _normalized, first_order_violation, zeroth_order_violation
 
 
@@ -59,11 +58,7 @@ def opposite_span(t, tol=DEFAULT_TOL):
     The Morita comparison for degenerate representations is against this
     minimal unitalization, which has the same commutant.
     """
-    span = subspaces.span_of(t.opposite_gens, tol=tol)
-    if not span.contains(linalg.identity(t.n)):
-        flat = np.vstack([span.flat, linalg.vec(linalg.identity(t.n))])
-        span = OperatorSubspace(flat, t.n, tol=tol)
-    return span
+    return subspaces.with_identity(subspaces.span_of(t.opposite_gens, tol=tol))
 
 
 def one_forms(t, span):
@@ -74,9 +69,9 @@ def one_forms(t, span):
     module over the algebra by the Leibniz identity, which the test-suite
     verifies rather than assumes.
     """
-    basis = np.array(span.basis_matrices()).reshape(-1, t.n, t.n)
-    if not len(basis):
-        return subspaces.span_of([], tol=span.tol, n=t.n)
+    if not span.dim:  # the zero space has no one-forms
+        return span
+    basis = span.matrices
     d = np.asarray(t.dirac, dtype=complex)
     return subspaces.product_span(basis, d @ basis - basis @ d, tol=span.tol)
 
@@ -90,8 +85,7 @@ def clifford(derived, even=False):
     t, tol = derived.t, derived.tol
     if even and t.grading is None:
         raise ValueError("even Clifford algebra requires a grading")
-    gens = list(derived.algebra_span.basis_matrices())
-    gens += derived.one_forms.basis_matrices()
+    gens = [*derived.algebra_span.matrices, *derived.one_forms.matrices]
     if even:
         gens.append(np.asarray(t.grading, dtype=complex))
     return star_algebra.star_closure(gens, tol=tol)
@@ -130,8 +124,7 @@ class Derived:
     def opposite_center(self):
         # adjoining 1 leaves the commutant of the opposite generators as it is
         return star_algebra.center(star_algebra.StarAlgebra(
-            space=self.opposite_span, commutant=self.opposite_commutant),
-            tol=self.tol)
+            space=self.opposite_span, commutant=self.opposite_commutant))
 
     @cached_property
     def one_forms(self):
@@ -195,10 +188,10 @@ def property_m(derived, even=False):
     derived.clifford_even when even (which raises ValueError on an odd
     triple), with derived.opposite_span.  Requires the order conditions;
     raises OrderConditionError otherwise.  The commutant the closure carries
-    is reused when solved at derived's tol (star_algebra.commutant_of).  The
-    even Clifford dimension is that of the bicommutant, read off the
-    closure: a finite-dimensional *-algebra A has A'' = A + C 1, so it is the
-    closure's dimension, plus one when the closure is not unital.
+    is reused (star_algebra.commutant_of).  The even Clifford dimension is
+    that of the bicommutant, read off the closure: a finite-dimensional
+    *-algebra A has A'' = A + C 1, so it is the closure's dimension, plus
+    one when the closure is not unital.
     """
     t, tol = derived.t, derived.tol
     z = zeroth_order_violation(t)
@@ -207,7 +200,7 @@ def property_m(derived, even=False):
         raise OrderConditionError(
             f"order-conditions-violated (zeroth {z:.3e}, first {f:.3e}, tol {tol:g})")
     cl = derived.clifford_even if even else derived.clifford_odd
-    comm = star_algebra.commutant_of(cl, tol)
+    comm = star_algebra.commutant_of(cl)
     opp = derived.opposite_span
     holds = subspaces.equals(comm, opp)
     return MoritaVerdict(
@@ -291,21 +284,20 @@ def _complexified_real_commutant(t, tol):
     return subspaces.intersect(c0, subspaces.conjugated(c0, t.real_structure))
 
 
-def _reducing_projection(herm, n, tol):
+def _reducing_projection(flat, n, tol):
     """Canonical reducing projection of a *-closed space of operators.
 
-    herm is a basis of the complex space, which contains the identity.  The
-    space minus its identity component is orthonormalized; these probes are
-    projected onto it in order: the diagonal matrix units E_kk, then the
-    Hermitian parts (E_f + E_f^T)/2 and then i (E_f - E_f^T)/2 of the matrix
-    units in vec order.  The projections are Hermitian, and on a *-closed
-    space they equal the real projections of E_kk, E_f and i E_f onto its
-    Hermitian elements.  The first with norm at least PROBE_FLOOR is the
-    element whose lowest eigenvalue cluster (gap threshold CLUSTER_GAP) is
-    returned.  The result depends on the space and not on its basis; None
-    when the space holds only the identity.
+    flat holds a basis of the complex space, which contains the identity, as
+    vec rows.  The space minus its identity component is orthonormalized;
+    these probes are projected onto it in order: the diagonal matrix units
+    E_kk, then the Hermitian parts (E_f + E_f^T)/2 and then
+    i (E_f - E_f^T)/2 of the matrix units in vec order.  The projections
+    are Hermitian, and on a *-closed space they equal the real projections
+    of E_kk, E_f and i E_f onto its Hermitian elements.  The first with norm
+    at least PROBE_FLOOR is the element whose lowest eigenvalue cluster (gap
+    threshold CLUSTER_GAP) is returned.  The result depends on the space and
+    not on its basis; None when the space holds only the identity.
     """
-    flat = np.array([linalg.vec(m) for m in herm])
     eye_dir = linalg.vec(linalg.identity(n)) / np.sqrt(n)
     flat = flat - np.outer(flat @ eye_dir.conj(), eye_dir)
     if np.linalg.norm(flat, axis=1).max() <= tol:
@@ -352,9 +344,8 @@ def irreducible(derived):
     comm = _complexified_real_commutant(t, tol)
     # row j of sigma is σ of basis row j of comm
     sigma = subspaces.conjugated(subspaces.adjoint(comm), t.real_structure)
-    fixed = OperatorSubspace(0.5 * (comm.flat + sigma.flat), n, tol=tol)
-    projection = (None if fixed.dim <= 1
-                  else _reducing_projection(fixed.basis_matrices(), n, tol))
+    fixed = subspaces.span_of(0.5 * (comm.matrices + sigma.matrices), tol=tol)
+    projection = None if fixed.dim <= 1 else _reducing_projection(fixed.flat, n, tol)
     return IrreducibilityVerdict(projection is None, comm.dim, fixed.dim, projection)
 
 

@@ -134,15 +134,13 @@ def _describe_operator(op, floor):
     return "; ".join(parts)
 
 
-def _bimodule_span(gens, alg_basis, tol):
-    """Span of the products a g b over the generators g and basis elements a, b.
+def _bimodule_span(gens, basis, tol):
+    """Span of the products a g b over the generators g and a (d, n, n) basis.
 
     subspaces.product_span builds it one product a g at a time, times every
     b, on the products' structural support; the list of all products is
     never held.
     """
-    n = gens[0].shape[0]
-    basis = np.array(alg_basis).reshape(-1, n, n)
     return subspaces.product_span(basis, basis, tol=tol, middle=np.array(gens))
 
 
@@ -216,8 +214,8 @@ def _one_forms(run, rec):
     cfg, tol, rng = run.cfg, run.tol, run.rng
     om = run.derived.one_forms
     rec.dims["one_forms"] = om.dim
-    alg_basis = run.derived.algebra_span.basis_matrices()
-    om_basis = om.basis_matrices()
+    alg_basis = run.derived.algebra_span.matrices
+    om_basis = om.matrices
     worst = 0.0
     for _ in range(8):
         a = alg_basis[rng.randrange(len(alg_basis))]
@@ -232,8 +230,7 @@ def _one_forms(run, rec):
     named_applicable = (cfg.algebra == "A_F" and bool(couplings)
                         and all(abs(c) > 1e-12 for c in couplings.values()))
     if named_applicable:
-        gens = catalog.one_form_generators(
-            cfg.params, include_gamma=(cfg.dirac == "CC_plus_Gamma"))
+        gens = catalog.one_form_generators(cfg.params, cfg.dirac)
         named = _bimodule_span(gens + [g.conj().T for g in gens], alg_basis, tol)
         rec.dims["named_generator_bimodule"] = named.dim
         ok = ok and subspaces.equals(om, named)
@@ -261,12 +258,12 @@ def _clifford_even(run, rec):
 def _gamma_in_clifford_odd(run, rec):
     cl = run.derived.clifford_odd
     if run.t.grading is not None:
-        member = cl.contains(run.t.grading)
+        member = cl.space.contains(run.t.grading)
         rec.details = "triple grading"
         rec.status = PASS if member else FAIL
     else:
-        member_std = cl.contains(catalog.grading("standard"))
-        member_non = cl.contains(catalog.grading("nonstandard"))
+        member_std = cl.space.contains(catalog.grading("standard"))
+        member_non = cl.space.contains(catalog.grading("nonstandard"))
         rec.details = f"standard: {member_std}, nonstandard: {member_non}"
         rec.status = PASS if (member_std and member_non) else FAIL
 

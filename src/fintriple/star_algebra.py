@@ -1,5 +1,10 @@
 """Star-algebras as multiplicatively closed operator subspaces.
 
+A StarAlgebra is read through its space: the basis is space.matrices,
+membership space.contains.  commutant_of returns the commutant an algebra
+carries or solves one from its span; unitalize adjoins the identity by
+subspaces.with_identity.
+
 star_closure builds the smallest complex *-subalgebra alg(S) containing a
 generator set as a bicommutant, with the one commutant solver
 (subspaces.commutant).  The seed S is the span of the generators and their
@@ -63,12 +68,6 @@ class StarAlgebra:
     def unital(self):
         return self.space.contains(linalg.identity(self.n))
 
-    def basis_matrices(self):
-        return self.space.basis_matrices()
-
-    def contains(self, x, tol=None):
-        return self.space.contains(x, tol=tol)
-
 
 def closure_defect(space):
     """Largest relative residual of basis products/adjoints outside the span.
@@ -78,8 +77,7 @@ def closure_defect(space):
     it needs nothing from the closure's construction, so it is an
     independent re-check of a finished closure.
     """
-    flat, n = space.flat, space.n
-    mats = flat.reshape(-1, n, n).transpose(0, 2, 1)
+    mats, n = space.matrices, space.n
     # vec of the adjoint is the conjugate of the C-order flattening
     worst = np.linalg.norm(space.outside(np.conj(mats.reshape(-1, n * n))),
                            axis=1).max(initial=0.0)
@@ -103,53 +101,37 @@ def star_closure(gens, tol=DEFAULT_TOL):
     is alg(S).  The result carries C and the defect, the largest residual
     of a seed element outside the closure.
     """
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    if not gens:
+    if not len(gens):
         raise ValueError("star_closure needs at least one generator")
-    seed = subspaces.span_of(gens + [g.conj().T for g in gens], tol=tol)
+    seed = subspaces.span_of([*gens, *(np.conj(g).T for g in gens)], tol=tol)
     n = seed.n
     comm = subspaces.commutant(seed)
     if not seed.dim:  # zero generators close onto the zero algebra
         return StarAlgebra(space=seed, defect=0.0, commutant=comm)
     flat = subspaces.commutant(comm).flat
-    # the rows v with seed_mats v = 0, stacked, are an orthonormal basis of K
-    seed_mats = seed.flat.reshape(-1, n, n).transpose(0, 2, 1)
-    kernel = linalg.left_kernel(seed_mats.reshape(-1, n).T, tol)
+    # the rows v with M v = 0 for every seed matrix M are an orthonormal basis of K
+    kernel = linalg.left_kernel(seed.matrices.reshape(-1, n).T, tol)
     if kernel.shape[0]:
         p = linalg.vec(kernel.T @ kernel.conj())
         p /= np.linalg.norm(p)
         flat = linalg.orthonormal_rows(flat - np.outer(flat @ p.conj(), p), tol=tol)
-    space = OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+    space = OperatorSubspace(flat, n, tol=tol)
     defect = float(np.linalg.norm(space.outside(seed.flat), axis=1).max())
     return StarAlgebra(space=space, defect=defect, commutant=comm)
 
 
-def commutant_of(algebra, tol):
-    """The commutant of an algebra at tol.
-
-    The commutant the algebra carries is reused when it was solved at tol;
-    otherwise (none carried, or another tol) it is solved from the algebra's
-    span, taken at tol.
-    """
+def commutant_of(algebra):
+    """The commutant the algebra carries, else one solved from its span."""
     comm = algebra.commutant
-    if comm is None or comm.tol != tol:
-        space = algebra.space
-        comm = subspaces.commutant(OperatorSubspace(space.flat, space.n, tol=tol,
-                                                    orthonormal=True))
-    return comm
+    return subspaces.commutant(algebra.space) if comm is None else comm
 
 
-def center(algebra, tol=None):
+def center(algebra):
     """Z(A) = A intersected with its commutant (commutant_of)."""
-    tol = algebra.space.tol if tol is None else tol
-    return subspaces.intersect(algebra.space, commutant_of(algebra, tol))
+    return subspaces.intersect(algebra.space, commutant_of(algebra))
 
 
 def unitalize(algebra):
     """Adjoin the identity; a no-op when the algebra is already unital."""
-    if algebra.unital:
-        return algebra
-    n = algebra.n
-    flat = np.vstack([algebra.space.flat, linalg.vec(linalg.identity(n))])
-    space = OperatorSubspace(flat, n, tol=algebra.space.tol)
-    return StarAlgebra(space=space)
+    space = subspaces.with_identity(algebra.space)
+    return algebra if space is algebra.space else StarAlgebra(space=space)

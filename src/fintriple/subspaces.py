@@ -1,10 +1,13 @@
 """Operator subspaces as first-class values.
 
-An OperatorSubspace stores an orthonormal Hilbert-Schmidt basis of a complex
-space of n x n operators.  Sum, intersection, complement, membership and
-commutant all reduce subspace questions to the single rank rule in linalg.
-product_span spans the products of stacks of operators one chunk at a
-time, each on its structural support.
+An OperatorSubspace is a complex space of n x n operators under one
+contract: span_of is the one constructor that orthonormalizes (subspace_sum
+and with_identity go through it), the basis reads as vec rows (flat) or as
+a (d, n, n) view (matrices), and membership is decided at the space's tol.
+Sum, intersection, complement, membership and commutant reduce subspace
+questions to the single rank rule in linalg.  product_span spans the
+products of stacks of operators one chunk at a time, each on its
+structural support.
 Real spaces never need a basis of their own: the Hermitian elements of a
 span are the Hermitian parts of its largest *-closed subspace, and the real
 commutant of morita is a real form of a complex space.
@@ -67,29 +70,18 @@ _CERTIFICATE_CHUNK = 1 << 14
 
 
 class OperatorSubspace:
-    """Span of n x n operators with an orthonormal HS basis.
+    """Span of n x n operators, held as an orthonormal HS basis.
 
-    flat holds the basis as rows of length n*n (column-major vec); it is
-    orthonormalized at construction unless the caller asserts it already is.
-    Immutable after construction.
+    flat holds the basis as rows of length n*n (column-major vec), kept as
+    given: rows from span_of, or from a solver that makes them orthonormal.
+    matrices is the same basis as a (d, n, n) view.  contains, contains_rows
+    and equals decide at tol.  Immutable after construction.
     """
 
-    def __init__(self, flat, n, tol=DEFAULT_TOL, orthonormal=False):
-        flat = np.asarray(flat, dtype=complex).reshape(-1, n * n)
-        if not orthonormal:
-            flat = linalg.orthonormal_rows(flat, tol=tol)
-        self.flat = flat
+    def __init__(self, flat, n, tol=DEFAULT_TOL):
+        self.flat = np.asarray(flat, dtype=complex).reshape(-1, n * n)
         self.n = n
         self.tol = tol
-
-    @classmethod
-    def from_matrices(cls, mats, tol=DEFAULT_TOL):
-        mats = list(mats)
-        if not mats:
-            raise ValueError("need at least one matrix to infer the dimension")
-        n = np.asarray(mats[0]).shape[0]
-        flat = np.array([linalg.vec(m) for m in mats])
-        return cls(flat, n, tol=tol)
 
     @property
     def dim(self):
@@ -97,37 +89,26 @@ class OperatorSubspace:
         return self.flat.shape[0]
 
     @property
-    def ambient_dim(self):
-        return self.n * self.n
-
-    def basis_matrices(self):
-        return [linalg.unvec(row, self.n, self.n) for row in self.flat]
-
-    def coefficients(self, x):
-        return self.flat.conj() @ linalg.vec(x)
+    def matrices(self):
+        """The basis as a (d, n, n) stack, a view of flat."""
+        return self.flat.reshape(-1, self.n, self.n).transpose(0, 2, 1)
 
     def project(self, x):
-        c = self.coefficients(x)
+        c = self.flat.conj() @ linalg.vec(x)
         return linalg.unvec(c @ self.flat, self.n, self.n)
 
     def residual(self, x):
         """HS distance from x to the subspace."""
         return linalg.hs_norm(np.asarray(x, dtype=complex) - self.project(x))
 
-    def contains(self, x, tol=None):
+    def contains(self, x):
         """True iff ||x - P(x)|| <= tol * ||x||; the zero operator is always in."""
-        return self.contains_all([x], tol=tol)
+        return self.contains_rows(linalg.vec(x)[None])
 
-    def contains_all(self, mats, tol=None):
-        """contains for every operator, all projected by one GEMM."""
-        rows = np.array([linalg.vec(m) for m in mats]).reshape(-1, self.ambient_dim)
-        return self.contains_rows(rows, tol=tol)
-
-    def contains_rows(self, rows, tol=None):
+    def contains_rows(self, rows):
         """contains for every operator given by its vec row."""
-        tol = self.tol if tol is None else tol
         resid = np.linalg.norm(self.outside(rows), axis=1)
-        return bool(np.all(resid <= tol * np.linalg.norm(rows, axis=1)))
+        return bool(np.all(resid <= self.tol * np.linalg.norm(rows, axis=1)))
 
     def outside(self, rows):
         """The parts of the vec rows outside the span: rows less their projections.
@@ -148,13 +129,28 @@ def _check_compatible(s, t):
 
 
 def span_of(mats, tol=DEFAULT_TOL, n=None):
-    """Orthonormalized span of a list of operators."""
-    mats = list(mats)
-    if not mats:
+    """Orthonormalized span of operators, a list or a (k, n, n) stack.
+
+    The one constructor that orthonormalizes (linalg.orthonormal_rows).  An
+    empty list needs the ambient n.
+    """
+    if not len(mats):
         if n is None:
             raise ValueError("empty generator list needs an explicit ambient n")
-        return OperatorSubspace(np.zeros((0, n * n)), n, tol=tol, orthonormal=True)
-    return OperatorSubspace.from_matrices(mats, tol=tol)
+        return OperatorSubspace(np.zeros((0, n * n)), n, tol=tol)
+    n = len(mats[0])
+    # the vec rows are the C-order rows of the transposes; a stack made
+    # from a list is let go before the factorization
+    rows = np.transpose(np.asarray(mats, dtype=complex), (0, 2, 1)).reshape(-1, n * n)
+    return OperatorSubspace(linalg.orthonormal_rows(rows, tol=tol), n, tol=tol)
+
+
+def with_identity(space):
+    """space + C 1; space itself when it already holds the identity."""
+    eye = linalg.identity(space.n)
+    if space.contains(eye):
+        return space
+    return span_of(np.concatenate([space.matrices, eye[None]]), tol=space.tol)
 
 
 def product_span(left, right, tol=DEFAULT_TOL, middle=None):
@@ -202,14 +198,13 @@ def product_span(left, right, tol=DEFAULT_TOL, middle=None):
             rows[:, at[inside]] = block[:, inside]
             kept.append(rows[rows.any(axis=1)])
     flat = linalg.orthonormal_rows(np.vstack(kept), tol=tol, columns=coords, width=n * n)
-    return OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+    return OperatorSubspace(flat, n, tol=tol)
 
 
 def subspace_sum(s, t):
     """Span of the union."""
     _check_compatible(s, t)
-    flat = np.vstack([s.flat, t.flat])
-    return OperatorSubspace(flat, s.n, tol=min(s.tol, t.tol))
+    return span_of(np.concatenate([s.matrices, t.matrices]), tol=min(s.tol, t.tol), n=s.n)
 
 
 def outside_svd(s, t):
@@ -247,26 +242,25 @@ def intersect(s, t):
     _check_compatible(s, t)
     tol = min(s.tol, t.tol)
     if s.dim == 0 or t.dim == 0:
-        return OperatorSubspace(np.zeros((0, s.ambient_dim)), s.n, tol=tol, orthonormal=True)
+        return OperatorSubspace(np.zeros((0, s.n * s.n)), s.n, tol=tol)
     _, _, vh, rank = outside_svd(s, t)
-    return OperatorSubspace(vh[rank:] @ s.flat, s.n, tol=tol, orthonormal=True)
+    return OperatorSubspace(vh[rank:] @ s.flat, s.n, tol=tol)
 
 
-def equals(s, t, tol=None):
-    """Mutual containment at the working tolerance."""
+def equals(s, t):
+    """Mutual containment, each side at its own tol."""
     _check_compatible(s, t)
     if s.dim != t.dim:
         return False
-    return t.contains_rows(s.flat, tol=tol) and s.contains_rows(t.flat, tol=tol)
+    return t.contains_rows(s.flat) and s.contains_rows(t.flat)
 
 
 def complement(s):
     """HS-orthogonal complement within the ambient operator space."""
     if s.dim == 0:
-        return OperatorSubspace(np.eye(s.ambient_dim, dtype=complex), s.n, tol=s.tol,
-                                orthonormal=True)
+        return OperatorSubspace(np.eye(s.n * s.n, dtype=complex), s.n, tol=s.tol)
     _, _, vh = np.linalg.svd(s.flat, full_matrices=True)
-    return OperatorSubspace(vh[s.dim:], s.n, tol=s.tol, orthonormal=True)
+    return OperatorSubspace(vh[s.dim:], s.n, tol=s.tol)
 
 
 def commutator_gram(gens):
@@ -488,7 +482,7 @@ def commutant(space):
     """
     n, tol = space.n, space.tol
     if not space.dim:
-        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol, orthonormal=True)
+        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol)
     rng = random.Random(_COMMUTANT_SEED)
     u, clusters = _generic_eigenblocks(space, rng)
     local = _conjugate(u, space.flat.reshape(-1, n, n))
@@ -530,15 +524,14 @@ def commutant(space):
         np.matmul(u_q @ _unit_stack(z, rows, cols, len(idx)), u_q.conj().T,
                   out=x[start:start + len(z)])
         start += len(z)
-    return OperatorSubspace(x.reshape(-1, n * n), n, tol=tol, orthonormal=True)
+    return OperatorSubspace(x.reshape(-1, n * n), n, tol=tol)
 
 
 def adjoint(space):
     """S* = {X*: X in S}, the adjoints of S's orthonormal basis, which are one."""
     n = space.n
     # the vec of X* is the conjugate of the row-major flattening of X
-    mats = np.conj(space.flat.reshape(-1, n, n).transpose(0, 2, 1))
-    return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol, orthonormal=True)
+    return OperatorSubspace(np.conj(space.matrices).reshape(-1, n * n), n, tol=space.tol)
 
 
 def conjugated(space, real_structure):
@@ -553,4 +546,4 @@ def conjugated(space, real_structure):
     k = real_structure.matrix
     # on row-major reshapes (transposes) the map reads the same
     mats = k @ space.flat.conj().reshape(-1, n, n) @ k.T
-    return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol, orthonormal=True)
+    return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol)

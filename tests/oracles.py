@@ -253,7 +253,7 @@ def dense_commutant(gens, tol=linalg.DEFAULT_TOL):
     mats = _normalized_generators(gens, [], n, tol)
     kernel = linalg.kernel_from_gram(
         subspaces.commutator_gram(mats), (len(mats) + 1) * n * n, tol)
-    return subspaces.OperatorSubspace(kernel, n, tol=tol, orthonormal=True)
+    return subspaces.OperatorSubspace(kernel, n, tol=tol)
 
 
 def dense_real_commutant_with_j(gens, extra_ops, k_matrix, n, tol=linalg.DEFAULT_TOL):
@@ -373,7 +373,7 @@ def dense_star_closure(gens, tol=linalg.DEFAULT_TOL, rng_seed=_CLOSURE_SEED):
         flat, grown = _extend_basis(flat, offenders, tol)
         if grown == 0:
             flat = linalg.orthonormal_rows(np.vstack([flat, offenders]), tol=tol)
-    space = subspaces.OperatorSubspace(flat, n, tol=tol, orthonormal=True)
+    space = subspaces.OperatorSubspace(flat, n, tol=tol)
     return space, space.contains(linalg.identity(n)), worst
 
 

@@ -71,9 +71,9 @@ def test_criterion_03_morita_with_grading(draws):
         assert even.commutant_dim == 15
         opp = morita.opposite_span(t)
         comm_even = subspaces.commutant(
-            subspaces.span_of(cl.basis_matrices() + [np.asarray(t.grading)], tol=1e-9))
-        assert subspaces.equals(comm_even, opp, tol=1e-9)
-        assert not cl.contains(t.grading)
+            subspaces.span_of([*cl.space.matrices, np.asarray(t.grading)], tol=1e-9))
+        assert subspaces.equals(comm_even, opp)
+        assert not cl.space.contains(t.grading)
     _line(3, "Morita property holds with the grading only (19 vs 15), "
              "grading outside the odd Clifford algebra, 5 draws")
 
@@ -85,8 +85,8 @@ def test_criterion_04_morita_odd_case(draws):
         cl = d.clifford_odd
         v = morita.property_m(d)
         assert v.holds is True
-        assert cl.contains(catalog.grading("standard"))
-        assert cl.contains(catalog.grading("nonstandard"))
+        assert cl.space.contains(catalog.grading("standard"))
+        assert cl.space.contains(catalog.grading("nonstandard"))
     _line(4, "Morita property holds for the augmented odd triple and the "
              "grading joins the odd Clifford algebra, 5 draws")
 
@@ -110,7 +110,7 @@ def test_criterion_05_negative_controls(draws):
             w = v.witness
             assert w is not None
             assert linalg.hs_norm(w) == pytest.approx(1.0, abs=1e-9)
-            basis = cl.basis_matrices() + ([np.asarray(t.grading)] if even else [])
+            basis = [*cl.space.matrices] + ([np.asarray(t.grading)] if even else [])
             assert max(linalg.hs_norm(w @ b - b @ w) for b in basis) <= 1e-10
             assert opp.residual(w) >= 0.9
     _line(5, "vanishing mixing coupling breaks the Morita property with a "
@@ -123,16 +123,15 @@ def test_criterion_06_one_form_generators(draws):
             t = _triple_for(params, grading="none", dirac=dirac)
             d = morita.Derived(t)
             om = d.one_forms
-            alg = d.algebra_span.basis_matrices()
-            gens = catalog.one_form_generators(
-                params, include_gamma=(dirac == "CC_plus_Gamma"))
+            alg = d.algebra_span.matrices
+            gens = catalog.one_form_generators(params, dirac)
             mats = []
             for g in gens + [g.conj().T for g in gens]:
                 for a in alg:
                     for b in alg:
                         mats.append(a @ g @ b)
             named = subspaces.span_of(mats)
-            assert subspaces.equals(om, named, tol=1e-9)
+            assert subspaces.equals(om, named)
     _line(6, "one-form module equals the named-generator bimodule for both "
              "Dirac families, 5 draws")
 
@@ -207,7 +206,7 @@ def test_criterion_10_unitalization():
     grown = star_algebra.unitalize(alg)
     assert grown.dim == 15
     target = subspaces.span_of(catalog.algebra_af_generators())
-    assert subspaces.equals(grown.space, target, tol=1e-9)
+    assert subspaces.equals(grown.space, target)
     _line(10, "degenerate representation unitalizes onto the default "
               "algebra span (14 -> 15)")
 
@@ -243,9 +242,9 @@ def test_criterion_11_property_suite(af_commutant, af_opposite_commutant,
         gens = _random_block_gens(rng, 8)
         alg = star_algebra.star_closure(gens)
         double = subspaces.commutant(subspaces.commutant(alg.space))
-        assert subspaces.equals(double, alg.space, tol=1e-9)
-        again = star_algebra.star_closure(alg.basis_matrices())
-        assert subspaces.equals(again.space, alg.space, tol=1e-9)
+        assert subspaces.equals(double, alg.space)
+        again = star_algebra.star_closure(alg.space.matrices)
+        assert subspaces.equals(again.space, alg.space)
 
     # complement commutator property, 100 randomized pairs
     span = subspaces.span_of(catalog.algebra_af_generators())

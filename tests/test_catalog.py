@@ -33,7 +33,7 @@ def test_golden_gradings():
 
 
 def test_golden_dirac_free_part_fixture():
-    d0 = catalog.dirac_free_part(catalog.FIXTURE_PARAMS, include_gamma=True)
+    d0 = catalog.dirac_free_part(catalog.FIXTURE_PARAMS, "CC_plus_Gamma")
     np.testing.assert_allclose(d0, oracles.expected_dirac_free_part_fixture(),
                                atol=0)
     d_r = catalog.dirac_majorana_term(catalog.FIXTURE_PARAMS.ups_r)
@@ -125,21 +125,21 @@ def test_dirac_is_hermitian_and_j_commuting():
 def test_dirac_grading_compatibility():
     # without the mixing entries both gradings anticommute with the free part
     plain = catalog.DiracParams(ups_nu=1, ups_e=2, ups_u=3, ups_d=4)
-    d0 = catalog.dirac_free_part(plain)
+    d0 = catalog.dirac_free_part(plain, "CC")
     assert triple.grading_compatible(d0, catalog.grading("standard"))
     assert triple.grading_compatible(d0, catalog.grading("nonstandard"))
     # the lepton-quark mixing entry only fits the non-standard grading
-    delta_term = catalog.dirac_free_part(catalog.DiracParams(delta=1.0))
+    delta_term = catalog.dirac_free_part(catalog.DiracParams(delta=1.0), "CC")
     assert not triple.grading_compatible(delta_term, catalog.grading("standard"))
     assert triple.grading_compatible(delta_term, catalog.grading("nonstandard"))
     assert triple.grading_compatible(np.zeros((32, 32)), catalog.grading("standard"))
     # the antilepton mixing entry fits both
-    omega_term = catalog.dirac_free_part(catalog.DiracParams(omega=1.0))
+    omega_term = catalog.dirac_free_part(catalog.DiracParams(omega=1.0), "CC")
     assert triple.grading_compatible(omega_term, catalog.grading("standard"))
     assert triple.grading_compatible(omega_term, catalog.grading("nonstandard"))
     # the gamma entry fits only the non-standard grading
     gamma_term = catalog.dirac_free_part(catalog.DiracParams(gamma=1.0),
-                                         include_gamma=True)
+                                         "CC_plus_Gamma")
     assert not triple.grading_compatible(gamma_term, catalog.grading("standard"))
     assert triple.grading_compatible(gamma_term, catalog.grading("nonstandard"))
 
@@ -297,7 +297,7 @@ def test_witness_omega_nu_matches_commutator():
     d, _ = catalog.build_dirac(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="CC", params=params))
     x33 = linalg.kron_action(oracles._unit8(3, 3), np.eye(4, dtype=complex))
-    omega_nu = catalog.one_form_generators(params)[0]
+    omega_nu = catalog.one_form_generators(params, "CC")[0]
     np.testing.assert_allclose(-x33 @ (d @ x33 - x33 @ d), omega_nu, atol=1e-13)
 
 

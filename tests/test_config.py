@@ -196,8 +196,19 @@ def test_custom_matrix_roundtrip(tmp_path):
         parse_config("[algebra]\nname = A_F\n[dirac]\ntype = custom\n")
 
 
+_ZERO_PAIRS = [[[0.0, 0.0]] * 32] * 32
+
+
 def test_custom_matrix_bad_shape(tmp_path):
-    (tmp_path / "bad.json").write_text(json.dumps([[1.0, 2.0]]))
+    # each malformed matrix file is a config error on its matrix_file line
     text = "[algebra]\nname = A_F\n[dirac]\ntype = custom\nmatrix_file = bad.json\n"
-    with pytest.raises(ConfigError, match="32x32"):
-        parse_config(text, base_dir=tmp_path)
+    for content, message in (
+            (json.dumps([[1.0, 2.0]]), "must hold a 32x32 array"),
+            (json.dumps([[1.0, 2.0], [3.0]]), "is not an array of numbers"),
+            (json.dumps([[["a", 0.0]] * 32] * 32), "is not an array of numbers"),
+            (json.dumps(_ZERO_PAIRS).replace("0.0", "NaN", 1), "has non-finite entries")):
+        (tmp_path / "bad.json").write_text(content)
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(text, base_dir=tmp_path)
+        assert err.value.line == 5
+        assert str(err.value).startswith("line 5: ")

@@ -26,15 +26,15 @@ def test_one_forms_zero_dirac():
 
 def test_one_forms_named_generators(thm1_derived):
     om = thm1_derived.one_forms
-    alg = thm1_derived.algebra_span.basis_matrices()
-    named = _bimodule(catalog.one_form_generators(BASE, include_gamma=False), alg)
+    alg = thm1_derived.algebra_span.matrices
+    named = _bimodule(catalog.one_form_generators(BASE, "CC"), alg)
     assert subspaces.equals(om, named)
 
 
 def test_one_forms_named_generators_with_gamma(thm2_derived):
     om = thm2_derived.one_forms
-    alg = thm2_derived.algebra_span.basis_matrices()
-    named = _bimodule(catalog.one_form_generators(BASE, include_gamma=True), alg)
+    alg = thm2_derived.algebra_span.matrices
+    named = _bimodule(catalog.one_form_generators(BASE, "CC_plus_Gamma"), alg)
     assert subspaces.equals(om, named)
 
 
@@ -74,8 +74,8 @@ def test_algebra_commutant_traced_peak_on_thm1():
 def test_one_forms_two_sided_module(thm2_derived):
     rng = np.random.default_rng(61)
     om = thm2_derived.one_forms
-    alg = thm2_derived.algebra_span.basis_matrices()
-    oms = om.basis_matrices()
+    alg = thm2_derived.algebra_span.matrices
+    oms = om.matrices
     for _ in range(10):
         a = alg[rng.integers(len(alg))]
         b = alg[rng.integers(len(alg))]
@@ -105,15 +105,15 @@ def test_theorem_grading_separates_cliffords(thm1_triple, thm1_derived):
     thm1_clifford, even = thm1_derived.clifford_odd, thm1_derived.clifford_even
     assert thm1_clifford.dim == 96
     assert even.dim == 112
-    assert not thm1_clifford.contains(thm1_triple.grading)
-    assert even.contains(thm1_triple.grading)
-    for b in thm1_clifford.basis_matrices():
-        assert even.contains(b)
+    assert not thm1_clifford.space.contains(thm1_triple.grading)
+    assert even.space.contains(thm1_triple.grading)
+    for b in thm1_clifford.space.matrices:
+        assert even.space.contains(b)
 
 
 def test_gamma_inside_odd_clifford_with_extra_coupling(thm2_clifford):
-    assert thm2_clifford.contains(catalog.grading("standard"))
-    assert thm2_clifford.contains(catalog.grading("nonstandard"))
+    assert thm2_clifford.space.contains(catalog.grading("standard"))
+    assert thm2_clifford.space.contains(catalog.grading("nonstandard"))
 
 
 def test_property_m_theorem_even_case(thm1_derived):
@@ -212,7 +212,7 @@ def test_property_m_scale_invariance(thm1_triple):
 def test_opposite_always_inside_clifford_commutant(thm1_triple, thm1_clifford):
     comm = subspaces.commutant(thm1_clifford.space)
     opp = morita.opposite_span(thm1_triple)
-    assert all(comm.contains(b) for b in opp.basis_matrices())
+    assert all(comm.contains(b) for b in opp.matrices)
 
 
 def test_clifford_bicommutant(thm1_clifford):
@@ -268,7 +268,7 @@ def _assert_morita_failure_witness(t, x):
     outside the opposite algebra (non-membership, with a quantitative
     floor): a hand witness that the Morita property with grading fails."""
     cl = morita.Derived(t).clifford_odd
-    basis = cl.basis_matrices() + [np.asarray(t.grading)]
+    basis = [*cl.space.matrices, np.asarray(t.grading)]
     assert max(linalg.hs_norm(x @ b - b @ x) for b in basis) <= 1e-10
     opp = morita.opposite_span(t)
     assert not opp.contains(x)
@@ -348,14 +348,14 @@ def test_orthogonal_witness_is_basis_independent():
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
     opp_mats = [np.eye(n, dtype=complex), rand(), rand()]
-    opposite = subspaces.OperatorSubspace.from_matrices(opp_mats)
-    comm = subspaces.OperatorSubspace.from_matrices(opp_mats + [rand(), rand(), rand()])
+    opposite = subspaces.span_of(opp_mats)
+    comm = subspaces.span_of(opp_mats + [rand(), rand(), rand()])
     w = morita._orthogonal_witness(comm, opposite)
     for _ in range(3):
         comm_rot = subspaces.OperatorSubspace(
-            _random_unitary(rng, comm.dim) @ comm.flat, n, orthonormal=True)
+            _random_unitary(rng, comm.dim) @ comm.flat, n)
         opp_rot = subspaces.OperatorSubspace(
-            _random_unitary(rng, opposite.dim) @ opposite.flat, n, orthonormal=True)
+            _random_unitary(rng, opposite.dim) @ opposite.flat, n)
         w_rot = morita._orthogonal_witness(comm_rot, opp_rot)
         np.testing.assert_allclose(w_rot, w, rtol=0, atol=1e-12)
         assert (report._describe_operator(w_rot, 1e-12)
@@ -369,6 +369,10 @@ def test_orthogonal_witness_is_basis_independent():
 
 _FLAT_DIAGONAL = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
 _IMAGINARY_PAIR = np.kron(np.eye(2), np.array([[0, -1j], [1j, 0]]))
+
+
+def _vec_rows(mats):
+    return np.array([linalg.vec(m) for m in mats])
 
 
 @pytest.mark.parametrize("basis, expected", [
@@ -386,19 +390,19 @@ def test_reducing_projection_is_basis_independent(basis, expected):
     rng = np.random.default_rng(12)
     n = 4
     basis = [m.astype(complex) for m in basis]
-    proj = morita._reducing_projection(basis, n, 1e-9)
+    proj = morita._reducing_projection(_vec_rows(basis), n, 1e-9)
     np.testing.assert_allclose(proj, expected, rtol=0, atol=1e-12)
     for _ in range(3):
         q, _r = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
         rotated = [sum(c * m for c, m in zip(row, basis)) for row in q]
-        proj_rot = morita._reducing_projection(rotated, n, 1e-9)
+        proj_rot = morita._reducing_projection(_vec_rows(rotated), n, 1e-9)
         np.testing.assert_allclose(proj_rot, proj, rtol=0, atol=1e-12)
         assert (report._describe_operator(proj_rot, 1e-12)
                 == report._describe_operator(proj, 1e-12))
 
 
 def test_reducing_projection_identity_only():
-    assert morita._reducing_projection([np.eye(4, dtype=complex)], 4, 1e-9) is None
+    assert morita._reducing_projection(_vec_rows([np.eye(4, dtype=complex)]), 4, 1e-9) is None
 
 
 def test_irreducibility_theorems(thm1_triple, thm2_triple):
@@ -501,7 +505,7 @@ def test_real_commutant_with_j_matches_dense_oracle(name, request):
     m = morita._complexified_real_commutant(t, 1e-9)
     dense = oracles.dense_real_commutant_with_j(t.algebra_gens, extra, k, t.n)
     assert dense.shape[0] == m.dim
-    assert subspaces.equals(subspaces.OperatorSubspace(dense, t.n), m)
+    assert subspaces.equals(subspaces.OperatorSubspace(linalg.orthonormal_rows(dense), t.n), m)
     assert max(t.real_structure.commutation_residual(linalg.unvec(row, t.n, t.n))
                for row in dense) <= 1e-9
     # the Hermitian part of R has the real dimension selfadjoint_dim counts
@@ -519,12 +523,12 @@ def test_commutants_solved_from_scratch_nest(name):
     tol = cfg.tol
     d = morita.Derived(t, tol)
     alg = d.algebra_commutant
-    odd = star_algebra.commutant_of(d.clifford_odd, tol)
-    assert alg.contains_all(odd.basis_matrices())
+    odd = star_algebra.commutant_of(d.clifford_odd)
+    assert alg.contains_rows(odd.flat)
     if t.grading is not None:
-        even = star_algebra.commutant_of(d.clifford_even, tol)
-        assert odd.contains_all(even.basis_matrices())
+        even = star_algebra.commutant_of(d.clifford_even)
+        assert odd.contains_rows(even.flat)
     extra = [t.dirac] + ([] if t.grading is None else [t.grading])
     c0 = subspaces.commutant(subspaces.span_of([*t.algebra_gens, *triple._normalized(extra)],
                                                tol=tol))
-    assert alg.contains_all(c0.basis_matrices())
+    assert alg.contains_rows(c0.flat)

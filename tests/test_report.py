@@ -152,12 +152,12 @@ def test_one_forms_check_memory(thm2_triple):
     # bimodule; the 2250 dense products a g b are never held at once, and
     # each chunk is held on its structural support (about 2.7 MB in all)
     tol = 1e-9
-    gens = catalog.one_form_generators(BASE, include_gamma=True)
+    gens = catalog.one_form_generators(BASE, "CC_plus_Gamma")
     tracemalloc.start()
     try:
         d = morita.Derived(thm2_triple, tol)
         om = d.one_forms
-        alg = d.algebra_span.basis_matrices()
+        alg = d.algebra_span.matrices
         named = report._bimodule_span(gens + [g.conj().T for g in gens], alg, tol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -167,9 +167,9 @@ def test_one_forms_check_memory(thm2_triple):
 
 
 def test_bimodule_span_matches_the_span_of_all_products(thm1_triple):
-    gens = catalog.one_form_generators(BASE, include_gamma=False)
+    gens = catalog.one_form_generators(BASE, "CC")
     gens = gens + [g.conj().T for g in gens]
-    alg = morita.algebra_span(thm1_triple).basis_matrices()
+    alg = morita.algebra_span(thm1_triple).matrices
     mats = [a @ g @ b for g in gens for a in alg for b in alg]
     built = report._bimodule_span(gens, alg, 1e-9)
     assert np.array_equal(built.flat, subspaces.span_of(mats, tol=1e-9).flat)
@@ -542,3 +542,27 @@ def test_perfbench_traced_names_resolve():
     for module, name, _ in child.TRACED:
         assert callable(getattr(importlib.import_module(f"fintriple.{module}"), name)), \
             (module, name)
+
+
+def test_make_goldens_names_a_differing_report_by_its_path_under_dir(tmp_path, monkeypatch,
+                                                                       capsys):
+    # --compare DIR runs once per thread count on DIR/<threads>; each report
+    # that differs is named with its thread directory
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(goldens)
+    monkeypatch.setattr(goldens, "GOLDEN_CONFIGS", ("thm1", "thm2"))
+    monkeypatch.setattr(goldens, "SNAPSHOT_TOLS", ("1e-13",))
+    monkeypatch.setattr(goldens, "_report", lambda name, tol: f"{name} new\n")
+    (tmp_path / "2").mkdir()
+    (tmp_path / "2" / "thm1-1e-13.json").write_text("thm1 old\n")
+    assert goldens._snapshot(tmp_path / "2", compare=True) == ["thm1-1e-13.json",
+                                                               "thm2-1e-13.json"]
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: 2/thm1-1e-13.json",
+        "  line 1 old: thm1 old",
+        "  line 1 new: thm1 new",
+        "differs: 2/thm2-1e-13.json (missing)",
+    ]
+    assert not goldens._differs(tmp_path / "2" / "thm1-1e-13.json", "thm1 old\n", tmp_path)

@@ -102,17 +102,18 @@ def test_center_full_ambient_algebra():
     assert z.contains(np.eye(32))
 
 
-def test_commutant_of_reuses_only_at_the_same_tol():
+def test_commutant_of_reuses_the_carried_commutant():
     alg = star_algebra.star_closure(catalog.algebra_af_generators())
-    assert star_algebra.commutant_of(alg, alg.space.tol) is alg.commutant
-    other = star_algebra.commutant_of(alg, 1e-6)
-    assert other is not alg.commutant
-    assert other.tol == 1e-6
-    assert subspaces.equals(other, alg.commutant)
+    assert star_algebra.commutant_of(alg) is alg.commutant
     wrapped = star_algebra.StarAlgebra(space=alg.space)
-    solved = star_algebra.commutant_of(wrapped, alg.space.tol)
+    solved = star_algebra.commutant_of(wrapped)
     assert solved.dim == 112
     assert subspaces.equals(solved, alg.commutant)
+    # a span at another tol is solved at its own tol
+    loose = subspaces.OperatorSubspace(alg.space.flat, alg.n, tol=1e-6)
+    other = star_algebra.commutant_of(star_algebra.StarAlgebra(space=loose))
+    assert other.tol == 1e-6
+    assert subspaces.equals(other, alg.commutant)
 
 
 def test_center_opposite_algebra():
@@ -159,7 +160,7 @@ def test_closure_idempotent_random():
     for _ in range(6):
         gens = _block_algebra(_random_blocks(rng, 8), 8)
         alg = star_algebra.star_closure(gens)
-        again = star_algebra.star_closure(alg.basis_matrices())
+        again = star_algebra.star_closure(alg.space.matrices)
         assert again.dim == alg.dim
         assert subspaces.equals(again.space, alg.space)
 
@@ -190,7 +191,7 @@ def test_center_contained_in_algebra_and_commutant():
     alg = star_algebra.star_closure(catalog.algebra_af_generators())
     z = star_algebra.center(alg)
     comm = subspaces.commutant(alg.space)
-    for m in z.basis_matrices():
+    for m in z.matrices:
         assert alg.space.contains(m)
         assert comm.contains(m)
 
@@ -206,8 +207,7 @@ def test_closure_defect_reported(thm1_clifford):
 
 def _clifford_generators(t, even):
     d = morita.Derived(t)
-    gens = list(d.algebra_span.basis_matrices())
-    gens += d.one_forms.basis_matrices()
+    gens = [*d.algebra_span.matrices, *d.one_forms.matrices]
     if even:
         gens.append(np.asarray(t.grading, dtype=complex))
     return gens
@@ -256,7 +256,7 @@ def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     def diagonal(space):
         n = space.n
         flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
-        return subspaces.OperatorSubspace(flat, n, tol=space.tol, orthonormal=True)
+        return subspaces.OperatorSubspace(flat, n, tol=space.tol)
 
     gens = _block_algebra([(2, 2), (1, 4)], 8)
     monkeypatch.setattr(subspaces, "commutant", diagonal)

@@ -21,6 +21,31 @@ def test_span_of_deduplicates():
     assert s.dim == 1
 
 
+def test_span_of_a_list_and_a_stack_agree_bit_for_bit():
+    gens = catalog.algebra_af_generators()
+    assert np.array_equal(subspaces.span_of(list(gens)).flat,
+                          subspaces.span_of(np.array(gens)).flat)
+
+
+def test_operator_subspace_keeps_the_rows_it_is_given():
+    rows = _rand_complex(np.random.default_rng(3), 3, 16)
+    assert not np.allclose(rows @ rows.conj().T, np.eye(3))
+    space = subspaces.OperatorSubspace(rows, 4, tol=1e-6)
+    assert np.array_equal(space.flat, rows)
+    assert (space.dim, space.n, space.tol) == (3, 4, 1e-6)
+    assert np.array_equal(space.matrices, [linalg.unvec(row, 4, 4) for row in rows])
+
+
+def test_with_identity_adjoins_only_when_missing():
+    unital = subspaces.span_of(catalog.algebra_af_generators())
+    assert subspaces.with_identity(unital) is unital
+    bf = subspaces.span_of(catalog.algebra_bf_generators())
+    grown = subspaces.with_identity(bf)
+    assert (bf.dim, grown.dim) == (14, 15)
+    assert grown.contains(np.eye(32)) and grown.contains_rows(bf.flat)
+    assert subspaces.equals(grown, unital)
+
+
 def test_span_dimensions():
     assert subspaces.span_of(catalog.algebra_af_generators()).dim == 15
     assert subspaces.span_of(catalog.algebra_bf_generators()).dim == 14
@@ -30,7 +55,7 @@ def test_basis_orthonormal_and_self_membership(af_commutant):
     gram = af_commutant.flat @ af_commutant.flat.conj().T
     assert np.linalg.norm(gram - np.eye(af_commutant.dim)) <= 1e-12
     assert af_commutant.dim == af_commutant.flat.shape[0]
-    for m in af_commutant.basis_matrices():
+    for m in af_commutant.matrices:
         assert af_commutant.contains(m)
         assert af_commutant.residual(m) <= 1e-12
 
@@ -122,7 +147,7 @@ def test_commutant_aev_equals_block_form():
 def test_af_span_inside_aev_span():
     af = subspaces.span_of(catalog.algebra_af_generators())
     aev = subspaces.span_of(catalog.algebra_aev_generators())
-    assert all(aev.contains(m) for m in af.basis_matrices())
+    assert all(aev.contains(m) for m in af.matrices)
 
 
 def test_projection_idempotent():
@@ -139,15 +164,15 @@ def test_monotonicity():
     t = subspaces.span_of(catalog.algebra_bf_generators())
     total = subspaces.subspace_sum(s, t)
     inter = subspaces.intersect(s, t)
-    assert all(total.contains(m) for m in s.basis_matrices())
-    assert all(s.contains(m) for m in inter.basis_matrices())
+    assert all(total.contains(m) for m in s.matrices)
+    assert all(s.contains(m) for m in inter.matrices)
 
 
 def test_commutant_antitone():
     gens = catalog.algebra_af_generators()
     small = subspaces.commutant(subspaces.span_of(gens[:6]))
     big = subspaces.commutant(subspaces.span_of(gens))
-    assert all(small.contains(m) for m in big.basis_matrices())
+    assert all(small.contains(m) for m in big.matrices)
 
 
 def test_double_complement():
@@ -160,7 +185,7 @@ def test_double_complement():
 def test_commutant_dims_stable_across_tol(tol, thm1_triple, thm1_clifford):
     for gens, dim in ((thm1_triple.algebra_gens, 112), (thm1_triple.opposite_gens, 112),
                       (catalog.algebra_aev_generators(), 48),
-                      (thm1_clifford.basis_matrices(), 19)):
+                      (thm1_clifford.space.matrices, 19)):
         assert subspaces.commutant(subspaces.span_of(gens, tol=tol)).dim == dim
 
 
@@ -282,8 +307,11 @@ def test_eigenblocks_join_when_coupled_above_tol(coupling, sizes, monkeypatch):
     comm = subspaces.commutant(subspaces.span_of([diag, inner], tol=tol))
     assert recorded == [sizes]
     assert comm.dim == 4
-    assert subspaces.equals(comm, oracles.dense_commutant([diag, inner], tol=tol),
-                            tol=max(1.0, 10 * coupling) * tol)
+    # both spaces decide at the looser tol of the comparison
+    loose = max(1.0, 10 * coupling) * tol
+    dense = oracles.dense_commutant([diag, inner], tol=tol)
+    assert subspaces.equals(subspaces.OperatorSubspace(comm.flat, 4, tol=loose),
+                            subspaces.OperatorSubspace(dense.flat, 4, tol=loose))
 
 
 def test_commutant_deterministic(thm1_triple):
@@ -298,17 +326,21 @@ def test_commutant_of_zero_generators_is_everything():
     assert subspaces.commutant(subspaces.span_of([], n=3)).dim == 9
 
 
-def test_contains_all_matches_contains_row_by_row():
+def test_contains_rows_matches_contains_row_by_row():
     rng = np.random.default_rng(5)
-    space = subspaces.OperatorSubspace(_rand_complex(rng, 3, 16), 4)
+    space = subspaces.span_of(_rand_complex(rng, 3, 4, 4))
     inside = [linalg.unvec(c @ space.flat, 4, 4) for c in rng.standard_normal((3, 3))]
     outside = _rand_complex(rng, 4, 4)
     zero = np.zeros((4, 4), dtype=complex)
     mats = inside + [zero, outside, 1j * inside[0]]
+
+    def rows(subset):
+        return np.array([linalg.vec(m) for m in subset]).reshape(-1, 16)
+
     for subset in (inside + [zero], mats, mats[-1:], []):
-        assert space.contains_all(subset) == all(space.contains(m) for m in subset)
-    assert space.contains_all(inside + [zero])
-    assert space.contains_all([1j * inside[0]])
+        assert space.contains_rows(rows(subset)) == all(space.contains(m) for m in subset)
+    assert space.contains_rows(rows(inside + [zero]))
+    assert space.contains_rows(rows([1j * inside[0]]))
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -365,7 +397,7 @@ def test_conjugated_algebra_commutant_is_conjugated():
     u, _ = np.linalg.qr(_rand_complex(rng, 32, 32))
     gens = catalog.algebra_af_generators()
     plain = subspaces.commutant(subspaces.span_of(gens))
-    expected = subspaces.span_of([u @ m @ u.conj().T for m in plain.basis_matrices()])
+    expected = subspaces.span_of(u @ plain.matrices @ u.conj().T)
     comm = subspaces.commutant(subspaces.span_of([u @ g @ u.conj().T for g in gens]))
     assert comm.dim == 112
     assert subspaces.equals(comm, expected)
@@ -393,9 +425,10 @@ def test_product_span_matches_the_span_of_all_products(name):
     # structural support gives the bits of the dense stack of all products
     _, t = config_triple(name)
     span = subspaces.span_of(t.algebra_gens)
-    basis = np.array(span.basis_matrices())
+    basis = span.matrices
     forms = t.dirac @ basis - basis @ t.dirac
     built = subspaces.product_span(basis, forms, tol=span.tol)
-    dense = subspaces.OperatorSubspace(linalg.product_rows(basis, forms), t.n)
+    dense = subspaces.OperatorSubspace(linalg.orthonormal_rows(linalg.product_rows(basis, forms)),
+                                       t.n)
     assert built.dim == dense.dim > 0
     assert np.array_equal(built.flat, dense.flat)

@@ -212,7 +212,7 @@ def test_decompose_ambiguity_is_the_commutant_intersection(name):
 
 
 def test_grading_compatibility_interface():
-    d0 = catalog.dirac_free_part(BASE)
+    d0 = catalog.dirac_free_part(BASE, "CC")
     assert triple.grading_compatible(d0, catalog.grading("nonstandard"))
     assert not triple.grading_compatible(d0, catalog.grading("standard"))
 
