@@ -325,18 +325,21 @@ def build_triple(config):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element (phase, weak 2x2 block, color 3x3 block) of the gauge group."""
+    """Element (phase, weak 2x2 block, color 3x3 block) of the gauge group,
+    or k of them as a (k,) phase array and (k, 2, 2), (k, 3, 3) stacks."""
 
     phase: complex
     weak: np.ndarray
     color: np.ndarray
 
     def unitarity_defect(self):
-        defect = abs(abs(self.phase) - 1.0)
-        defect = max(defect, float(np.linalg.norm(
-            self.weak @ self.weak.conj().T - np.eye(2))))
-        defect = max(defect, float(np.linalg.norm(
-            self.color @ self.color.conj().T - np.eye(3))))
+        """Largest distance from unitarity of the phase and the blocks, over
+        the whole stack."""
+        defect = float(np.max(np.abs(np.abs(self.phase) - 1.0)))
+        for block in (self.weak, self.color):
+            gram = block @ block.conj().swapaxes(-1, -2)
+            defect = max(defect, float(np.max(np.linalg.norm(
+                gram - np.eye(block.shape[-1]), axis=(-2, -1)))))
         return defect
 
 
@@ -407,15 +410,17 @@ def rho_degenerate_stack(elements):
     w = u + E_22 = diag(phase, 1, weak).  The fundamental acts on one side
     of each half and the dual on the other.
     """
-    for g in elements:
-        _require_unitary(g)
+    stack = GroupElement(np.array([g.phase for g in elements]),
+                         np.array([g.weak for g in elements]),
+                         np.array([g.color for g in elements]))
+    _require_unitary(stack)
     k = len(elements)
     w = np.zeros((k, RIGHT_DIM, RIGHT_DIM), dtype=complex)
     b = np.zeros((k, RIGHT_DIM, RIGHT_DIM), dtype=complex)
-    w[:, 0, 0] = b[:, 0, 0] = [g.phase for g in elements]
+    w[:, 0, 0] = b[:, 0, 0] = stack.phase
     w[:, 1, 1] = 1.0
-    w[:, 2:, 2:] = [g.weak for g in elements]
-    b[:, 1:, 1:] = [g.color for g in elements]
+    w[:, 2:, 2:] = stack.weak
+    b[:, 1:, 1:] = stack.color
     upper = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
     lower = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
     upper[:, :4, :4] = w
@@ -447,9 +452,15 @@ def random_unitary(rng, n):
 
     rng is a random.Random; its Gaussian draws fill z (linalg.complex_gaussian).
     """
-    z = linalg.complex_gaussian(rng, (n, n))
+    return _phase_fixed_q(linalg.complex_gaussian(rng, (1, n, n)))[0]
+
+
+def _phase_fixed_q(z):
+    """The Q factors of a (k, n, n) stack, by one stacked QR, each column
+    times the phase of R's diagonal entry."""
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_group_element(rng, special=False):
@@ -463,6 +474,25 @@ def random_group_element(rng, special=False):
         weak = weak / np.linalg.det(weak) ** (1 / 2)
         color = color / np.linalg.det(color) ** (1 / 3)
     return GroupElement(phase=phase, weak=weak, color=color)
+
+
+def random_group_elements(rng, k):
+    """k calls of random_group_element(rng), bit for bit, with one stacked QR
+    per block size.
+
+    The draws keep the calls' order: per element rng.random() for the phase,
+    then the 8 and 18 Gaussians of random_unitary's 2x2 and 3x3 blocks, real
+    parts before imaginary parts.
+    """
+    phases, draws = [], []
+    for _ in range(k):
+        phases.append(rng.random())
+        draws.append([rng.gauss(0.0, 1.0) for _ in range(26)])
+    draws = np.array(draws).reshape(k, 26)
+    weak = _phase_fixed_q((draws[:, :4] + 1j * draws[:, 4:8]).reshape(k, 2, 2))
+    color = _phase_fixed_q((draws[:, 8:17] + 1j * draws[:, 17:]).reshape(k, 3, 3))
+    phase = np.exp(2j * np.pi * np.array(phases))
+    return [GroupElement(p, w, c) for p, w, c in zip(phase, weak, color)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ outcomes to exit codes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -34,6 +33,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+
+try:
+    # the interpreter's built-in SHA-256; hashlib maps OpenSSL's libcrypto
+    from _sha256 import sha256 as _sha256  # CPython 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import __version__ as _version
 from . import catalog, layout, linalg, morita, star_algebra, subspaces, triple
@@ -107,7 +115,16 @@ def _config_echo(cfg):
 
 
 def _seed_from_config(echo):
-    digest = hashlib.sha256(
+    """The seed of a report's random.Random (_Run.rng).
+
+    The first 8 bytes, big-endian, of the SHA-256 of the canonical config
+    echo (sorted-key JSON) followed by the package version, so the stream
+    is fixed by the config and version alone.  The digest comes from the
+    interpreter's built-in SHA-256 module, the same bytes as
+    hashlib.sha256 without loading OpenSSL's libcrypto (about 3.5 MB of
+    resident memory in every process).
+    """
+    digest = _sha256(
         json.dumps(echo, sort_keys=True).encode() + _version.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -341,11 +358,10 @@ def _gauge_adjoint_rep(run, rec):
     scale = np.sqrt(layout.HILBERT_DIM)
     ident = catalog.GroupElement(1.0, np.eye(2, dtype=complex),
                                  np.eye(3, dtype=complex))
-    pairs = [(catalog.random_group_element(run.rng), catalog.random_group_element(run.rng))
-             for _ in range(20)]
-    us, vs = zip(*pairs)
+    drawn = catalog.random_group_elements(run.rng, 40)
+    us, vs = drawn[0::2], drawn[1::2]
     uvs = [catalog.GroupElement(u.phase * v.phase, u.weak @ v.weak, u.color @ v.color)
-           for u, v in pairs]
+           for u, v in zip(us, vs)]
     kernel = [catalog.cover_map(el) for el in catalog.z6_elements()]
     rho = catalog.rho_degenerate_stack([ident, *us, *vs, *uvs, *kernel])
     ru, rv, ruv = rho[1:21], rho[21:41], rho[41:61]

@@ -94,7 +94,7 @@ class OperatorSubspace:
         return self.flat.reshape(-1, self.n, self.n).transpose(0, 2, 1)
 
     def project(self, x):
-        c = self.flat.conj() @ linalg.vec(x)
+        c = np.conj(self.flat @ np.conj(linalg.vec(x)))
         return linalg.unvec(c @ self.flat, self.n, self.n)
 
     def residual(self, x):
@@ -113,11 +113,16 @@ class OperatorSubspace:
     def outside(self, rows):
         """The parts of the vec rows outside the span: rows less their projections.
 
-        The difference is written over the projections, so the only array
-        as large as rows is the one returned.
+        The coefficients are conj(conj(rows) @ flat.T), so the basis is never
+        copied conjugated; the conjugated rows, then the projections, then
+        the difference are written into one buffer, so the only array as
+        large as rows is the one returned.
         """
-        resid = (rows @ self.flat.conj().T) @ self.flat
-        return np.subtract(rows, resid, out=resid)
+        out = np.conjugate(rows, dtype=complex)
+        coeffs = out @ self.flat.T
+        np.conj(coeffs, out=coeffs)
+        np.matmul(coeffs, self.flat, out=out)
+        return np.subtract(rows, out, out=out)
 
     def __repr__(self):
         return f"OperatorSubspace(dim={self.dim}, n={self.n})"

@@ -283,6 +283,31 @@ def test_unimodularity_condition_cuts_out_gauge_subgroup():
         assert abs(np.linalg.det(rho) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_random_group_elements_match_sequential_draws_bit_for_bit(k):
+    # the stacked draw keeps random_group_element's order of draws, so the
+    # elements and the rest of the stream are the same
+    seq_rng, stack_rng = random.Random(47), random.Random(47)
+    sequential = [catalog.random_group_element(seq_rng) for _ in range(k)]
+    stacked = catalog.random_group_elements(stack_rng, k)
+    assert len(stacked) == k
+    for a, b in zip(sequential, stacked):
+        assert complex(a.phase) == complex(b.phase)
+        assert a.weak.tobytes() == b.weak.tobytes()
+        assert a.color.tobytes() == b.color.tobytes()
+    assert seq_rng.random() == stack_rng.random()
+
+
+def test_rho_degenerate_stack_rejects_one_non_unitary_element():
+    elements = catalog.random_group_elements(random.Random(53), 5)
+    g = elements[3]
+    elements[3] = catalog.GroupElement(g.phase, g.weak, (1 + 1e-6) * g.color)
+    with pytest.raises(ValueError, match="not unitary"):
+        catalog.rho_degenerate_stack(elements)
+    elements[3] = catalog.GroupElement(g.phase, g.weak, (1 + 1e-12) * g.color)
+    assert catalog.rho_degenerate_stack(elements).shape == (5, 32, 32)
+
+
 def test_random_unitary_is_reproducible_from_its_seed():
     # the draws come from random.Random, whose streams are fixed by the seed
     first = catalog.random_unitary(random.Random(7), 3)

@@ -509,6 +509,34 @@ def test_verify_does_not_import_numpy_random(tmp_path):
     assert result.stdout.split() == ["0", "False"]
 
 
+def test_verify_does_not_load_libcrypto(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, about 3.5 MB of RSS in every process
+    # that loads it; the report seed comes from the built-in SHA-256
+    env = dict(os.environ)
+    src = str(Path(report.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from fintriple import cli\n"
+            "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(status, '_hashlib' in sys.modules, 'ssl' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIG_DIR / "thm1.cfg"), str(tmp_path / "r.txt")],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_seed_from_config_is_the_hashlib_sha256_seed(name):
+    # whichever SHA-256 module the report loads, the seed is the one
+    # hashlib.sha256 gives, so every report's random stream stays put
+    import hashlib
+
+    echo = report._config_echo(parse_config_file(CONFIG_DIR / f"{name}.cfg"))
+    payload = json.dumps(echo, sort_keys=True).encode() + report._version.encode()
+    expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+    assert report._seed_from_config(echo) == expected
+
+
 def test_cli_subprocess_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "fintriple.cli", "axioms",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,39 @@ def test_contains_rows_matches_contains_row_by_row():
         assert space.contains_rows(rows(subset)) == all(space.contains(m) for m in subset)
     assert space.contains_rows(rows(inside + [zero]))
     assert space.contains_rows(rows([1j * inside[0]]))
+
+
+def _traced_outside(space, rows):
+    tracemalloc.start()
+    try:
+        got = space.outside(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = rows - (rows @ space.flat.conj().T) @ space.flat
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    return peak
+
+
+def test_outside_copies_neither_operand():
+    # the coefficients come from the conjugated rows, written into the
+    # returned buffer: no other array is as large as the rows, and the
+    # basis is never copied conjugated
+    rng = np.random.default_rng(31)
+    space = subspaces.OperatorSubspace(
+        linalg.orthonormal_rows(_rand_complex(rng, 300, 1024)), 32)
+    many = _rand_complex(rng, 400, 1024)
+    assert _traced_outside(space, many) < many.nbytes + space.flat.nbytes // 2
+    few = _rand_complex(rng, 10, 1024)
+    assert _traced_outside(space, few) < space.flat.nbytes // 4
+
+
+def test_project_matches_the_orthogonal_projection():
+    rng = np.random.default_rng(37)
+    space = subspaces.span_of(catalog.algebra_af_generators())
+    x = _rand_complex(rng, 32, 32)
+    expected = linalg.unvec((space.flat.conj() @ linalg.vec(x)) @ space.flat, 32, 32)
+    np.testing.assert_allclose(space.project(x), expected, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
