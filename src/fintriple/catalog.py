@@ -279,23 +279,17 @@ def dirac_majorana_term(ups_r):
 
 
 def build_dirac(config):
-    """Assemble the Hermitian Dirac operator selected by the config.
-
-    Returns (dirac, free_part); free_part is the declared component outside
-    the algebra commutant (None for custom matrices).
-    """
+    """Assemble the Hermitian Dirac operator selected by the config."""
     if config.dirac == "zero":
-        z = np.zeros((HILBERT_DIM, HILBERT_DIM), dtype=complex)
-        return z, z
+        return np.zeros((HILBERT_DIM, HILBERT_DIM), dtype=complex)
     if config.dirac == "custom":
         d = linalg.ensure_operator(config.custom_matrix, HILBERT_DIM)
         if linalg.hs_norm(d - d.conj().T) > config.tol * max(linalg.hs_norm(d), 1.0):
             raise ValueError("custom Dirac matrix must be Hermitian")
-        return d, None
+        return d
     d0 = dirac_free_part(config.params, config.dirac)
-    j = real_structure()
-    d = d0 + j.conjugate_operator(d0) + dirac_majorana_term(config.params.ups_r)
-    return d, d0
+    return (d0 + real_structure().conjugate_operator(d0)
+            + dirac_majorana_term(config.params.ups_r))
 
 
 def build_triple(config):
@@ -308,14 +302,12 @@ def build_triple(config):
         gens = algebra_aev_generators()
     j = real_structure()
     gamma_op = None if config.grading == "none" else grading(config.grading)
-    dirac, free = build_dirac(config)
     return FiniteTriple(
         algebra_gens=tuple(gens),
         opposite_gens=opposite_generators(gens, j),
-        dirac=dirac,
+        dirac=build_dirac(config),
         real_structure=j,
         grading=gamma_op,
-        free_part=free,
     )
 
 

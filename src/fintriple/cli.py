@@ -8,8 +8,9 @@
 
 verify runs the full check plan; with --expect the exit code is 0 exactly
 when every check matches its expected status, and 1 otherwise.  An error
-outside the checks (a bad config, manifest or custom matrix, or an even
-Clifford algebra asked of an odd triple) exits 2 with a one-line message.
+outside the checks (a bad config, manifest or custom matrix, a path that
+cannot be read or written, or an even Clifford algebra asked of an odd
+triple) exits 2 with a one-line message.
 The focused subcommands print the corresponding dimensions and residuals
 as text.
 """
@@ -156,8 +157,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
-        # a malformed manifest or input, never a mismatch (exit 1)
+    except (OSError, ValueError) as exc:
+        # an unreadable path, a malformed manifest or input, never a mismatch (exit 1)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

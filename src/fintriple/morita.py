@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import catalog, linalg, star_algebra, subspaces
+from . import linalg, star_algebra, subspaces
 from .linalg import DEFAULT_TOL
-from .triple import _normalized, first_order_violation, zeroth_order_violation
+from .triple import (_COMMUTATOR_FLOOR, OrderConditionError, _normalized,
+                     first_order_violation, zeroth_order_violation)
 
 
 #: Smallest projection norm at which a probe matrix unit selects a witness.
@@ -41,10 +42,6 @@ MODULUS_DECIMALS = 9
 #: Relative eigenvalue gap that separates the lowest cluster of a reducing
 #: projection's element from the rest.
 CLUSTER_GAP = 1e-6
-
-
-class OrderConditionError(ValueError):
-    """The zeroth or first order condition fails where it is required."""
 
 
 def algebra_span(t, tol=DEFAULT_TOL):
@@ -67,13 +64,16 @@ def one_forms(t, span):
     Computed at span.tol over a basis of span, the algebra's complex span, by
     subspaces.product_span, one basis element a at a time; it is a two-sided
     module over the algebra by the Leibniz identity, which the test-suite
-    verifies rather than assumes.
+    verifies rather than assumes.  A form [D, b] of HS norm at most
+    _COMMUTATOR_FLOOR ||D|| is zero, as in first_order_violation.
     """
     if not span.dim:  # the zero space has no one-forms
         return span
     basis = span.matrices
     d = np.asarray(t.dirac, dtype=complex)
-    return subspaces.product_span(basis, d @ basis - basis @ d, tol=span.tol)
+    forms = d @ basis - basis @ d
+    forms[np.linalg.norm(forms, axis=(1, 2)) <= _COMMUTATOR_FLOOR * linalg.hs_norm(d)] = 0.0
+    return subspaces.product_span(basis, forms, tol=span.tol)
 
 
 def clifford(derived, even=False):
@@ -212,36 +212,22 @@ def property_m(derived, even=False):
     )
 
 
-def obstruction_check(x, t, mode, tol=DEFAULT_TOL):
-    """Certify that the grading lies outside a generated algebra.
+def obstruction_check(x, targets, grading, tol=DEFAULT_TOL):
+    """Certify that the grading lies outside the algebra the targets generate.
 
-    mode 'algebra_d0': x must commute with the algebra generators and the
-    Dirac free part; 'with_opposite' additionally with the opposite
-    generators; 'zero_chain' with algebra and opposite generators only (no
-    Dirac).  In every mode x must anticommute with the grading: conjugation
-    by such an x fixes the generated algebra pointwise but flips the
-    grading, so the grading cannot belong to it.
+    x must commute with every operator of targets and anticommute with the
+    grading: conjugation by such an x fixes the generated algebra pointwise
+    but flips the grading, so the grading cannot belong to it.
     """
-    if t.grading is None:
-        raise ValueError("obstruction check requires a grading")
     x = np.asarray(x, dtype=complex)
     x_norm = linalg.hs_norm(x)
     if x_norm == 0.0:
         return False
-    if mode not in ("algebra_d0", "with_opposite", "zero_chain"):
-        raise ValueError(f"unknown obstruction mode {mode!r}")
-    targets = list(t.algebra_gens)
-    if mode in ("with_opposite", "zero_chain"):
-        targets += list(t.opposite_gens)
-    if mode in ("algebra_d0", "with_opposite"):
-        if t.free_part is None:
-            raise ValueError("mode needs the Dirac free part and none is declared")
-        targets.append(np.asarray(t.free_part, dtype=complex))
     for g in targets:
         scale = max(linalg.hs_norm(g), 1.0) * x_norm
         if linalg.hs_norm(x @ g - g @ x) > tol * scale:
             return False
-    g = np.asarray(t.grading, dtype=complex)
+    g = np.asarray(grading, dtype=complex)
     anti = linalg.hs_norm(x @ g + g @ x)
     return anti <= tol * linalg.hs_norm(g) * x_norm
 
@@ -353,15 +339,3 @@ def zero_chain_membership(x, algebra_gens, opposite_gens, tol=DEFAULT_TOL):
     """Is x in the complex linear span of algebra plus opposite algebra?"""
     span = subspaces.span_of(list(algebra_gens) + list(opposite_gens), tol=tol)
     return span.contains(x)
-
-
-def weak_orientability_aev(which="standard", tol=DEFAULT_TOL):
-    """Membership of a grading in the Pati-Salam algebra plus its conjugate.
-
-    Every zero-chain is a cycle, so membership in this linear sum implies
-    orientability in the weak sense.
-    """
-    gens = catalog.algebra_aev_generators()
-    j = catalog.real_structure()
-    opp = [j.conjugate_operator(g) for g in gens]
-    return zero_chain_membership(catalog.grading(which), gens, opp, tol=tol)

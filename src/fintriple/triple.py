@@ -27,8 +27,8 @@ class SignIndeterminateError(ValueError):
     """Neither sign satisfies a real-structure relation within tolerance."""
 
 
-class FirstOrderError(ValueError):
-    """Operation requires the first-order condition, which fails."""
+class OrderConditionError(ValueError):
+    """The zeroth or first order condition fails where it is required."""
 
 
 #: KO-dimension lookup, even case: (eps, eps_prime, eps_dblprime) -> n mod 8.
@@ -49,11 +49,8 @@ _COMMUTATOR_FLOOR = 1e-12
 class FiniteTriple:
     """Data of a finite real spectral triple on C^n.
 
-    free_part, when set, is the declared component of the Dirac operator
-    outside the algebra commutant (the part generating one-forms); catalog
-    constructors fill it in, and obstruction checks use it.  The arrays are
-    never modified in place, so the order-condition violations are computed
-    once per triple and cached on it.
+    The arrays are never modified in place, so the order-condition
+    violations are computed once per triple and cached on it.
     """
 
     algebra_gens: tuple
@@ -61,7 +58,6 @@ class FiniteTriple:
     dirac: np.ndarray
     real_structure: AntilinearOperator
     grading: np.ndarray | None = None
-    free_part: np.ndarray | None = None
 
     @property
     def n(self):
@@ -273,11 +269,11 @@ def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     """Split the Dirac operator across the two commutants A' and (A°)'.
 
     The splitting is that of the first-order structure theorem; raises
-    FirstOrderError when the first-order condition fails.
+    OrderConditionError when the first-order condition fails.
     """
     violation = first_order_violation(t)
     if violation > tol:
-        raise FirstOrderError(f"not-first-order: violation {violation:.3e} > tol {tol:g}")
+        raise OrderConditionError(f"not-first-order: violation {violation:.3e} > tol {tol:g}")
     n = t.n
 
     d = np.asarray(t.dirac, dtype=complex)

@@ -15,6 +15,11 @@ BASE = catalog.DiracParams(
     ups_nu=1.1 + 0.2j, ups_e=0.8 - 0.4j, ups_u=2.3 + 0.1j, ups_d=0.7 + 0.3j,
     ups_r=1.4 - 0.2j, omega=0.9 + 0.5j, delta=1.2, gamma=0.8)
 
+#: BASE without the two added terms (omega, delta) and without gamma.
+ORIGINAL_CC = catalog.DiracParams(
+    ups_nu=BASE.ups_nu, ups_e=BASE.ups_e, ups_u=BASE.ups_u,
+    ups_d=BASE.ups_d, ups_r=BASE.ups_r)
+
 
 def draw_params(rng, with_gamma=False, **overrides):
     """Random coefficients bounded away from zero, with the up-type Yukawa
@@ -53,11 +58,8 @@ def thm2_triple():
 
 @pytest.fixture(scope="session")
 def original_cc_triple():
-    params = catalog.DiracParams(
-        ups_nu=BASE.ups_nu, ups_e=BASE.ups_e, ups_u=BASE.ups_u,
-        ups_d=BASE.ups_d, ups_r=BASE.ups_r, omega=0j, delta=0.0)
     return catalog.build_triple(catalog.TripleConfig(
-        algebra="A_F", grading="standard", dirac="CC", params=params))
+        algebra="A_F", grading="standard", dirac="CC", params=ORIGINAL_CC))
 
 
 @pytest.fixture(scope="session")

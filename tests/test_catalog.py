@@ -98,14 +98,13 @@ def test_real_structure_maps_left_neutrino():
 
 
 def test_build_dirac_zero_and_custom():
-    z, free = catalog.build_dirac(catalog.TripleConfig(
+    z = catalog.build_dirac(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="zero"))
-    assert linalg.hs_norm(z) == 0.0 and linalg.hs_norm(free) == 0.0
+    assert linalg.hs_norm(z) == 0.0
     h = np.diag(np.arange(32).astype(complex))
-    d, free = catalog.build_dirac(catalog.TripleConfig(
+    d = catalog.build_dirac(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="custom", custom_matrix=h))
     np.testing.assert_allclose(d, h)
-    assert free is None
     with pytest.raises(ValueError):
         catalog.build_dirac(catalog.TripleConfig(
             algebra="A_F", grading="none", dirac="custom",
@@ -116,7 +115,7 @@ def test_dirac_is_hermitian_and_j_commuting():
     params = catalog.FIXTURE_PARAMS
     cfg = catalog.TripleConfig(algebra="A_F", grading="none",
                                dirac="CC_plus_Gamma", params=params)
-    d, _ = catalog.build_dirac(cfg)
+    d = catalog.build_dirac(cfg)
     np.testing.assert_allclose(d, d.conj().T)
     j = catalog.real_structure()
     assert j.commutation_residual(d) <= 1e-12
@@ -148,7 +147,7 @@ def test_full_dirac_parity():
     # the assembled operator (free part, conjugate, Majorana term) is odd for
     # the gradings its free part is compatible with
     params = catalog.FIXTURE_PARAMS
-    d, _ = catalog.build_dirac(catalog.TripleConfig(
+    d = catalog.build_dirac(catalog.TripleConfig(
         algebra="A_F", grading="nonstandard", dirac="CC_plus_Gamma", params=params))
     g = catalog.grading("nonstandard")
     assert linalg.hs_norm(g @ d + d @ g) <= 1e-12
@@ -319,7 +318,7 @@ def test_random_unitary_is_reproducible_from_its_seed():
 def test_witness_omega_nu_matches_commutator():
     params = catalog.DiracParams(ups_nu=1.0, ups_u=2.0, ups_e=0.5, ups_d=0.7,
                                  ups_r=1.0, omega=0.3, delta=0.4)
-    d, _ = catalog.build_dirac(catalog.TripleConfig(
+    d = catalog.build_dirac(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="CC", params=params))
     x33 = linalg.kron_action(oracles._unit8(3, 3), np.eye(4, dtype=complex))
     omega_nu = catalog.one_form_generators(params, "CC")[0]
@@ -328,7 +327,7 @@ def test_witness_omega_nu_matches_commutator():
 
 def test_witness_zeta_matches_commutator():
     params = catalog.FIXTURE_PARAMS
-    d, _ = catalog.build_dirac(catalog.TripleConfig(
+    d = catalog.build_dirac(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="CC_plus_Gamma", params=params))
     z77 = linalg.kron_action(oracles._unit8(7, 7), np.eye(4, dtype=complex))
     zeta = catalog.witness_catalog(params)["zeta"]

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fintriple import catalog, linalg, morita, report, star_algebra, subspaces, triple
+from fintriple import catalog, config, linalg, morita, report, star_algebra, subspaces, triple
 
 import oracles
-from conftest import BASE, CONFIG_NAMES, config_triple
+from conftest import BASE, CONFIG_NAMES, ORIGINAL_CC, config_triple
 
 
 def _bimodule(gens, alg_basis):
@@ -22,6 +22,63 @@ def test_one_forms_zero_dirac():
     t = catalog.build_triple(catalog.TripleConfig(
         algebra="A_F", grading="none", dirac="zero"))
     assert morita.Derived(t).one_forms.dim == 0
+
+
+#: A_F with the nonstandard grading and the Majorana coupling alone.  Its
+#: term commutes with every algebra generator, so Ω¹ = 0, the odd Clifford
+#: algebra is the algebra's span (15) and its commutant is A′ (112).
+MAJORANA_ONLY = """[algebra]
+name = A_F
+[grading]
+kind = nonstandard
+[dirac]
+type = CC
+ups_R = [1.4, -0.2]
+"""
+
+
+def _clifford_odd_dims(d):
+    """(dim Ω¹, dim Cl_odd, dim Cl_odd′) of a morita.Derived."""
+    return d.one_forms.dim, d.clifford_odd.dim, morita.property_m(d).commutant_dim
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-9", "1e-12", "1e-13"])
+def test_majorana_only_config_has_no_one_forms(tol):
+    # its forms [D, b] over the algebra basis are round-off (up to 2.4e-16);
+    # like the first-order check, one_forms reads them as zero
+    rep = report.run_all(config.parse_config(MAJORANA_ONLY + f"[run]\ntol = {tol}\n"))
+    assert rep.check("one_forms").dims["one_forms"] == 0
+    dims = rep.check("property_m").dims
+    assert (dims["clifford_odd"], dims["commutant_odd"]) == (15, 112)
+
+
+def test_dirac_inside_the_algebra_commutant_has_no_one_forms(af_commutant):
+    # D = X + X*, X a random element of A′, ||D|| = 1: every [D, a] is round-off
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal(af_commutant.dim) + 1j * rng.standard_normal(af_commutant.dim)
+    x = linalg.unvec(c @ af_commutant.flat, 32, 32)
+    d = x + x.conj().T
+    t = catalog.build_triple(catalog.TripleConfig(
+        algebra="A_F", grading="none", dirac="custom", custom_matrix=d / linalg.hs_norm(d)))
+    assert _clifford_odd_dims(morita.Derived(t)) == (0, 15, 112)
+
+
+def test_rotated_majorana_only_triple_has_no_one_forms():
+    # every operator of the triple, J's matrix included, conjugated by a
+    # real orthogonal U: no entry of a generator or of D is exactly zero
+    t = catalog.build_triple(config.parse_config(MAJORANA_ONLY))
+    u, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((32, 32)))
+
+    def rotate(m):
+        return u @ m @ u.T
+
+    rotated = triple.FiniteTriple(
+        algebra_gens=tuple(map(rotate, t.algebra_gens)),
+        opposite_gens=tuple(map(rotate, t.opposite_gens)),
+        dirac=rotate(t.dirac),
+        real_structure=linalg.AntilinearOperator(rotate(t.real_structure.matrix)),
+        grading=rotate(t.grading))
+    assert _clifford_odd_dims(morita.Derived(rotated)) == (0, 15, 112)
 
 
 def test_one_forms_named_generators(thm1_derived):
@@ -200,8 +257,7 @@ def test_property_m_scale_invariance(thm1_triple):
         opposite_gens=thm1_triple.opposite_gens,
         dirac=3.7 * thm1_triple.dirac,
         real_structure=thm1_triple.real_structure,
-        grading=thm1_triple.grading,
-        free_part=3.7 * thm1_triple.free_part)
+        grading=thm1_triple.grading)
     d = morita.Derived(scaled)
     odd, even = morita.property_m(d), morita.property_m(d, even=True)
     assert not odd.holds
@@ -240,7 +296,7 @@ def test_replacing_commuting_part_preserves_clifford(thm1_triple, thm1_clifford)
     # changes neither the one-forms nor the Clifford algebra
     rng = np.random.default_rng(67)
     j = thm1_triple.real_structure
-    d0 = thm1_triple.free_part
+    d0 = catalog.dirac_free_part(BASE, "CC")
     comm = subspaces.commutant(subspaces.span_of(thm1_triple.algebra_gens))
     c = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
     d1 = linalg.unvec(c @ comm.flat, 32, 32)
@@ -249,7 +305,7 @@ def test_replacing_commuting_part_preserves_clifford(thm1_triple, thm1_clifford)
         algebra_gens=thm1_triple.algebra_gens,
         opposite_gens=thm1_triple.opposite_gens,
         dirac=d0 + d1,
-        real_structure=j, grading=thm1_triple.grading, free_part=d0)
+        real_structure=j, grading=thm1_triple.grading)
     derived = morita.Derived(modified)
     om_modified = derived.one_forms
     om_original = morita.Derived(thm1_triple).one_forms
@@ -259,8 +315,11 @@ def test_replacing_commuting_part_preserves_clifford(thm1_triple, thm1_clifford)
 
 
 def test_obstruction_standard_grading_witness(original_cc_triple):
+    # x commutes with the algebra and the Dirac free part
     x = catalog.witness_catalog()["e55_e23"]
-    assert morita.obstruction_check(x, original_cc_triple, "algebra_d0")
+    targets = [*original_cc_triple.algebra_gens,
+               catalog.dirac_free_part(ORIGINAL_CC, "CC")]
+    assert morita.obstruction_check(x, targets, original_cc_triple.grading)
 
 
 def _assert_morita_failure_witness(t, x):
@@ -314,23 +373,22 @@ def test_obstruction_zero_couplings():
     for grading in ("standard", "nonstandard"):
         t = catalog.build_triple(catalog.TripleConfig(
             algebra="A_F", grading=grading, dirac="CC", params=params))
-        assert morita.obstruction_check(x, t, "with_opposite")
+        targets = [*t.algebra_gens, *t.opposite_gens,
+                   catalog.dirac_free_part(params, "CC")]
+        assert morita.obstruction_check(x, targets, t.grading)
 
 
 def test_obstruction_zero_chain(thm1_triple, original_cc_triple):
     x = catalog.witness_catalog()["e15_e11"]
-    assert morita.obstruction_check(x, thm1_triple, "zero_chain")
-    assert morita.obstruction_check(x, original_cc_triple, "zero_chain")
+    for t in (thm1_triple, original_cc_triple):
+        assert morita.obstruction_check(x, [*t.algebra_gens, *t.opposite_gens],
+                                        t.grading)
 
 
 def test_obstruction_identity_fails(thm1_triple):
+    t = thm1_triple
     assert not morita.obstruction_check(np.eye(32, dtype=complex),
-                                        thm1_triple, "zero_chain")
-
-
-def test_obstruction_rejects_unknown_mode(thm1_triple):
-    with pytest.raises(ValueError):
-        morita.obstruction_check(np.eye(32), thm1_triple, "sideways")
+                                        [*t.algebra_gens, *t.opposite_gens], t.grading)
 
 
 def _random_unitary(rng, d):
@@ -472,8 +530,12 @@ def test_pati_salam_chirality_reduces_algebra_with_real_structure(pati_salam_tri
 
 
 def test_weak_orientability():
-    assert morita.weak_orientability_aev("standard")
-    assert not morita.weak_orientability_aev("nonstandard")
+    # every zero-chain is a cycle, so membership of the grading in the
+    # Pati-Salam algebra plus its conjugate is weak orientability
+    gens = catalog.algebra_aev_generators()
+    opp = triple.opposite_generators(gens, catalog.real_structure())
+    assert morita.zero_chain_membership(catalog.grading("standard"), gens, opp)
+    assert not morita.zero_chain_membership(catalog.grading("nonstandard"), gens, opp)
 
 
 def test_zero_chain_membership_witness():

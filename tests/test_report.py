@@ -373,6 +373,17 @@ def _assert_cli_error(capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("directory", ["config", "expect", "out"])
+def test_cli_directory_path_is_an_error(tmp_path, capsys, directory):
+    # reading or writing a directory is an OSError, not an --expect mismatch
+    paths = {"config": CONFIG_DIR / "pati_salam.cfg",
+             "expect": CONFIG_DIR / "pati_salam.expect.json",
+             "out": tmp_path / "r.txt", directory: tmp_path}
+    _assert_cli_error(capsys, ["verify", str(paths["config"]), "--expect",
+                               str(paths["expect"]), "--out", str(paths["out"])])
 
 
 def test_cli_non_hermitian_custom_dirac_is_an_error(tmp_path, capsys):
@@ -475,54 +486,62 @@ def test_cli_tol_at_floor_matches_manifest(tmp_path):
                      "--out", str(tmp_path / "r.txt")]) == 0
 
 
+def _python(code, *args):
+    """stdout of code run by a fresh interpreter on this package, with args."""
+    env = dict(os.environ)
+    src = str(Path(report.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _fintriple_modules_loaded_by(statement):
+    """The fintriple modules that a fresh interpreter loads to run statement."""
+    return set(_python(f"import sys\n{statement}\n"
+                       "print(*(m for m in sys.modules if m.startswith('fintriple')))\n")
+               .split())
+
+
+def test_import_graph():
+    # the benchmark's set-up probe builds a triple from a config without the
+    # theorem, report or CLI layers, and the theorem layer needs no catalog
+    probe = _fintriple_modules_loaded_by("from fintriple import catalog, config")
+    assert {"fintriple.catalog", "fintriple.config"} <= probe
+    assert not probe & {"fintriple.morita", "fintriple.star_algebra",
+                        "fintriple.report", "fintriple.cli"}
+    theorems = _fintriple_modules_loaded_by("import fintriple.morita")
+    assert "fintriple.morita" in theorems and "fintriple.catalog" not in theorems
+
+
+def _verify_and_probe(tmp_path, probe):
+    """verify's exit status on thm1 and the values of probe, both printed
+    by a fresh interpreter after the verify."""
+    return _python("import sys\n"
+                   "from fintriple import cli\n"
+                   "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
+                   f"print(status, {probe})\n",
+                   CONFIG_DIR / "thm1.cfg", tmp_path / "r.txt").split()
+
+
 def test_verify_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs about 30 ms of every process that imports it, and
     # nothing on the verify path needs it; np.unique and the set routines
     # built on it (np.setdiff1d, ...) import it lazily
-    env = dict(os.environ)
-    src = str(Path(report.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys\n"
-            "from fintriple import cli\n"
-            "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(status, 'numpy.ma' in sys.modules)\n")
-    result = subprocess.run(
-        [sys.executable, "-c", code, str(CONFIG_DIR / "thm1.cfg"), str(tmp_path / "r.txt")],
-        env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["0", "False"]
+    assert _verify_and_probe(tmp_path, "'numpy.ma' in sys.modules") == ["0", "False"]
 
 
 def test_verify_does_not_import_numpy_random(tmp_path):
     # numpy.random costs about 6 MB of RSS and 15 ms of import in every
     # process that loads it; the few thousand draws of a report come from
     # random.Random
-    env = dict(os.environ)
-    src = str(Path(report.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys\n"
-            "from fintriple import cli\n"
-            "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(status, 'numpy.random' in sys.modules)\n")
-    result = subprocess.run(
-        [sys.executable, "-c", code, str(CONFIG_DIR / "thm1.cfg"), str(tmp_path / "r.txt")],
-        env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["0", "False"]
+    assert _verify_and_probe(tmp_path, "'numpy.random' in sys.modules") == ["0", "False"]
 
 
 def test_verify_does_not_load_libcrypto(tmp_path):
     # hashlib maps OpenSSL's libcrypto, about 3.5 MB of RSS in every process
     # that loads it; the report seed comes from the built-in SHA-256
-    env = dict(os.environ)
-    src = str(Path(report.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys\n"
-            "from fintriple import cli\n"
-            "status = cli.main(['verify', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(status, '_hashlib' in sys.modules, 'ssl' in sys.modules)\n")
-    result = subprocess.run(
-        [sys.executable, "-c", code, str(CONFIG_DIR / "thm1.cfg"), str(tmp_path / "r.txt")],
-        env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["0", "False", "False"]
+    probe = "'_hashlib' in sys.modules, 'ssl' in sys.modules"
+    assert _verify_and_probe(tmp_path, probe) == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)

@@ -145,7 +145,7 @@ def test_decompose_full_family(thm1_triple, af_commutant, af_opposite_commutant)
     assert af_commutant.contains(dec.commuting_part)
     # the declared assembly D = D0 + J D0 J + D_R reproduces the operator
     j = thm1_triple.real_structure
-    d0 = thm1_triple.free_part
+    d0 = catalog.dirac_free_part(BASE, "CC")
     rebuilt = d0 + j.conjugate_operator(d0) + catalog.dirac_majorana_term(BASE.ups_r)
     np.testing.assert_allclose(rebuilt, thm1_triple.dirac, atol=1e-13)
     # and the J-symmetric splitting exists since J D = D J
@@ -174,7 +174,7 @@ def test_decompose_dirac_traced_peak_on_thm1():
 
 def test_decompose_requires_first_order(pati_salam_triple):
     d = morita.Derived(pati_salam_triple)
-    with pytest.raises(triple.FirstOrderError):
+    with pytest.raises(triple.OrderConditionError):
         triple.decompose_dirac(pati_salam_triple, d.algebra_commutant,
                                d.opposite_commutant)
 
