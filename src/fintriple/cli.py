@@ -95,6 +95,7 @@ def _cmd_clifford(args):
     print(f"clifford ({kind}) dim:     {cl.dim}")
     print(f"unital:                  {cl.unital}")
     print(f"commutant dim:           {cl.commutant.dim}")
+    print(f"blocks (n, m):           {', '.join(map(str, cl.blocks))}")
     return 0
 
 

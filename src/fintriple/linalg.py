@@ -250,7 +250,7 @@ def orthonormal_rows(rows, tol=DEFAULT_TOL, columns=None, width=None):
     rank depends on which zero rows and columns the rows came with, and
     two stacks with the same nonzero rows, in order, give the same bits.
     """
-    v = np.asarray(rows, dtype=complex)
+    v = np.ascontiguousarray(rows, dtype=complex)
     if v.ndim == 1:
         v = v.reshape(1, -1)
     if columns is None:

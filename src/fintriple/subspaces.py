@@ -30,8 +30,9 @@ out of it.  The loop is sound because it imposes only constraints that
 every element of S' satisfies (dropping a coupling removes constraints),
 so its solution space contains S', and the certificate proves the reverse
 inclusion.  Each component's solutions u_Q Z_Q u_Q* are written straight
-into the one n^2-wide result, and the random elements are drawn from a
-seeded random.Random, so the solver never loads numpy.random.
+into the one n^2-wide result, which keeps u and the components to read
+the Z_Q back (blocks), and the random elements are drawn from a seeded
+random.Random, so the solver never loads numpy.random.
 conjugated carries a commutant over to the opposite algebra with nothing
 solved.
 commutator_gram is the dense Gram operator of the same problem, kept as a
@@ -75,13 +76,37 @@ class OperatorSubspace:
     flat holds the basis as rows of length n*n (column-major vec), kept as
     given: rows from span_of, or from a solver that makes them orthonormal.
     matrices is the same basis as a (d, n, n) view.  contains, contains_rows
-    and equals decide at tol.  Immutable after construction.
+    and equals decide at tol.  components is (u, [(idx, d)]) when the rows
+    are the u_Q Z u_Q* of a commutant solve, d of them per component in
+    order, and None otherwise; blocks reads the Z back.  Immutable after
+    construction.
     """
 
-    def __init__(self, flat, n, tol=DEFAULT_TOL):
+    def __init__(self, flat, n, tol=DEFAULT_TOL, components=None):
         self.flat = np.asarray(flat, dtype=complex).reshape(-1, n * n)
         self.n = n
         self.tol = tol
+        self.components = components
+
+    @property
+    def blocks(self):
+        """(v, parts): u's columns taken component by component, and per
+        component its range q of them and its basis v_q* X v_q.
+
+        X runs over the component's d rows of flat, read by their row-major
+        reshape as the solver wrote them, so only u and the indices are
+        held; None without components.
+        """
+        if self.components is None:
+            return None
+        u, comps = self.components
+        v = u[:, np.concatenate([idx for idx, _ in comps])]
+        mats, parts, row, col = self.flat.reshape(-1, self.n, self.n), [], 0, 0
+        for idx, d in comps:
+            q = slice(col, col + len(idx))
+            parts.append((q, v[:, q].conj().T @ mats[row:row + d] @ v[:, q]))
+            row, col = row + d, col + len(idx)
+        return v, parts
 
     @property
     def dim(self):
@@ -478,7 +503,8 @@ def commutant(space):
     into every component and the systems re-solved, until a sweep is
     clean.  X = u (+)_Q Z_Q u* is assembled component by component: with
     u_Q the columns of u on Q, u_Q Z_Q u_Q* is written straight into its
-    rows of the one (d, n, n) result, so no other n^2-wide stack is held.
+    rows of the one (d, n, n) result, so no other n^2-wide stack is held,
+    and the result keeps u and the components (blocks).
     Random draws come from a random.Random with a fixed seed per call.
     Vec rows are read by their row-major reshape, the transpose of the
     operator, which keeps commutation and copies nothing.
@@ -486,8 +512,9 @@ def commutant(space):
     when an element already imposed still fails the sweep.
     """
     n, tol = space.n, space.tol
-    if not space.dim:
-        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol)
+    if not space.dim:  # its rows are the matrix units, one component in u = 1
+        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol,
+                                components=(np.eye(n, dtype=complex), [(np.arange(n), n * n)]))
     rng = random.Random(_COMMUTANT_SEED)
     u, clusters = _generic_eigenblocks(space, rng)
     local = _conjugate(u, space.flat.reshape(-1, n, n))
@@ -529,7 +556,8 @@ def commutant(space):
         np.matmul(u_q @ _unit_stack(z, rows, cols, len(idx)), u_q.conj().T,
                   out=x[start:start + len(z)])
         start += len(z)
-    return OperatorSubspace(x.reshape(-1, n * n), n, tol=tol)
+    return OperatorSubspace(x.reshape(-1, n * n), n, tol=tol, components=(
+        u, [(idx, len(z)) for z, (idx, *_) in zip(sols, parts)]))
 
 
 def adjoint(space):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fintriple import catalog, linalg
+from fintriple import catalog, linalg, star_algebra
 
 import oracles
 
@@ -325,3 +325,14 @@ def test_orthonormal_rows_on_zero_columns_matches_a_dense_rotation(tol):
     compact = linalg.orthonormal_rows(sparse[:, columns[order]], tol=tol,
                                       columns=columns[order], width=width)
     assert np.array_equal(compact, basis)
+
+
+def test_orthonormal_rows_do_not_depend_on_the_memory_layout():
+    # B_F's closure basis plus vec(1): 13 of the normalized singular values
+    # are 1, so a factorization that followed the layout could rotate
+    # within that eigenspace; C- and F-ordered copies give the same bits
+    basis = star_algebra.star_closure(catalog.algebra_bf_generators()).space.flat
+    rows = np.vstack([basis, linalg.vec(np.eye(32))])
+    c_order = linalg.orthonormal_rows(np.ascontiguousarray(rows))
+    f_order = linalg.orthonormal_rows(np.asfortranarray(rows))
+    assert np.array_equal(c_order, f_order)

@@ -111,6 +111,24 @@ def test_one_forms_traced_peak_on_pati_salam():
     assert peak <= 8 * 2 ** 20
 
 
+def test_clifford_closures_traced_memory_on_thm1():
+    # each closure is held as its seed, its commutant and the block data,
+    # with no second solve; holding both bicommutant bases and their solves
+    # took 3.8 MB held and 5.8 MB at the peak
+    cfg, t = config_triple("thm1")
+    d = morita.Derived(t, cfg.tol)
+    d.algebra_span, d.one_forms
+    tracemalloc.start()
+    try:
+        odd, even = d.clifford_odd, d.clifford_even
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (odd.dim, even.dim) == (96, 112)
+    assert held <= 2.5 * 2 ** 20
+    assert peak <= 4.5 * 2 ** 20
+
+
 def test_algebra_commutant_traced_peak_on_thm1():
     # each component's u_Q Z_Q u_Q* is written into the one (112, 32, 32)
     # result; the full-width z_full stack and its conjugation peaked at

@@ -178,9 +178,9 @@ def test_bimodule_span_matches_the_span_of_all_products(thm1_triple):
 def test_order_violations_computed_once_per_report(monkeypatch):
     # the two order checks, grading_axioms, dirac_decomposition and both
     # property_m checks all read the violations cached on the triple; every
-    # shared object is built once, and the commutant is solved six times:
-    # A', the commutant C and bicommutant C' of each Clifford closure, and
-    # the irreducibility commutant
+    # shared object is built once, and the commutant is solved four times:
+    # A', the commutant C of each Clifford closure (whose blocks give the
+    # closure, with no second solve) and the irreducibility commutant
     calls = []
 
     def counted(fn):
@@ -198,7 +198,7 @@ def test_order_violations_computed_once_per_report(monkeypatch):
     assert rep.check("property_m_with_grading").status == "pass"
     assert Counter(calls) == {"_zeroth_order": 1, "_first_order": 1,
                               "algebra_span": 1, "opposite_span": 1, "one_forms": 1,
-                              "clifford": 2, "commutant": 6}
+                              "clifford": 2, "commutant": 4}
 
 
 @pytest.mark.parametrize("raising", ["_zeroth_order", "_first_order"])
@@ -446,6 +446,8 @@ def test_cli_clifford(capsys, thm1_report):
         dims = odd if kind == "odd" else even
         assert int(out[f"clifford ({kind}) dim"]) == dims[f"clifford_{kind}"]
         assert int(out["commutant dim"]) == dims[f"commutant_{kind}"]
+        blocks = {"odd": "(4, 3), (4, 3), (8, 1)", "even": "(4, 1), (4, 2), (4, 3), (8, 1)"}
+        assert out["blocks (n, m)"].strip() == blocks[kind]
 
 
 def test_cli_clifford_even_builds_one_closure(capsys, monkeypatch):

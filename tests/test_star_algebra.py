@@ -4,6 +4,7 @@ import pytest
 from fintriple import catalog, linalg, morita, star_algebra, subspaces
 
 import oracles
+from conftest import CONFIG_NAMES, config_triple
 
 
 def _block_algebra(blocks, n):
@@ -219,6 +220,7 @@ def _assert_matches_dense_closure(gens):
     assert alg.dim == space.dim
     assert subspaces.equals(alg.space, space)
     assert alg.unital == unital
+    assert sum(m * m for _, m in alg.blocks) == alg.commutant.dim
     # the certified defect agrees with an independent sweep in vec coordinates
     recheck = star_algebra.closure_defect(alg.space)
     assert alg.defect <= 1e-13 and recheck <= 1e-13
@@ -251,14 +253,111 @@ def test_closure_matches_dense_oracle_clifford(thm1_triple, even):
 
 def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     # the diagonal matrices are not the commutant of the seed, whose 2x2
-    # blocks couple indices; a closure built on them as C is the diagonal
+    # blocks couple indices; a closure built on them as C, held as eight
+    # one-index components, reads eight (1, 1) blocks, the diagonal
     # algebra, which misses the seed, and its defect must say so
     def diagonal(space):
         n = space.n
         flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
-        return subspaces.OperatorSubspace(flat, n, tol=space.tol)
+        units = [(np.array([i]), 1) for i in range(n)]
+        return subspaces.OperatorSubspace(flat, n, tol=space.tol,
+                                          components=(np.eye(n, dtype=complex), units))
 
     gens = _block_algebra([(2, 2), (1, 4)], 8)
     monkeypatch.setattr(subspaces, "commutant", diagonal)
     alg = star_algebra.star_closure(gens)
+    assert alg.blocks == ((1, 1),) * 8
     assert alg.defect > 0.5
+
+
+def test_blocks_are_read_from_the_center_not_the_components():
+    # h1 = a + a^T has each eigenvalue twice, once per factor of
+    # {x + x^T : x in M_2}, so the solve puts both factors of C = C + C in
+    # one 4-index component; its center splits it into two (2, 1) blocks
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    zero = np.zeros((2, 2))
+    alg = star_algebra.star_closure([np.block([[e, zero], [zero, e.T]]) for e in units])
+    assert [z.shape[1] for _, z in alg.commutant.blocks[1]] == [4]
+    assert alg.blocks == ((2, 1), (2, 1))
+    assert alg.dim == alg.space.dim == 8
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-13])
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_block_identities_on_every_closure(name, tol):
+    # every closure a report can build: the Clifford closures and the
+    # closure of the algebra alone (unitalization); the sum of rank P_i is
+    # the Hilbert dimension, and the block dimension is that of the span
+    # from the second solve
+    _, t = config_triple(name)
+    d = morita.Derived(t, tol)
+    closures = [morita.clifford(d), star_algebra.star_closure(t.algebra_gens, tol=tol)]
+    if t.grading is not None:
+        closures.append(morita.clifford(d, even=True))
+    for alg in closures:
+        assert sum(m * m for _, m in alg.blocks) == alg.commutant.dim
+        assert sum(n * m for n, m in alg.blocks) == 32
+        assert alg.dim == alg.space.dim
+
+
+def test_commutator_sweep_matches_dense_commutators(thm1_clifford):
+    # the block-coordinate sweep against ||[x, c]|| formed on all n^2
+    # entries, for random operators and for the seed (the defect); the
+    # membership it decides agrees with the span from the second solve
+    comm = thm1_clifford.commutant
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 32, 32)) + 1j * rng.standard_normal((6, 32, 32))
+    v, parts = comm.blocks
+    local = star_algebra._local(v, np.array([linalg.vec(m) for m in x]))
+    dense = [max(np.linalg.norm(m @ c - c @ m) for c in comm.matrices) for m in x]
+    np.testing.assert_allclose(star_algebra._commutator_norms(local, parts), dense, rtol=1e-12)
+    # the defect runs over the bases of the C P_i, in the frame, where the
+    # operators are transposed as the solver reads them
+    frame, supports = thm1_clifford.frame
+    basis = [frame[:, q] @ y @ frame[:, q].conj().T for q, ys in supports for y in ys]
+    transposed = subspaces.span_of(comm.matrices.transpose(0, 2, 1))
+    assert subspaces.equals(subspaces.span_of(basis), transposed)
+    seed = max(np.linalg.norm(s.T @ c - c @ s.T) for s in thm1_clifford.seed.matrices
+               for c in basis)
+    assert thm1_clifford.defect == pytest.approx(seed, abs=1e-14)
+    s0, s1 = thm1_clifford.seed.matrices[:2]
+    for g in (catalog.grading("standard"), catalog.grading("nonstandard"), x[0], s0 @ s1):
+        assert thm1_clifford.contains(g) == thm1_clifford.space.contains(g)
+    assert thm1_clifford.contains(s0 @ s1)
+
+
+def test_thm1_odd_closure_blocks(thm1_derived):
+    # Cl_odd = M_4 (x) 1_3 + M_4 (x) 1_3 + M_8, so Cl_odd' = M_3 + M_3 + C has
+    # dimension 19, against 15 for the complexified opposite algebra
+    cl = thm1_derived.clifford_odd
+    assert cl.blocks == ((4, 3), (4, 3), (8, 1))
+    assert cl.dim == 96 and cl.unital
+    assert sum(m * m for _, m in cl.blocks) == cl.commutant.dim == 19
+    assert thm1_derived.opposite_span.dim == 15
+
+
+@pytest.mark.parametrize("keep_unit", [False, True], ids=["any", "unit_kept"])
+def test_closure_raises_when_the_commutant_misses_a_row(monkeypatch, thm1_triple, keep_unit):
+    # a C short of one basis row is not an algebra: its center is empty
+    # (the unit went with the row) or a block dimension is not a square;
+    # either way the closure raises rather than report a dimension
+    solve = subspaces.commutant
+
+    def short(space):
+        v, parts = solve(space).blocks
+        q, z = parts[1]
+        s = z.shape[1]
+        flat = z.reshape(len(z), -1)
+        if keep_unit:
+            unit = np.eye(s).reshape(1, -1) / np.sqrt(s)
+            flat = np.vstack([unit, linalg.orthonormal_rows(flat - flat @ unit.T * unit)])
+        parts[1] = (q, flat[:-1].reshape(-1, s, s))
+        # the rows v_q Z v_q* of every component, in order, as the solver writes them
+        mats = np.concatenate([v[:, q] @ z @ v[:, q].conj().T for q, z in parts])
+        comps = [(np.arange(q.start, q.stop), len(z)) for q, z in parts]
+        return subspaces.OperatorSubspace(mats.reshape(len(mats), -1), space.n,
+                                          tol=space.tol, components=(v, comps))
+
+    monkeypatch.setattr(subspaces, "commutant", short)
+    with pytest.raises(RuntimeError, match="Wedderburn blocks"):
+        star_algebra.star_closure(_clifford_generators(thm1_triple, even=False))
