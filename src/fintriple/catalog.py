@@ -409,14 +409,6 @@ def z6_elements():
     return out
 
 
-def random_unitary(rng, n):
-    """Haar-ish unitary from a QR factorization with phase fixing.
-
-    rng is a random.Random; its Gaussian draws fill z (linalg.complex_gaussian).
-    """
-    return _phase_fixed_q(linalg.complex_gaussian(rng, (1, n, n)))[0]
-
-
 def _phase_fixed_q(z):
     """The Q factors of a (k, n, n) stack, by one stacked QR, each column
     times the phase of R's diagonal entry."""
@@ -425,26 +417,13 @@ def _phase_fixed_q(z):
     return q * (d / np.abs(d))[:, None, :]
 
 
-def random_group_element(rng, special=False):
-    """Random unitary group element drawn from the random.Random rng;
-    special=True normalizes determinants so the blocks land in SU(2) and
-    SU(3)."""
-    phase = np.exp(2j * np.pi * rng.random())
-    weak = random_unitary(rng, 2)
-    color = random_unitary(rng, 3)
-    if special:
-        weak = weak / np.linalg.det(weak) ** (1 / 2)
-        color = color / np.linalg.det(color) ** (1 / 3)
-    return GroupElement(phase=phase, weak=weak, color=color)
-
-
 def random_group_elements(rng, k):
-    """k calls of random_group_element(rng), bit for bit, with one stacked QR
-    per block size.
+    """k random unitary group elements drawn from the random.Random rng.
 
-    The draws keep the calls' order: per element rng.random() for the phase,
-    then the 8 and 18 Gaussians of random_unitary's 2x2 and 3x3 blocks, real
-    parts before imaginary parts.
+    Per element the draws are rng.random() for the phase, then the 8 and 18
+    Gaussians of the 2x2 and 3x3 blocks, real parts before imaginary parts;
+    each block is the phase-fixed Q of its Gaussian matrix (one stacked QR
+    per block size, _phase_fixed_q), a Haar-ish unitary.
     """
     phases, draws = [], []
     for _ in range(k):

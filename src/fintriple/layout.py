@@ -42,15 +42,6 @@ def right_unit(k, l):
     return unit(RIGHT_DIM, k, l)
 
 
-def state(r, c):
-    """8x4 basis state E(r, c), 1-based."""
-    if not (1 <= r <= LEFT_DIM and 1 <= c <= RIGHT_DIM):
-        raise ValueError(f"state ({r}, {c}) out of range")
-    v = np.zeros((LEFT_DIM, RIGHT_DIM), dtype=complex)
-    v[r - 1, c - 1] = 1.0
-    return v
-
-
 def slot_index(r, c):
     """Flat column-major index of the basis state E(r, c)."""
     return (r - 1) + LEFT_DIM * (c - 1)

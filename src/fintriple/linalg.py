@@ -10,10 +10,10 @@ for square a, b of compatible sizes.  Every other module reuses vec/unvec and
 kron_action rather than restating the flattening order.
 
 Rank decisions use one relative rule throughout: a singular value sigma is
-treated as zero when sigma <= tol * max(m, n) * sigma_max
-(singular_value_cut; sigma_max is raised to a known operator norm where the
-system may be pure roundoff), applied to the singular values of an explicit
-constraint matrix and never squared.  Those singular values, and the right
+treated as zero when sigma <= tol * max(m, n) * max(sigma_max, 1)
+(singular_value_cut; every system is built from unit-norm generators or
+rows, and may be pure roundoff), applied to the singular values of an
+explicit constraint matrix and never squared.  Those singular values, and the right
 singular vectors that span the kernel, are computed through svd_rows, the
 one thin-SVD kernel of the package; the cut is always taken with the shape
 of the constraint matrix itself, also where orthonormal_rows factors only
@@ -110,11 +110,6 @@ def kron_action(a, b):
     return prod.reshape(*prod.shape[:-4], k * m, k * m)
 
 
-def adjoint(op):
-    """Conjugate transpose."""
-    return np.asarray(op).conj().T
-
-
 def hs_norm(x):
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(x)))
@@ -143,12 +138,6 @@ class AntilinearOperator:
     def dim(self):
         return self.matrix.shape[0]
 
-    def apply(self, v):
-        return self.matrix @ np.conj(np.asarray(v, dtype=complex))
-
-    def apply_inverse(self, v):
-        return self.matrix.T @ np.conj(np.asarray(v, dtype=complex))
-
     def conjugate_operator(self, x):
         """J X J^{-1} for a linear operator X, again as a matrix."""
         return self.matrix @ np.conj(np.asarray(x, dtype=complex)) @ self.matrix.T
@@ -159,22 +148,21 @@ class AntilinearOperator:
         return float(np.linalg.norm(x @ self.matrix - self.matrix @ np.conj(x)))
 
 
-def singular_value_cut(sigma, shape, tol, scale=0.0):
-    """Rank cut tol * max(shape) * max(sigma_max, scale).
+def singular_value_cut(sigma, shape, tol):
+    """Rank cut tol * max(shape) * max(sigma_max, 1).
 
     Singular values at or below the cut count as zero; sigma may come in
     any order, such as the union of the singular values of the diagonal
-    blocks of one block-diagonal system.  scale is a known norm of the
-    operator, for systems that may be zero up to roundoff (commutators
-    with a scalar), where sigma_max is noise.
+    blocks of one block-diagonal system.  Every system here is built from
+    unit-norm generators or rows, so 1 is its scale, where it may be zero
+    up to roundoff (commutators with a scalar) and sigma_max is noise.
     """
-    top = max(float(np.max(sigma, initial=0.0)), scale)
-    return tol * max(shape) * top
+    return tol * max(shape) * max(float(np.max(sigma, initial=0.0)), 1.0)
 
 
-def rank_from_singular_values(sigma, shape, tol, scale=0.0):
-    """Number of singular values above singular_value_cut(sigma, shape, tol, scale)."""
-    return int(np.sum(sigma > singular_value_cut(sigma, shape, tol, scale)))
+def rank_from_singular_values(sigma, shape, tol):
+    """Number of singular values above singular_value_cut(sigma, shape, tol)."""
+    return int(np.sum(sigma > singular_value_cut(sigma, shape, tol)))
 
 
 def svd_rows(a):

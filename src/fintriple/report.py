@@ -151,16 +151,6 @@ def _describe_operator(op, floor):
     return "; ".join(parts)
 
 
-def _bimodule_span(gens, basis, tol):
-    """Span of the products a g b over the generators g and a (d, n, n) basis.
-
-    subspaces.product_span builds it one product a g at a time, times every
-    b, on the products' structural support; the list of all products is
-    never held.
-    """
-    return subspaces.product_span(basis, basis, tol=tol, middle=np.array(gens))
-
-
 class _Run:
     """A configuration, its triple and derived objects, one random stream."""
 
@@ -248,7 +238,8 @@ def _one_forms(run, rec):
                         and all(abs(c) > 1e-12 for c in couplings.values()))
     if named_applicable:
         gens = catalog.one_form_generators(cfg.params, cfg.dirac)
-        named = _bimodule_span(gens + [g.conj().T for g in gens], alg_basis, tol)
+        named = subspaces.product_span(alg_basis, alg_basis, tol=tol,
+                                       middle=np.array(gens + [g.conj().T for g in gens]))
         rec.dims["named_generator_bimodule"] = named.dim
         ok = ok and subspaces.equals(om, named)
         rec.details = "named-generator bimodule compared"

@@ -16,11 +16,13 @@ block (1, dim K), on which every seed element vanishes.  alg(S) vanishes
 on K and contains its unit, the projection onto K's complement, so alg(S)
 is C' less C P_K: its dimension is sum n_i^2, less 1 for a kernel block,
 and x lies in it when x commutes with C and x P_K = 0.  A Closure holds S,
-C and, in a unitary frame whose columns take each P_i as a range, a basis
-of each C P_i; its defect and membership are read there, and no basis of
-alg(S) is formed.  unitalize adjoins the identity: (S + C 1)' = S' = C,
-so alg(S) + C 1 is C' itself, the same blocks with no kernel left out,
-and nothing is solved.  center is Z(A) = A ∩ A', from A's span and A'.
+C, C's own block form from the solve (OperatorSubspace.blocks) and the
+columns of P_K's range; its defect and membership sweep commutators
+against those blocks with the solver's certificate kernel
+(subspaces._commutator_norms), and no basis of alg(S) is formed.
+unitalize adjoins the identity: (S + C 1)' = S' = C, so alg(S) + C 1 is
+C' itself, the same blocks with no kernel left out, and nothing is
+solved.  center is Z(A) = A ∩ A', from A's span and A'.
 """
 
 from __future__ import annotations
@@ -47,18 +49,20 @@ _WEDDERBURN_SEED = 0xB10C5
 class Closure:
     """alg(S), held as the seed S, C = S' and C's sorted blocks (n_i, m_i).
 
-    frame is (f, supports): a unitary f whose columns hold each central
-    support P_i as a range, with an orthonormal basis of C P_i in f's
-    coordinates (star_closure); kernel is the kernel block's range, or
-    None.  defect, swept on first use, is the largest ||[s, c]|| over the
-    orthonormal bases of S and of the C P_i, which together are one of C.
+    frame is C's block form from the solve, commutant.blocks: (v, parts), a
+    unitary v and per component its range q of v's columns with an
+    orthonormal basis Z_q of C on it, together one of C.  kernel is the
+    (n, m) columns spanning the kernel block's support P_K, or None.
+    Operators are read transposed, as the solver reads vec rows.  defect,
+    swept on first use, is the largest ||[s, c]|| over the orthonormal
+    bases of S and of C.
     """
 
     seed: OperatorSubspace
     commutant: OperatorSubspace
     blocks: tuple
     frame: tuple
-    kernel: slice | None
+    kernel: np.ndarray | None
 
     @property
     def n(self):
@@ -77,21 +81,22 @@ class Closure:
 
     def contains_rows(self, rows):
         """Per vec row x: ||[x, c]|| and ||x P_K|| are at most tol ||x||."""
-        frame, supports = self.frame
-        local = _local(frame, rows)
-        worst = _commutator_norms(local, supports)
+        v, parts = self.frame
+        worst = subspaces._commutator_norms(_local(v, rows), parts)
         if self.kernel is not None:
-            worst = np.maximum(worst, np.linalg.norm(local[:, :, self.kernel], axis=(1, 2)))
+            off = rows.reshape(-1, self.n, self.n) @ self.kernel
+            worst = np.maximum(worst, np.linalg.norm(off, axis=(1, 2)))
         return bool(np.all(worst <= self.seed.tol * np.linalg.norm(rows, axis=1)))
 
     @cached_property
     def defect(self):
-        frame, supports = self.frame
-        return float(_commutator_norms(_local(frame, self.seed.flat), supports).max(initial=0.0))
+        v, parts = self.frame
+        worst = subspaces._commutator_norms(_local(v, self.seed.flat), parts)
+        return float(worst.max(initial=0.0))
 
 
 def _local(v, rows):
-    """Vec rows in a unitary basis v, such as a frame or the commutant's.
+    """Vec rows in the commutant's unitary basis v.
 
     The operators come transposed, as the solver reads vec rows, which
     keeps commutators and norms.
@@ -99,46 +104,17 @@ def _local(v, rows):
     return subspaces._conjugate(v, np.asarray(rows).reshape(-1, *v.shape))
 
 
-def _commutator_norms(local, parts):
-    """Largest ||[x, c]|| over C's orthonormal basis, per x of a local stack.
-
-    parts lists ranges q of x's coordinates, each with an orthonormal basis
-    z of C on it.  For c = z on q, x c is x[:, q] z in the columns q and
-    c x is z x[q] in the rows q: [x, c] is their difference where both are
-    nonzero and either alone elsewhere, so nothing cancels.  One GEMM per
-    side tests a chunk of x, sized as in subspaces._certificate.
-    """
-    k, n, _ = local.shape
-    worst = np.zeros(k)
-    for q, z in parts:
-        d, s, _ = z.shape
-        step = max(1, subspaces._CERTIFICATE_CHUNK // (d * n * s))
-        for start in range(0, k, step):
-            x = local[start:start + step]
-            j = len(x)
-            xz = (x[:, :, q].reshape(j * n, s)
-                  @ z.transpose(1, 0, 2).reshape(s, d * s)).reshape(j, n, d, s)
-            zx = (z.reshape(d * s, s) @ x[:, q].transpose(1, 0, 2).reshape(s, j * n))
-            zx = zx.reshape(d, s, j, n).transpose(2, 1, 0, 3)  # (j, s, d, n)
-            xz[:, q] -= zx[..., q]
-            zx[..., q] = 0
-            sq = sum(np.einsum("jadb,jadb->jd", a, a.conj()).real for a in (xz, zx))
-            chunk = worst[start:start + j]
-            np.maximum(chunk, np.sqrt(sq.max(axis=1)), out=chunk)
-    return worst
-
-
 def _wedderburn(z, tol, rng):
     """C_Q's blocks, from a component's orthonormal (d, s, s) basis z.
 
     The center is the part of C_Q commuting with two random elements (which
     generate C_Q), checked against all of z.  A random central Hermitian
-    element (finest of BLOCK_DRAWS, as for h1) has one eigenvalue per
-    central support P_i; its unitary eigenbasis w takes the supports as
-    ranges.  m_i^2 is the rank of the compressions w_i* z w_i to support
-    i, which span C_Q P_i, and n_i = rank P_i / m_i.  Returns w and per
-    support (n_i, m_i, y_i), y_i an orthonormal basis of C_Q P_i in w_i's
-    coordinates.  Raises RuntimeError when an identity fails.
+    element (subspaces._generic_eigenblocks of the center, as h1 of a
+    solve) has one eigenvalue per central support P_i; its unitary
+    eigenbasis w takes the supports as index sets p_i.  m_i^2 is the rank
+    of the compressions w_i* z w_i to support i, which span C_Q P_i, and
+    n_i = rank P_i / m_i.  Returns w and (n_i, m_i, p_i) per support.
+    Raises RuntimeError when an identity fails.
     """
     d, s, _ = z.shape
     if not d:
@@ -148,23 +124,20 @@ def _wedderburn(z, tol, rng):
     g /= np.linalg.norm(g, axis=(2, 3), keepdims=True)
     system = (z @ g - g @ z).transpose(1, 0, 2, 3).reshape(d, -1)
     sigma, vh = linalg.svd_rows(system.conj().T)
-    cut = linalg.singular_value_cut(sigma, system.shape, tol, scale=1.0)
+    cut = linalg.singular_value_cut(sigma, system.shape, tol)
     center = vh[np.count_nonzero(sigma > cut):] @ flat
     mats = center.reshape(-1, s, s)[:, None]
     if not len(center) or np.linalg.norm(mats @ z - z @ mats, axis=(2, 3)).max() > cut:
         raise RuntimeError("Wedderburn blocks: C's center is empty or fails to commute")
-    draws = (linalg.complex_gaussian(rng, (subspaces.BLOCK_DRAWS, len(center)))
-             @ center).reshape(-1, s, s)
-    w, supports = subspaces._finest_eigenblocks(
-        0.5 * (draws + draws.conj().transpose(0, 2, 1)), tol)
+    w, supports = subspaces._generic_eigenblocks(OperatorSubspace(center, s, tol), rng)
     factors = [linalg.svd_rows((w[:, p].conj().T @ z @ w[:, p]).reshape(d, -1))
                for p in supports]
-    ranks = [linalg.rank_from_singular_values(sigma, (d, len(p) ** 2), tol, scale=1.0)
+    ranks = [linalg.rank_from_singular_values(sigma, (d, len(p) ** 2), tol)
              for (sigma, _), p in zip(factors, supports)]
-    blocks = [(len(p) // max(math.isqrt(r), 1), math.isqrt(r), vh[:r].reshape(r, len(p), -1))
-              for p, r, (_, vh) in zip(supports, ranks, factors)]
+    blocks = [(len(p) // max(math.isqrt(r), 1), math.isqrt(r), p)
+              for p, r in zip(supports, ranks)]
     if len(supports) != len(center) or sum(ranks) != d or any(
-            m * m != r or n * m != y.shape[1] for (n, m, y), r in zip(blocks, ranks)):
+            m * m != r or n * m != len(p) for (n, m, p), r in zip(blocks, ranks)):
         raise RuntimeError("Wedderburn blocks: an integer identity fails on C")
     return w, blocks
 
@@ -194,33 +167,30 @@ def star_closure(gens, tol=DEFAULT_TOL):
     """Smallest complex *-algebra containing the generators, as a Closure.
 
     The generators and their adjoints span the seed S, and C = S' is solved
-    once; each component gives its blocks (_wedderburn).  The frame takes
-    v's columns on each component into w's, so each central support is a
-    range of it, and the kernel block is the one where the seed's basis
-    vanishes to tol in HS norm.
+    once; each component gives its blocks (_wedderburn), and support p of
+    component q has the columns v_q w_p.  The kernel block is the one
+    where the seed's basis vanishes to tol in HS norm.
     """
     if not len(gens):
         raise ValueError("star_closure needs at least one generator")
     seed = subspaces.span_of([*gens, *(np.conj(g).T for g in gens)], tol=tol)
     comm = subspaces.commutant(seed)
     v, parts = comm.blocks
+    # the seed transposed, as the solver reads vec rows
+    mats = seed.flat.reshape(-1, seed.n, seed.n)
     rng = random.Random(_WEDDERBURN_SEED)
-    frame, blocks, supports = [], [], []
+    blocks, kernel = [], []
     for q, z in parts:
         w, found = _wedderburn(z, tol, rng)
-        frame.append(v[:, q] @ w)
-        for n_i, m_i, y in found:
-            start = supports[-1][0].stop if supports else 0
-            supports.append((slice(start, start + n_i * m_i), y))
+        for n_i, m_i, p in found:
             blocks.append((n_i, m_i))
-    frame = np.hstack(frame)
-    local = _local(frame, seed.flat)
-    kernel = [(n_i, q) for (n_i, _), (q, _) in zip(blocks, supports)
-              if np.linalg.norm(local[:, :, q]) <= tol]
+            support = v[:, q] @ w[:, p]
+            if np.linalg.norm(mats @ support) <= tol:
+                kernel.append((n_i, support))
     if len(kernel) > 1 or any(n_i != 1 for n_i, _ in kernel):
         raise RuntimeError("Wedderburn blocks: the seed's kernel is not one block (1, m)")
     return Closure(seed=seed, commutant=comm, blocks=tuple(sorted(blocks)),
-                   frame=(frame, supports), kernel=kernel[0][1] if kernel else None)
+                   frame=(v, parts), kernel=kernel[0][1] if kernel else None)
 
 
 def center(space, commutant):

@@ -1,10 +1,10 @@
 """Operator subspaces as first-class values.
 
 An OperatorSubspace is a complex space of n x n operators under one
-contract: span_of is the one constructor that orthonormalizes (subspace_sum
-and with_identity go through it), the basis reads as vec rows (flat) or as
+contract: span_of is the one constructor that orthonormalizes
+(with_identity goes through it), the basis reads as vec rows (flat) or as
 a (d, n, n) view (matrices), and membership is decided at the space's tol.
-Sum, intersection, membership and commutant reduce subspace questions to
+Intersection, membership and commutant reduce subspace questions to
 the single rank rule in linalg.  product_span spans the
 products of stacks of operators one chunk at a time, each on its
 structural support.
@@ -25,15 +25,16 @@ spectral projections that commute with every generator).  Each component
 is solved on its own, by a thin SVD over the units of its eigenblocks,
 with one rank cut for all of them; a certificate then bounds the
 commutator of every solution with every basis element by its commutator
-with the element's block on the component plus the element's coupling
-out of it.  The loop is sound because it imposes only constraints that
-every element of S' satisfies (dropping a coupling removes constraints),
+with the element's block on the component (_commutator_norms) plus the
+element's coupling out of it.  The loop is sound because it imposes only
+constraints that every element of S' satisfies (dropping a coupling removes constraints),
 so its solution space contains S', and the certificate proves the reverse
 inclusion.  Each component's solutions u_Q Z_Q u_Q* are written straight
 into the one n^2-wide result, which keeps u and the components to read
 the Z_Q back (blocks), from which star_algebra reads every closure with no
-second solve; the random elements are drawn from a seeded random.Random,
-so the solver never loads numpy.random.
+second solve and sweeps its defect and membership by the same kernel; the
+random elements are drawn from a seeded random.Random, so the solver never
+loads numpy.random.
 conjugated carries a commutant over to the opposite algebra with nothing
 solved.
 commutator_gram is the dense Gram operator of the same problem, kept as a
@@ -64,9 +65,9 @@ BLOCK_DRAWS = 4
 #: only make a block larger, which every solver here tolerates.
 _MIN_GAP = 1e-2
 
-#: Entries of the d x s x s solution stack times the generators tested at
-#: once by the certificate.  Each of its complex temporaries then holds
-#: 256 KB, and all of them stay under about 1 MB (unless one generator
+#: Entries d * n * s of the products _commutator_norms forms at once, a chunk
+#: of n x n operators against a d x s x s basis.  Each complex temporary then
+#: holds 256 KB, and all of them stay under about 1 MB (unless one operator
 #: alone is more than a chunk).
 _CERTIFICATE_CHUNK = 1 << 14
 
@@ -232,12 +233,6 @@ def product_span(left, right, tol=DEFAULT_TOL, middle=None):
     return OperatorSubspace(flat, n, tol=tol)
 
 
-def subspace_sum(s, t):
-    """Span of the union."""
-    _check_compatible(s, t)
-    return span_of(np.concatenate([s.matrices, t.matrices]), tol=min(s.tol, t.tol), n=s.n)
-
-
 def outside_svd(s, t):
     """The part of the basis of s outside t, and one factorization of it.
 
@@ -249,18 +244,15 @@ def outside_svd(s, t):
     conjugated: no conjugated copy of outside is made.  The combinations
     vh[rank:] of the basis of s vanish outside t and span s ∩ t; the kept
     triplets solve least-squares problems in the span of outside.  Because
-    the basis rows are unit vectors, the rank cut is taken against a scale
-    of 1, and not against the largest residual alone (which is
-    legitimately ~0 when s is a subset of t).
+    the basis rows are unit vectors, the rank cut's floor of 1 on sigma_max
+    (linalg.singular_value_cut) is the right scale, and not the largest
+    residual alone (which is legitimately ~0 when s is a subset of t).
     """
     _check_compatible(s, t)
     outside = t.outside(s.flat)
     sigma, vh = linalg.svd_rows(outside.T)
     vh = vh.conj()
-    # the rows of outside are residuals of orthonormal rows, so its norm is
-    # at most 1, the scale of the cut
-    rank = linalg.rank_from_singular_values(sigma, outside.shape, min(s.tol, t.tol),
-                                            scale=1.0)
+    rank = linalg.rank_from_singular_values(sigma, outside.shape, min(s.tol, t.tol))
     return outside, sigma, vh, rank
 
 
@@ -446,32 +438,36 @@ def _unit_stack(z, rows, cols, s):
     return mats
 
 
-def _certificate(z, rows, cols, blocks, outside):
-    """Bound on ||[X, g]|| over a component's solutions X, per generator g.
+def _commutator_norms(local, parts):
+    """Largest ||[x, c]|| over an orthonormal block basis, per x of a stack.
 
-    z holds the coefficients of the solutions Z on the units (rows, cols),
-    blocks the generators' blocks g_QQ on the component and outside the
-    squared HS norms of g_{Q,Q^c} and g_{Q^c,Q}.  Off the component [X, g]
-    is Z g_{Q,Q^c} and -g_{Q^c,Q} Z, and ||Z||_2 <= ||Z||_HS = 1, so
-    ||[X, g]||^2 <= ||[Z, g_QQ]||^2 + outside.  One GEMM per side tests
-    every solution against a chunk of generators.
+    parts lists ranges q of the coordinates of the (k, n, n) stack local,
+    each with an orthonormal (d, s, s) stack z; c runs over each z placed
+    on q x q.  x c is x[:, q] z in the columns q and c x is z x[q] in the
+    rows q: [x, c] is their difference on q x q, subtracted in place, and
+    either alone off it, so nothing cancels.  One GEMM per side tests a
+    chunk of x against all of z.
     """
-    d, s = len(z), blocks.shape[1]
-    if not d:
-        return np.zeros(len(blocks))
-    mats = _unit_stack(z, rows, cols, s)
-    left = mats.reshape(d * s, s)
-    right = mats.transpose(1, 0, 2).reshape(s, d * s)
-    inside = np.empty(len(blocks))
-    step = max(1, _CERTIFICATE_CHUNK // (d * s * s))
-    for start in range(0, len(blocks), step):
-        g = blocks[start:start + step]
-        k = len(g)
-        zg = (left @ g.transpose(1, 0, 2).reshape(s, k * s)).reshape(d, s, k, s)
-        gz = (g.reshape(k * s, s) @ right).reshape(k, s, d, s)
-        comm = zg.transpose(2, 0, 1, 3) - gz.transpose(0, 2, 1, 3)
-        inside[start:start + k] = (comm.real ** 2 + comm.imag ** 2).sum(axis=(2, 3)).max(axis=1)
-    return np.sqrt(inside + outside)
+    k, n, _ = local.shape
+    worst = np.zeros(k)
+    for q, z in parts:
+        d, s, _ = z.shape
+        right = z.transpose(1, 0, 2).reshape(s, d * s)
+        left = z.reshape(d * s, s)
+        step = max(1, _CERTIFICATE_CHUNK // (d * n * s))
+        for start in range(0, k, step):
+            x = local[start:start + step]
+            j = len(x)
+            xz = (x[:, :, q].reshape(j * n, s) @ right).reshape(j, n, d, s)
+            zx = (left @ x[:, q].transpose(1, 0, 2).reshape(s, j * n))
+            zx = zx.reshape(d, s, j, n).transpose(2, 1, 0, 3)  # (j, s, d, n)
+            xz[:, q] -= zx[..., q]
+            # squared HS norms, summed on float views: no conjugate is formed
+            sq = sum(np.einsum("jadb,jadb->jd", f, f) for f in (
+                a.view(float) for a in (xz, zx[..., :q.start], zx[..., q.stop:])))
+            chunk = worst[start:start + j]
+            np.maximum(chunk, np.sqrt(sq.max(axis=1)), out=chunk)
+    return worst
 
 
 def commutant(space):
@@ -491,10 +487,10 @@ def commutant(space):
     singular_value_cut on the union of their singular values with that
     shape, covers them all.  The certificate tests each component's
     solutions against each g's block on it and adds g's coupling out of it
-    (_certificate), a bound on ||[X, g]|| for X = u Z u*, at the cut of the
-    last rank decision; the exact constraints of the failing g are folded
-    into every component and the systems re-solved, until a sweep is
-    clean.  X = u (+)_Q Z_Q u* is assembled component by component: with
+    (_commutator_norms), a bound on ||[X, g]|| for X = u Z u*, at the cut
+    of the last rank decision; the exact constraints of the failing g are
+    folded into every component and the systems re-solved, until a sweep
+    is clean.  X = u (+)_Q Z_Q u* is assembled component by component: with
     u_Q the columns of u on Q, u_Q Z_Q u_Q* is written straight into its
     rows of the one (d, n, n) result, so no other n^2-wide stack is held,
     and the result keeps u and the components (blocks).
@@ -522,12 +518,17 @@ def commutant(space):
     imposed = set()
     while True:
         factors = [linalg.svd_rows(system) for system in systems]
-        # h2 and the generators have unit norm, which sets the scale of the
-        # system when they are scalar on the space and it is pure roundoff
+        # h2 and the generators have unit norm, so the cut's floor of 1 is the
+        # scale of the system when they are scalar on it and it is pure roundoff
         cut = linalg.singular_value_cut(np.concatenate([sigma for sigma, _ in factors]),
-                                        (n_rows, m), tol, scale=1.0)
+                                        (n_rows, m), tol)
         sols = [vh[np.count_nonzero(sigma > cut):].conj() for sigma, vh in factors]
-        bound = np.max([_certificate(z, *part[1:]) for z, part in zip(sols, parts)], axis=0)
+        # off Q, [X, g] is Z g_{Q,Q^c} and -g_{Q^c,Q} Z, and ||Z||_2 <= ||Z||_HS
+        # = 1, so ||[X, g]||^2 <= ||[Z, g_QQ]||^2 + outside
+        bound = 0.0
+        for z, (idx, rows, cols, blocks, outside) in zip(sols, parts):
+            whole = [(slice(0, len(idx)), _unit_stack(z, rows, cols, len(idx)))]
+            bound = np.maximum(bound, np.sqrt(_commutator_norms(blocks, whole) ** 2 + outside))
         failing = set(np.nonzero(bound > cut)[0].tolist())
         if not failing:
             break

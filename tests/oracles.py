@@ -14,15 +14,17 @@ are the order-condition violations one dense generator pair at a time, a
 second route for the stacked support products of triple.  closure_span is
 the basis of a star_algebra.Closure by a second solve, C' less the common
 kernel's direction, which the closure reads off its blocks instead.
-hs_inner, left_kernel, complement, grading_compatible, pi_sm_direct and
-rho_degenerate are reference forms that only the tests call.
+hs_inner, left_kernel, complement, grading_compatible, pi_sm_direct,
+rho_degenerate, adjoint, antilinear_apply, antilinear_apply_inverse,
+subspace_sum, random_unitary, random_group_element and state are reference
+forms that only the tests call.
 """
 
 import itertools
 
 import numpy as np
 
-from fintriple import catalog, linalg, subspaces, triple
+from fintriple import catalog, layout, linalg, subspaces, triple
 
 
 def _unit8(i, j):
@@ -416,12 +418,13 @@ def hs_inner(x, y):
 def left_kernel(a, tol, scale=0.0):
     """Orthonormal rows c with c @ a = 0.
 
-    The rank is cut on a's own shape (linalg.rank_from_singular_values,
-    with scale as there); the rows are the right singular vectors of a*
-    that fall below the cut.  a must have at most as many rows as columns.
+    The rank is cut on a's own shape, at tol * max(a.shape) *
+    max(sigma_max, scale), relative to sigma_max alone by default; the rows
+    are the right singular vectors of a* that fall below the cut.  a must
+    have at most as many rows as columns.
     """
     sigma, vh = linalg.svd_rows(a.conj().T)
-    return vh[linalg.rank_from_singular_values(sigma, a.shape, tol, scale):]
+    return vh[np.count_nonzero(sigma > tol * max(a.shape) * max(sigma.max(initial=0.0), scale)):]
 
 
 def closure_span(closure):
@@ -489,3 +492,56 @@ def pi_sm_direct(g):
 def rho_degenerate(g):
     """The degenerate representation of one group element (catalog.rho_degenerate_stack)."""
     return catalog.rho_degenerate_stack([g])[0]
+
+
+def adjoint(op):
+    """Conjugate transpose."""
+    return np.asarray(op).conj().T
+
+
+def antilinear_apply(j, v):
+    """J v = K conj(v) for a linalg.AntilinearOperator j."""
+    return j.matrix @ np.conj(np.asarray(v, dtype=complex))
+
+
+def antilinear_apply_inverse(j, v):
+    """J^{-1} v = K^T conj(v)."""
+    return j.matrix.T @ np.conj(np.asarray(v, dtype=complex))
+
+
+def subspace_sum(s, t):
+    """Span of the union of two subspaces."""
+    if s.n != t.n:
+        raise ValueError("ambient dimensions differ")
+    return subspaces.span_of(np.concatenate([s.matrices, t.matrices]), tol=min(s.tol, t.tol),
+                             n=s.n)
+
+
+def random_unitary(rng, n):
+    """Haar-ish unitary from a QR factorization with phase fixing.
+
+    rng is a random.Random; its Gaussian draws fill z (linalg.complex_gaussian).
+    """
+    return catalog._phase_fixed_q(linalg.complex_gaussian(rng, (1, n, n)))[0]
+
+
+def random_group_element(rng, special=False):
+    """One random unitary group element drawn from the random.Random rng, as
+    catalog.random_group_elements draws each; special=True normalizes
+    determinants so the blocks land in SU(2) and SU(3)."""
+    phase = np.exp(2j * np.pi * rng.random())
+    weak = random_unitary(rng, 2)
+    color = random_unitary(rng, 3)
+    if special:
+        weak = weak / np.linalg.det(weak) ** (1 / 2)
+        color = color / np.linalg.det(color) ** (1 / 3)
+    return catalog.GroupElement(phase=phase, weak=weak, color=color)
+
+
+def state(r, c):
+    """8x4 basis state E(r, c), 1-based."""
+    if not (1 <= r <= layout.LEFT_DIM and 1 <= c <= layout.RIGHT_DIM):
+        raise ValueError(f"state ({r}, {c}) out of range")
+    v = np.zeros((layout.LEFT_DIM, layout.RIGHT_DIM), dtype=complex)
+    v[r - 1, c - 1] = 1.0
+    return v

@@ -191,8 +191,8 @@ def test_criterion_09_gauge_identities():
                 expected = int(layout.HYPERCHARGE_EXPONENTS[r - 1][c - 1])
                 assert int(round(float(np.angle(op[idx, idx])) / theta)) == expected
     for _ in range(20):
-        u = catalog.random_group_element(rng)
-        v = catalog.random_group_element(rng)
+        u = oracles.random_group_element(rng)
+        v = oracles.random_group_element(rng)
         ru = oracles.rho_degenerate(u)
         rv = oracles.rho_degenerate(v)
         uv = catalog.GroupElement(u.phase * v.phase, u.weak @ v.weak,

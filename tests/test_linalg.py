@@ -92,13 +92,13 @@ def test_vec_kron_consistency_bulk():
 def test_adjoint():
     rng = np.random.default_rng(3)
     eye = np.eye(32, dtype=complex)
-    np.testing.assert_allclose(linalg.adjoint(eye), eye)
+    np.testing.assert_allclose(oracles.adjoint(eye), eye)
     a, b = _rand_complex(rng, 8, 8), _rand_complex(rng, 4, 4)
     np.testing.assert_allclose(
-        linalg.adjoint(linalg.kron_action(a, b)),
+        oracles.adjoint(linalg.kron_action(a, b)),
         linalg.kron_action(a.conj().T, b.conj().T), atol=1e-13)
     x = _rand_complex(rng, 32, 32)
-    np.testing.assert_allclose(linalg.adjoint(linalg.adjoint(x)), x)
+    np.testing.assert_allclose(oracles.adjoint(oracles.adjoint(x)), x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,7 +108,7 @@ def test_adjoint_antimultiplicative(re, im):
     x = re[0] + 1j * im[0]
     y = re[1] + 1j * im[1]
     np.testing.assert_allclose(
-        linalg.adjoint(x @ y), linalg.adjoint(y) @ linalg.adjoint(x), atol=1e-10)
+        oracles.adjoint(x @ y), oracles.adjoint(y) @ oracles.adjoint(x), atol=1e-10)
 
 
 def test_hs_inner_examples():
@@ -179,8 +179,9 @@ def test_antilinear_operator_validation():
     v = _rand_complex(rng, 32)
     w = _rand_complex(rng, 32)
     # antiunitary: <Jv, Jw> = <w, v>
-    assert np.vdot(k.apply(v), k.apply(w)) == pytest.approx(np.vdot(w, v))
-    np.testing.assert_allclose(k.apply_inverse(k.apply(v)), v, atol=1e-12)
+    jv, jw = oracles.antilinear_apply(k, v), oracles.antilinear_apply(k, w)
+    assert np.vdot(jv, jw) == pytest.approx(np.vdot(w, v))
+    np.testing.assert_allclose(oracles.antilinear_apply_inverse(k, jv), v, atol=1e-12)
 
 
 def test_operator_validation():
@@ -239,20 +240,43 @@ def test_svd_rows_matches_the_direct_svd(shape, rank, dtype):
     assert np.linalg.norm(outside, 2) <= 1e-12
 
 
-def test_thin_svd_only_inside_svd_rows():
-    # every SVD of the package goes through the one kernel, linalg.svd_rows
+def _owners(attr):
+    """module.function of every place in the package that names attr, as an
+    attribute or as the end of an imported name."""
     package = Path(linalg.__file__).resolve().parent
     owners = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if ((isinstance(node, ast.Attribute) and node.attr == "svd")
-                    or (isinstance(node, ast.alias) and node.name.endswith("svd"))):
+            if ((isinstance(node, ast.Attribute) and node.attr == attr)
+                    or (isinstance(node, ast.alias) and node.name.endswith(attr))):
                 inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 name = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
                 owners.add(f"{path.stem}.{name}")
-    assert owners == {"linalg.svd_rows"}
+    return owners
+
+
+def test_thin_svd_only_inside_svd_rows():
+    # every SVD of the package goes through the one kernel, linalg.svd_rows
+    assert _owners("svd") == {"linalg.svd_rows"}
+
+
+def test_einsum_only_inside_the_commutator_sweep():
+    # the certificate and every closure's defect and membership measure
+    # commutators against a block basis through the one kernel
+    assert _owners("einsum") == {"subspaces._commutator_norms"}
+
+
+def test_rank_cut_floors_sigma_max_at_one():
+    # every system is built from unit-norm generators or rows, so a system
+    # of norm far below 1 is roundoff and has rank 0; above 1 the cut is
+    # relative to sigma_max
+    sigma = np.array([2.0, 1e-3, 1e-12])
+    assert linalg.singular_value_cut(sigma, (3, 4), 1e-9) == pytest.approx(8e-9)
+    assert linalg.rank_from_singular_values(sigma, (3, 4), 1e-9) == 2
+    assert linalg.singular_value_cut(1e-12 * sigma, (3, 4), 1e-9) == pytest.approx(4e-9)
+    assert linalg.rank_from_singular_values(1e-12 * sigma, (3, 4), 1e-9) == 0
 
 
 def test_product_rows_lists_every_product_left_major():

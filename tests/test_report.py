@@ -158,7 +158,8 @@ def test_one_forms_check_memory(thm2_triple):
         d = morita.Derived(thm2_triple, tol)
         om = d.one_forms
         alg = d.algebra_span.matrices
-        named = report._bimodule_span(gens + [g.conj().T for g in gens], alg, tol)
+        named = subspaces.product_span(alg, alg, tol=tol,
+                                       middle=np.array(gens + [g.conj().T for g in gens]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -171,7 +172,7 @@ def test_bimodule_span_matches_the_span_of_all_products(thm1_triple):
     gens = gens + [g.conj().T for g in gens]
     alg = morita.algebra_span(thm1_triple).matrices
     mats = [a @ g @ b for g in gens for a in alg for b in alg]
-    built = report._bimodule_span(gens, alg, 1e-9)
+    built = subspaces.product_span(alg, alg, tol=1e-9, middle=np.array(gens))
     assert np.array_equal(built.flat, subspaces.span_of(mats, tol=1e-9).flat)
 
 

