@@ -387,8 +387,9 @@ def rho_degenerate_stack(elements):
     lower = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
     upper[:, :4, :4] = w
     lower[:, 4:, 4:] = b
-    return (kron_action(upper, b.conj().transpose(0, 2, 1))
-            + kron_action(lower, w.conj().transpose(0, 2, 1)))
+    rho = kron_action(upper, b.conj().transpose(0, 2, 1))
+    rho += kron_action(lower, w.conj().transpose(0, 2, 1))
+    return rho
 
 
 def cover_map(g):

@@ -405,8 +405,7 @@ PLAN = (
     Step("first_order", _order_condition(triple.first_order_violation)),
     Step("sign_table", _sign_table),
     Step("grading_axioms", _grading_axioms, excluded=_odd_triple),
-    Step("dirac_decomposition", _dirac_decomposition,
-         ("first_order",), "first-order condition fails"),
+    Step("dirac_decomposition", _dirac_decomposition, _ORDERS, "first-order condition fails"),
     Step("one_forms", _one_forms),
     Step("clifford_odd", _clifford_odd, _ORDERS, _ORDERS_FAIL),
     Step("clifford_even", _clifford_even, _ORDERS, _ORDERS_FAIL, _odd_triple),

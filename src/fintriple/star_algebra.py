@@ -16,7 +16,7 @@ block (1, dim K), on which every seed element vanishes.  alg(S) vanishes
 on K and contains its unit, the projection onto K's complement, so alg(S)
 is C' less C P_K: its dimension is sum n_i^2, less 1 for a kernel block,
 and x lies in it when x commutes with C and x P_K = 0.  A Closure holds S,
-C, C's own block form from the solve (OperatorSubspace.blocks) and the
+C in the block form of its solve (OperatorSubspace.blocks) and the
 columns of P_K's range; its defect and membership sweep commutators
 against those blocks with the solver's certificate kernel
 (subspaces._commutator_norms), and no basis of alg(S) is formed.
@@ -49,8 +49,8 @@ _WEDDERBURN_SEED = 0xB10C5
 class Closure:
     """alg(S), held as the seed S, C = S' and C's sorted blocks (n_i, m_i).
 
-    frame is C's block form from the solve, commutant.blocks: (v, parts), a
-    unitary v and per component its range q of v's columns with an
+    C is held in the block form of its solve, commutant.blocks: (v, parts),
+    a unitary v and per component its range q of v's columns with an
     orthonormal basis Z_q of C on it, together one of C.  kernel is the
     (n, m) columns spanning the kernel block's support P_K, or None.
     Operators are read transposed, as the solver reads vec rows.  defect,
@@ -61,7 +61,6 @@ class Closure:
     seed: OperatorSubspace
     commutant: OperatorSubspace
     blocks: tuple
-    frame: tuple
     kernel: np.ndarray | None
 
     @property
@@ -81,7 +80,7 @@ class Closure:
 
     def contains_rows(self, rows):
         """Per vec row x: ||[x, c]|| and ||x P_K|| are at most tol ||x||."""
-        v, parts = self.frame
+        v, parts = self.commutant.blocks
         worst = subspaces._commutator_norms(_local(v, rows), parts)
         if self.kernel is not None:
             off = rows.reshape(-1, self.n, self.n) @ self.kernel
@@ -90,7 +89,7 @@ class Closure:
 
     @cached_property
     def defect(self):
-        v, parts = self.frame
+        v, parts = self.commutant.blocks
         worst = subspaces._commutator_norms(_local(v, self.seed.flat), parts)
         return float(worst.max(initial=0.0))
 
@@ -190,7 +189,7 @@ def star_closure(gens, tol=DEFAULT_TOL):
     if len(kernel) > 1 or any(n_i != 1 for n_i, _ in kernel):
         raise RuntimeError("Wedderburn blocks: the seed's kernel is not one block (1, m)")
     return Closure(seed=seed, commutant=comm, blocks=tuple(sorted(blocks)),
-                   frame=(v, parts), kernel=kernel[0][1] if kernel else None)
+                   kernel=kernel[0][1] if kernel else None)
 
 
 def center(space, commutant):
@@ -201,7 +200,7 @@ def center(space, commutant):
 def unitalize(closure):
     """alg(S) + C 1, the closure of S + C 1; a unital closure as it is.
 
-    (S + C 1)' = S', so it keeps C, the blocks and the frame, and only the
+    (S + C 1)' = S', so it keeps C and the blocks, and only the
     kernel block goes: nothing is solved.
     """
     if closure.unital:

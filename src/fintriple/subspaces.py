@@ -29,14 +29,13 @@ with the element's block on the component (_commutator_norms) plus the
 element's coupling out of it.  The loop is sound because it imposes only
 constraints that every element of S' satisfies (dropping a coupling removes constraints),
 so its solution space contains S', and the certificate proves the reverse
-inclusion.  Each component's solutions u_Q Z_Q u_Q* are written straight
-into the one n^2-wide result, which keeps u and the components to read
-the Z_Q back (blocks), from which star_algebra reads every closure with no
-second solve and sweeps its defect and membership by the same kernel; the
-random elements are drawn from a seeded random.Random, so the solver never
-loads numpy.random.
-conjugated carries a commutant over to the opposite algebra with nothing
-solved.
+inclusion.  The result keeps u and each component's basis Z_Q (blocks),
+with no n^2-wide stack; projections onto it work in u's basis, and
+star_algebra reads every closure from the blocks with no second solve and
+sweeps its defect and membership by the same kernel.  The random elements
+are drawn from a seeded random.Random, so the solver never loads
+numpy.random.  conjugated carries a commutant over to the opposite
+algebra, block form to block form, with nothing solved or assembled.
 commutator_gram is the dense Gram operator of the same problem, kept as a
 test oracle.
 """
@@ -44,6 +43,7 @@ test oracle.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -75,45 +75,41 @@ _CERTIFICATE_CHUNK = 1 << 14
 class OperatorSubspace:
     """Span of n x n operators, held as an orthonormal HS basis.
 
-    flat holds the basis as rows of length n*n (column-major vec), kept as
-    given: rows from span_of, or from a solver that makes them orthonormal.
-    matrices is the same basis as a (d, n, n) view.  contains, contains_rows
-    and equals decide at tol.  components is (u, [(idx, d)]) when the rows
-    are the u_Q Z u_Q* of a commutant solve, d of them per component in
-    order, and None otherwise; blocks reads the Z back.  Immutable after
-    construction.
+    A flat space holds the basis as rows of length n*n (column-major vec),
+    kept as given: rows from span_of, or from a solver that makes them
+    orthonormal; its blocks are None.  A commutant solve gives the block
+    form blocks = (v, parts): a unitary v and per component its range q of
+    v's columns with an orthonormal (d, s, s) basis Z of the rows
+    v_q Z v_q*, read by their row-major reshape as the solver reads vec
+    rows.  Its flat is built on first read; dim, contains_rows, outside,
+    project, residual and conjugated work on the blocks.  matrices is the
+    basis as a (d, n, n) view of flat.  contains, contains_rows and equals
+    decide at tol.  Immutable after construction.
     """
 
-    def __init__(self, flat, n, tol=DEFAULT_TOL, components=None):
-        self.flat = np.asarray(flat, dtype=complex).reshape(-1, n * n)
+    def __init__(self, flat, n, tol=DEFAULT_TOL, blocks=None):
         self.n = n
         self.tol = tol
-        self.components = components
+        self.blocks = blocks
+        if blocks is None:
+            self.flat = np.asarray(flat, dtype=complex).reshape(-1, n * n)
 
-    @property
-    def blocks(self):
-        """(v, parts): u's columns taken component by component, and per
-        component its range q of them and its basis v_q* X v_q.
-
-        X runs over the component's d rows of flat, read by their row-major
-        reshape as the solver wrote them, so only u and the indices are
-        held; None without components.
-        """
-        if self.components is None:
-            return None
-        u, comps = self.components
-        v = u[:, np.concatenate([idx for idx, _ in comps])]
-        mats, parts, row, col = self.flat.reshape(-1, self.n, self.n), [], 0, 0
-        for idx, d in comps:
-            q = slice(col, col + len(idx))
-            parts.append((q, v[:, q].conj().T @ mats[row:row + d] @ v[:, q]))
-            row, col = row + d, col + len(idx)
-        return v, parts
+    @cached_property
+    def flat(self):
+        """The rows v_q Z v_q* of every component, in order, in one buffer."""
+        v, parts = self.blocks
+        x = np.empty((self.dim, self.n, self.n), dtype=complex)
+        start = 0
+        for q, z in parts:
+            v_q = v[:, q]
+            np.matmul(v_q @ z, v_q.conj().T, out=x[start:start + len(z)])
+            start += len(z)
+        return x.reshape(-1, self.n * self.n)
 
     @property
     def dim(self):
         """Complex dimension."""
-        return self.flat.shape[0]
+        return len(self.flat) if self.blocks is None else sum(len(z) for _, z in self.blocks[1])
 
     @property
     def matrices(self):
@@ -121,12 +117,12 @@ class OperatorSubspace:
         return self.flat.reshape(-1, self.n, self.n).transpose(0, 2, 1)
 
     def project(self, x):
-        c = np.conj(self.flat @ np.conj(linalg.vec(x)))
-        return linalg.unvec(c @ self.flat, self.n, self.n)
+        row = linalg.vec(x)[None]
+        return linalg.unvec(row[0] - self.outside(row)[0], self.n, self.n)
 
     def residual(self, x):
         """HS distance from x to the subspace."""
-        return linalg.hs_norm(np.asarray(x, dtype=complex) - self.project(x))
+        return linalg.hs_norm(self._residual(linalg.vec(x)[None]))
 
     def contains(self, x):
         """True iff ||x - P(x)|| <= tol * ||x||; the zero operator is always in."""
@@ -134,22 +130,40 @@ class OperatorSubspace:
 
     def contains_rows(self, rows):
         """contains for every operator given by its vec row."""
-        resid = np.linalg.norm(self.outside(rows), axis=1)
+        resid = np.linalg.norm(self._residual(rows).reshape(len(rows), self.n * self.n), axis=1)
         return bool(np.all(resid <= self.tol * np.linalg.norm(rows, axis=1)))
 
     def outside(self, rows):
-        """The parts of the vec rows outside the span: rows less their projections.
+        """The parts of the vec rows outside the span: rows less their projections."""
+        out = self._residual(rows)
+        if self.blocks is None:
+            return out
+        return _conjugate(self.blocks[0].conj().T, out).reshape(len(out), self.n * self.n)
 
-        The coefficients are conj(conj(rows) @ flat.T), so the basis is never
-        copied conjugated; the conjugated rows, then the projections, then
-        the difference are written into one buffer, so the only array as
-        large as rows is the one returned.
+    def _residual(self, rows):
+        """outside, as vec rows of a flat space and as v* x v for blocks.
+
+        Flat: the coefficients are conj(conj(rows) @ flat.T), so the basis
+        is never copied conjugated, and the conjugated rows, then the
+        projections, then the difference are written into the one returned
+        buffer.  Blocks: each component's q x q block less its projection
+        on Z, and the entries off every block as they are, so norms are read
+        off the entries.
         """
-        out = np.conjugate(rows, dtype=complex)
-        coeffs = out @ self.flat.T
-        np.conj(coeffs, out=coeffs)
-        np.matmul(coeffs, self.flat, out=out)
-        return np.subtract(rows, out, out=out)
+        if self.blocks is None:
+            out = np.conjugate(rows, dtype=complex)
+            coeffs = out @ self.flat.T
+            np.conj(coeffs, out=coeffs)
+            np.matmul(coeffs, self.flat, out=out)
+            return np.subtract(rows, out, out=out)
+        v, parts = self.blocks
+        local = _conjugate(v, np.reshape(rows, (-1, self.n, self.n)))
+        for q, z in parts:
+            basis = z.reshape(len(z), -1)
+            block = local[:, q, q].reshape(len(local), -1)
+            coeffs = np.conj(np.conj(block) @ basis.T)
+            local[:, q, q] -= (coeffs @ basis).reshape(-1, *z.shape[1:])
+        return local
 
     def __repr__(self):
         return f"OperatorSubspace(dim={self.dim}, n={self.n})"
@@ -233,41 +247,22 @@ def product_span(left, right, tol=DEFAULT_TOL, middle=None):
     return OperatorSubspace(flat, n, tol=tol)
 
 
-def outside_svd(s, t):
-    """The part of the basis of s outside t, and one factorization of it.
-
-    Returns (outside, sigma, vh, rank): outside = t.outside(s.flat), sigma
-    and vh the singular values and right vectors of its adjoint, and rank
-    the number of singular values above the cut.  The adjoint is the
-    conjugate of outside.T, and so are its R factor and right vectors, so
-    linalg.svd_rows factors the transpose, a view, and the small vh is
-    conjugated: no conjugated copy of outside is made.  The combinations
-    vh[rank:] of the basis of s vanish outside t and span s ∩ t; the kept
-    triplets solve least-squares problems in the span of outside.  Because
-    the basis rows are unit vectors, the rank cut's floor of 1 on sigma_max
-    (linalg.singular_value_cut) is the right scale, and not the largest
-    residual alone (which is legitimately ~0 when s is a subset of t).
-    """
-    _check_compatible(s, t)
-    outside = t.outside(s.flat)
-    sigma, vh = linalg.svd_rows(outside.T)
-    vh = vh.conj()
-    rank = linalg.rank_from_singular_values(sigma, outside.shape, min(s.tol, t.tol))
-    return outside, sigma, vh, rank
-
-
 def intersect(s, t):
     """Intersection, computed inside the span of s.
 
-    Looks for combinations of the basis of s whose component outside t
-    vanishes: the left kernel of the residual matrix, cut by outside_svd.
+    The combinations of the basis of s whose part outside t vanishes: the
+    right singular vectors of that part's adjoint (the conjugates of its
+    transpose's, a view, so no conjugated copy is made) cut by the rank
+    rule, whose floor of 1 on sigma_max is the scale of unit basis rows.
     """
     _check_compatible(s, t)
     tol = min(s.tol, t.tol)
     if s.dim == 0 or t.dim == 0:
         return OperatorSubspace(np.zeros((0, s.n * s.n)), s.n, tol=tol)
-    _, _, vh, rank = outside_svd(s, t)
-    return OperatorSubspace(vh[rank:] @ s.flat, s.n, tol=tol)
+    outside = t.outside(s.flat)
+    sigma, vh = linalg.svd_rows(outside.T)
+    rank = linalg.rank_from_singular_values(sigma, outside.shape, tol)
+    return OperatorSubspace(vh[rank:].conj() @ s.flat, s.n, tol=tol)
 
 
 def equals(s, t):
@@ -490,10 +485,9 @@ def commutant(space):
     (_commutator_norms), a bound on ||[X, g]|| for X = u Z u*, at the cut
     of the last rank decision; the exact constraints of the failing g are
     folded into every component and the systems re-solved, until a sweep
-    is clean.  X = u (+)_Q Z_Q u* is assembled component by component: with
-    u_Q the columns of u on Q, u_Q Z_Q u_Q* is written straight into its
-    rows of the one (d, n, n) result, so no other n^2-wide stack is held,
-    and the result keeps u and the components (blocks).
+    is clean.  X = u (+)_Q Z_Q u* is returned in block form: u's columns
+    taken component by component and each Z_Q (OperatorSubspace.blocks),
+    with no n^2-wide stack assembled.
     Random draws come from a random.Random with a fixed seed per call.
     Vec rows are read by their row-major reshape, the transpose of the
     operator, which keeps commutation and copies nothing.
@@ -501,9 +495,10 @@ def commutant(space):
     when an element already imposed still fails the sweep.
     """
     n, tol = space.n, space.tol
-    if not space.dim:  # its rows are the matrix units, one component in u = 1
-        return OperatorSubspace(np.eye(n * n, dtype=complex), n, tol=tol,
-                                components=(np.eye(n, dtype=complex), [(np.arange(n), n * n)]))
+    if not space.dim:  # the matrix units, one component in v = 1
+        units = np.eye(n * n, dtype=complex).reshape(-1, n, n)
+        return OperatorSubspace(None, n, tol=tol, blocks=(np.eye(n, dtype=complex),
+                                                          [(slice(0, n), units)]))
     rng = random.Random(_COMMUTANT_SEED)
     u, clusters = _generic_eigenblocks(space, rng)
     local = _conjugate(u, space.flat.reshape(-1, n, n))
@@ -543,15 +538,12 @@ def commutant(space):
                    for (sigma, vh), (_, rows, cols, blocks, _) in zip(factors, parts)]
         n_rows += n * n * len(failing)
         imposed |= failing
-    x = np.empty((sum(len(z) for z in sols), n, n), dtype=complex)
-    start = 0
+    blocks, start = [], 0
     for z, (idx, rows, cols, *_) in zip(sols, parts):
-        u_q = u[:, idx]
-        np.matmul(u_q @ _unit_stack(z, rows, cols, len(idx)), u_q.conj().T,
-                  out=x[start:start + len(z)])
-        start += len(z)
-    return OperatorSubspace(x.reshape(-1, n * n), n, tol=tol, components=(
-        u, [(idx, len(z)) for z, (idx, *_) in zip(sols, parts)]))
+        blocks.append((slice(start, start + len(idx)), _unit_stack(z, rows, cols, len(idx))))
+        start += len(idx)
+    v = u[:, np.concatenate([idx for idx, *_ in parts])]
+    return OperatorSubspace(None, n, tol=tol, blocks=(v, blocks))
 
 
 def adjoint(space):
@@ -571,6 +563,11 @@ def conjugated(space, real_structure):
     """
     n = space.n
     k = real_structure.matrix
-    # on row-major reshapes (transposes) the map reads the same
+    # on row-major reshapes (transposes) the map reads the same, so
+    # v_q Z v_q* goes to (K conj v)_q conj(Z) (K conj v)_q*
+    if space.blocks is not None:
+        v, parts = space.blocks
+        return OperatorSubspace(None, n, tol=space.tol,
+                                blocks=(k @ v.conj(), [(q, z.conj()) for q, z in parts]))
     mats = k @ space.flat.conj().reshape(-1, n, n) @ k.T
     return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol)

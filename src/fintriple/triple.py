@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, subspaces
+from . import linalg
 from .linalg import DEFAULT_TOL, AntilinearOperator
 
 
@@ -240,11 +240,12 @@ def sign_table(t, tol=SIGN_TOL_FLOOR):
 class DiracDecomposition:
     """Least-squares splitting D = D0 + D1 with D0 in (A°)' and D1 in A'.
 
-    D1 is the minimum-norm solution of the part of D outside (A°)', and D0
-    the projection of D - D1 onto (A°)'; ambiguity_dim records the
-    dimension of A' ∩ (A°)' responsible for the non-uniqueness.  When D
-    commutes with J, j_symmetric_part is a self-adjoint D0' with
-    D = D0' + J D0' J and j_residual the achieved error.
+    D1 is the minimum-norm solution of the part of D outside (A°)', taken
+    one central block of A at a time, and D0 the projection of D - D1 onto
+    (A°)'; ambiguity_dim records the dimension of A' ∩ (A°)' responsible
+    for the non-uniqueness.  When D commutes with J, j_symmetric_part is a
+    self-adjoint D0' with D = D0' + J D0' J and j_residual the achieved
+    error.
     """
 
     free_part: np.ndarray
@@ -255,29 +256,80 @@ class DiracDecomposition:
     j_residual: float | None = None
 
 
+def _outside_on_block(z, h, q, others):
+    """A' rows v_q Z v_q* outside (A°)': their q x q blocks, and the rest's norm.
+
+    h is v* w, for A''s basis v and the basis w of (A°)''s parts.  P0 X is
+    the sum over parts p of h[:, p] M_p h[:, p]* in v, M_p the projection of
+    h[q, p]* Z h[q, p].  Off q x q, its rows r give terms orthogonal across
+    p, with the norms of h[r, p] M_p, and its block q x r is summed.
+    """
+    d = len(z)
+    rest = np.ones(len(h), dtype=bool)
+    rest[q] = False
+    block, cross, off = z.copy(), 0.0, 0.0
+    for p, y in others:
+        basis = y.reshape(len(y), -1)
+        g = h[q, p]
+        m = (g.conj().T @ z @ g).reshape(d, -1)
+        m = (np.conj(np.conj(m) @ basis.T) @ basis).reshape(d, *y.shape[1:])
+        hm = h[:, p] @ m
+        block -= hm[:, q] @ g.conj().T
+        cross = cross + hm[:, q] @ h[rest, p].conj().T
+        off += np.linalg.norm(hm[:, rest]) ** 2
+    return block, off + np.linalg.norm(cross) ** 2
+
+
 def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     """Split the Dirac operator across the two commutants A' and (A°)'.
 
     The splitting is that of the first-order structure theorem; raises
-    OrderConditionError when the first-order condition fails.
+    OrderConditionError when an order condition fails.  A' comes in the
+    block form of its solve, whose components lie in A + C 1 (central
+    supports P_Q of A), and (A°)' in any block form.  Under the zeroth order
+    condition each P_Q lies in (A°)', so the part of A''s component-Q rows
+    outside (A°)' lies in Q x Q.  These d_Q x s_Q^2 blocks are factored
+    one at a time, with one singular_value_cut on the union of their
+    singular values and the shape (dim A', n^2) of the whole system: their
+    kernels span A' ∩ (A°)', and their kept triplets give the minimum-norm
+    D1 whose part outside (A°)' is that of D.  D0 is the (A°)' projection
+    of D - D1.  The rows' part off their blocks moves no singular value by
+    more than its HS norm (Weyl), as a generator's coupling out of a
+    component bounds the commutant solver; RuntimeError is raised when
+    that bound reaches the cut.
     """
-    violation = first_order_violation(t)
-    if violation > tol:
-        raise OrderConditionError(f"not-first-order: violation {violation:.3e} > tol {tol:g}")
+    zeroth, first = zeroth_order_violation(t), first_order_violation(t)
+    if zeroth > tol or first > tol:
+        raise OrderConditionError(f"order-conditions-violated (zeroth {zeroth:.3e}, "
+                                  f"first {first:.3e}, tol {tol:g})")
     n = t.n
-
     d = np.asarray(t.dirac, dtype=complex)
-    # one factorization of the part of A' outside (A°)': its kernel is
-    # A' ∩ (A°)', and its kept triplets give the least-squares D1 of
-    # D1 outside = D - P0 D; D0 is then the (A°)' projection of D - D1
-    outside, sigma, vh, rank = subspaces.outside_svd(algebra_commutant, opposite_commutant)
-    # outside* = U S vh with U = outside* vh* / S never formed, and
-    # P0 outside* = 0, so (D - P0 D) U = D outside* vh* / S; conj(outside)
-    # vec D is taken as conj(outside conj(vec D)), with no conjugated copy
-    kept = vh[:rank]
-    c1 = (np.conj(outside @ np.conj(linalg.vec(d))) @ kept.conj().T
-          / sigma[:rank] ** 2) @ kept
-    d1 = linalg.unvec(c1 @ algebra_commutant.flat, n, n)
+    v, parts = algebra_commutant.blocks
+    w, others = opposite_commutant.blocks
+    h = v.conj().T @ w
+    # rows are read transposed, so D enters as D^T; per block the factors
+    # of the adjoint of its rows, and the pairings <o_i, D>
+    factors, leak = [], 0.0
+    for q, z in parts:
+        block, off = _outside_on_block(z, h, q, others)
+        rows = block.reshape(len(z), -1)
+        sigma, vh = linalg.svd_rows(rows.T)
+        paired = np.conj(rows) @ (v[:, q].conj().T @ d.T @ v[:, q]).ravel()
+        factors.append((sigma, vh.conj(), paired))
+        leak += off
+    cut = linalg.singular_value_cut(np.concatenate([sigma for sigma, *_ in factors]),
+                                    (algebra_commutant.dim, n * n),
+                                    min(algebra_commutant.tol, opposite_commutant.tol))
+    if np.sqrt(leak) >= cut:
+        raise RuntimeError(f"Dirac decomposition certificate: the part off the central "
+                           f"blocks, {np.sqrt(leak):.3e}, reaches the rank cut {cut:.3e}")
+    d1, rank = np.zeros((n, n), dtype=complex), 0
+    for (q, z), (sigma, vh, paired) in zip(parts, factors):
+        r = int(np.count_nonzero(sigma > cut))
+        c = (paired @ vh[:r].conj().T / sigma[:r] ** 2) @ vh[:r]
+        d1 += v[:, q] @ np.tensordot(c, z, axes=1) @ v[:, q].conj().T
+        rank += r
+    d1 = d1.T
     d0 = opposite_commutant.project(d - d1)
     residual = linalg.hs_norm(d - d0 - d1)
     ambiguity = algebra_commutant.dim - rank

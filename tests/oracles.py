@@ -11,7 +11,10 @@ back as rows orthonormal over R, which real_span_residual and real_rank read; de
 certifies a closure on all n^2 operator entries by random products and an
 all-pairs sweep, a second route for the bicommutant star closure.  pairwise_zeroth_order and pairwise_first_order
 are the order-condition violations one dense generator pair at a time, a
-second route for the stacked support products of triple.  closure_span is
+second route for the stacked support products of triple.
+dense_decompose_dirac is the Dirac decomposition by one factorization of
+A''s flat basis outside (A°)' (outside_svd), a second route for the split
+per central block of triple.decompose_dirac.  closure_span is
 the basis of a star_algebra.Closure by a second solve, C' less the common
 kernel's direction, which the closure reads off its blocks instead.
 hs_inner, left_kernel, complement, grading_compatible, pi_sm_direct,
@@ -408,6 +411,44 @@ def pairwise_first_order(t):
         for b in triple._normalized(t.opposite_gens):
             worst = max(worst, linalg.hs_norm(c @ b - b @ c) / c_norm)
     return worst
+
+
+def outside_svd(s, t):
+    """The part of the basis of s outside t, and one factorization of it.
+
+    Returns (outside, sigma, vh, rank): outside = t.outside(s.flat), sigma
+    and vh the singular values and right vectors of its adjoint, and rank
+    the number of singular values above the cut.  The combinations
+    vh[rank:] of the basis of s vanish outside t and span s ∩ t; the kept
+    triplets solve least-squares problems in the span of outside.
+    """
+    outside = t.outside(s.flat)
+    sigma, vh = linalg.svd_rows(outside.T)
+    rank = linalg.rank_from_singular_values(sigma, outside.shape, min(s.tol, t.tol))
+    return outside, sigma, vh.conj(), rank
+
+
+def dense_decompose_dirac(t, algebra_commutant, opposite_commutant):
+    """triple.decompose_dirac's D0, D1, residual and ambiguity on the flats.
+
+    One factorization of the part of A''s n^2-wide basis outside (A°)'
+    (outside_svd): its kernel is A' ∩ (A°)', and its kept
+    triplets give the minimum-norm D1 whose part outside (A°)' is that of
+    D; D0 is the (A°)' projection of D - D1 from the flat basis.  Neither
+    the order conditions nor the J-symmetric part are taken.
+    """
+    n = t.n
+    d = np.asarray(t.dirac, dtype=complex)
+    outside, sigma, vh, rank = outside_svd(algebra_commutant, opposite_commutant)
+    # outside* = U S vh with U = outside* vh* / S, and P0 outside* = 0, so
+    # (D - P0 D) U = D outside* vh* / S
+    kept = vh[:rank]
+    c1 = (np.conj(outside @ np.conj(linalg.vec(d))) @ kept.conj().T / sigma[:rank] ** 2) @ kept
+    d1 = linalg.unvec(c1 @ algebra_commutant.flat, n, n)
+    basis = opposite_commutant.flat
+    d0 = linalg.unvec((basis.conj() @ linalg.vec(d - d1)) @ basis, n, n)
+    return triple.DiracDecomposition(d0, d1, linalg.hs_norm(d - d0 - d1),
+                                     algebra_commutant.dim - rank)
 
 
 def hs_inner(x, y):

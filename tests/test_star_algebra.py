@@ -286,10 +286,9 @@ def test_closure_merges_blocks_of_a_wrong_commutant(monkeypatch):
     # algebra, which misses the seed, and its defect must say so
     def diagonal(space):
         n = space.n
-        flat = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
-        units = [(np.array([i]), 1) for i in range(n)]
-        return subspaces.OperatorSubspace(flat, n, tol=space.tol,
-                                          components=(np.eye(n, dtype=complex), units))
+        units = [(slice(i, i + 1), np.ones((1, 1, 1), dtype=complex)) for i in range(n)]
+        return subspaces.OperatorSubspace(None, n, tol=space.tol,
+                                          blocks=(np.eye(n, dtype=complex), units))
 
     gens = _block_algebra([(2, 2), (1, 4)], 8)
     monkeypatch.setattr(subspaces, "commutant", diagonal)
@@ -406,6 +405,7 @@ def test_closure_raises_when_the_commutant_misses_a_row(monkeypatch, thm1_triple
 
     def short(space):
         v, parts = solve(space).blocks
+        parts = list(parts)
         q, z = parts[1]
         s = z.shape[1]
         flat = z.reshape(len(z), -1)
@@ -413,11 +413,7 @@ def test_closure_raises_when_the_commutant_misses_a_row(monkeypatch, thm1_triple
             unit = np.eye(s).reshape(1, -1) / np.sqrt(s)
             flat = np.vstack([unit, linalg.orthonormal_rows(flat - flat @ unit.T * unit)])
         parts[1] = (q, flat[:-1].reshape(-1, s, s))
-        # the rows v_q Z v_q* of every component, in order, as the solver writes them
-        mats = np.concatenate([v[:, q] @ z @ v[:, q].conj().T for q, z in parts])
-        comps = [(np.arange(q.start, q.stop), len(z)) for q, z in parts]
-        return subspaces.OperatorSubspace(mats.reshape(len(mats), -1), space.n,
-                                          tol=space.tol, components=(v, comps))
+        return subspaces.OperatorSubspace(None, space.n, tol=space.tol, blocks=(v, parts))
 
     monkeypatch.setattr(subspaces, "commutant", short)
     with pytest.raises(RuntimeError, match="Wedderburn blocks"):

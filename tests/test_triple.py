@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fintriple import catalog, linalg, morita, subspaces, triple
+from fintriple import catalog, linalg, morita, report, subspaces, triple
 
 import oracles
 from conftest import BASE, CONFIG_NAMES, config_triple
@@ -156,9 +156,9 @@ def test_decompose_full_family(thm1_triple, af_commutant, af_opposite_commutant)
 
 
 def test_decompose_dirac_traced_peak_on_thm1():
-    # outside_svd factors the transpose of the 112 x 1024 part of A'
-    # outside (A°)', a view, and D is paired with it unconjugated; the
-    # conjugated copies peaked at 5.6 MB
+    # A' and (A°)' stay in block form, and the part of A' outside (A°)' is
+    # factored one central block of A at a time, the largest 16 x 144; the
+    # flat split of the 112 x 1024 part peaked at 3.8 MB, this one at 1.5
     cfg, t = config_triple("thm1")
     d = morita.Derived(t, cfg.tol)
     comm, opposite = d.algebra_commutant, d.opposite_commutant
@@ -169,7 +169,7 @@ def test_decompose_dirac_traced_peak_on_thm1():
     finally:
         tracemalloc.stop()
     assert dec.residual <= cfg.tol
-    assert peak <= 4.5 * 2 ** 20
+    assert peak <= 3 * 2 ** 20
 
 
 def test_decompose_requires_first_order(pati_salam_triple):
@@ -209,6 +209,102 @@ def test_decompose_ambiguity_is_the_commutant_intersection(name):
     inter = subspaces.intersect(d.algebra_commutant, d.opposite_commutant)
     assert dec.ambiguity_dim == inter.dim > 0
     assert dec.residual <= 1e-9 * linalg.hs_norm(t.dirac)
+
+
+@pytest.mark.parametrize("opposite", ["j_image", "solved"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-13])
+@pytest.mark.parametrize("name", ["thm1", "thm2", "original_cc", "degenerate"])
+def test_decompose_matches_the_dense_split(name, tol, opposite):
+    # the split per central block against one factorization of A''s flat
+    # basis outside (A°)', with (A°)' as the J-image of A' or solved from
+    # the opposite generators
+    _, t = config_triple(name)
+    comm = subspaces.commutant(subspaces.span_of(t.algebra_gens, tol=tol))
+    opp = (subspaces.conjugated(comm, t.real_structure) if opposite == "j_image"
+           else subspaces.commutant(subspaces.span_of(t.opposite_gens, tol=tol)))
+    dense = oracles.dense_decompose_dirac(t, comm, opp)
+    dec = triple.decompose_dirac(t, comm, opp, tol=tol)
+    scale = max(linalg.hs_norm(t.dirac), 1.0)
+    assert dec.ambiguity_dim == dense.ambiguity_dim == 14
+    assert dec.residual <= tol * scale and dense.residual <= tol * scale
+    assert dec.j_residual is not None and dec.j_residual <= tol * scale
+    np.testing.assert_allclose(dec.commuting_part, dense.commuting_part, atol=1e-10 * scale)
+    np.testing.assert_allclose(dec.free_part, dense.free_part, atol=1e-10 * scale)
+
+
+def test_decompose_factors_one_central_block_at_a_time(monkeypatch, thm1_triple,
+                                                       af_commutant, af_opposite_commutant):
+    # A_F's central supports give A' components of 8, 12, 8 and 4 indices;
+    # each block of the system is d_Q x s_Q^2, and no factorization is wider
+    factored = []
+    svd_rows = linalg.svd_rows
+
+    def recorded(a):
+        factored.append(a.shape)
+        return svd_rows(a)
+
+    monkeypatch.setattr(linalg, "svd_rows", recorded)
+    triple.decompose_dirac(thm1_triple, af_commutant, af_opposite_commutant)
+    assert sorted(factored) == [(16, 16), (64, 16), (64, 64), (144, 16)]
+
+
+def _mixed_components(space):
+    """space's block form with v rotated to mix two components' first indices."""
+    v, parts = space.blocks
+    i, j = parts[0][0].start, parts[1][0].start
+    rotation = np.eye(space.n, dtype=complex)
+    rotation[np.ix_([i, j], [i, j])] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    return subspaces.OperatorSubspace(None, space.n, tol=space.tol, blocks=(v @ rotation, parts))
+
+
+def test_decompose_raises_when_a_component_is_not_central(thm1_triple, af_commutant,
+                                                         af_opposite_commutant):
+    # an orthonormal "A'" whose components are not central supports of A:
+    # the part of its rows outside (A°)' does not stay in their blocks, and
+    # the certificate must say so rather than split on the blocks alone
+    mixed = _mixed_components(af_commutant)
+    image = subspaces.conjugated(mixed, thm1_triple.real_structure)
+    for opposite in (af_opposite_commutant, image):
+        with pytest.raises(RuntimeError, match="certificate"):
+            triple.decompose_dirac(thm1_triple, mixed, opposite)
+
+
+def test_report_reads_error_when_a_component_is_not_central(monkeypatch):
+    # the first solve of a report is A'; with its components mixed, the
+    # decomposition raises, and its check is an error, never a fail
+    solve = subspaces.commutant
+    calls = []
+
+    def mixed_first(space):
+        calls.append(space)
+        comm = solve(space)
+        return _mixed_components(comm) if len(calls) == 1 else comm
+
+    monkeypatch.setattr(subspaces, "commutant", mixed_first)
+    cfg, _ = config_triple("thm1")
+    rep = report.run_all(cfg)
+    assert rep.check("dirac_decomposition").status in ("error", "skipped")
+    assert "certificate" in rep.check("dirac_decomposition").details
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2", "pati_salam"])
+def test_verify_builds_no_flat_of_the_algebra_commutants(monkeypatch, name):
+    # every check of the plan reads A' and (A°)' in block form
+    derived = []
+
+    class Recorded(morita.Derived):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            derived.append(self)
+
+    monkeypatch.setattr(morita, "Derived", Recorded)
+    cfg, _ = config_triple(name)
+    rep = report.run_all(cfg)
+    assert all(rec.status != "error" for rec in rep.checks)
+    (d,) = derived
+    for space in (d.algebra_commutant, d.opposite_commutant):
+        assert "flat" not in vars(space)
+        assert space.dim == report.EXPECTED_COMMUTANT_DIMS[cfg.algebra][0]
 
 
 def test_grading_compatibility_interface():
