@@ -383,13 +383,13 @@ def rho_degenerate_stack(elements):
     w[:, 1, 1] = 1.0
     w[:, 2:, 2:] = stack.weak
     b[:, 1:, 1:] = stack.color
-    upper = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
-    lower = np.zeros((k, LEFT_DIM, LEFT_DIM), dtype=complex)
-    upper[:, :4, :4] = w
-    lower[:, 4:, 4:] = b
-    rho = kron_action(upper, b.conj().transpose(0, 2, 1))
-    rho += kron_action(lower, w.conj().transpose(0, 2, 1))
-    return rho
+    # the two terms live on disjoint quarters of rho, (i, p, j, r) <-> entry
+    # (8 i + p, 8 j + r), so each is written in place and nothing is added
+    rho = np.zeros((k, RIGHT_DIM, LEFT_DIM, RIGHT_DIM, LEFT_DIM), dtype=complex)
+    quarter = (k, RIGHT_DIM, 4, RIGHT_DIM, 4)
+    rho[:, :, :4, :, :4] = kron_action(w, b.conj().transpose(0, 2, 1)).reshape(quarter)
+    rho[:, :, 4:, :, 4:] = kron_action(b, w.conj().transpose(0, 2, 1)).reshape(quarter)
+    return rho.reshape(k, HILBERT_DIM, HILBERT_DIM)
 
 
 def cover_map(g):

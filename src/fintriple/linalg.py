@@ -168,33 +168,53 @@ def rank_from_singular_values(sigma, shape, tol):
 def svd_rows(a):
     """Singular values and thin Vh of a, with U never formed.
 
-    Returns (sigma, vh), sigma in decreasing order and the rows of vh the
-    right singular vectors, as np.linalg.svd(a, full_matrices=False) would
-    give them (up to the phase of each row).  One fixed shape rule picks
-    the cheapest factorization for an m x n matrix:
+    a is one m x n matrix, held whole, or a sequence of row blocks of
+    width n, read in order as the rows of their stack, which is never
+    formed when it is tall.  Returns (sigma, vh), sigma in decreasing order
+    and the rows of vh the right singular vectors, as
+    np.linalg.svd(a, full_matrices=False) would give them (up to the phase
+    of each row).  One fixed shape rule picks the factorization:
 
+    - tall (m >= 2n): the R of a QR factorization a = Q R first, then the
+      SVD of the n x n R (Chan's R-SVD, ACM TOMS 8, 1982).  Row blocks are
+      folded into R as they arrive, a sequential TSQR (Demmel, Grigori,
+      Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012): the first 2n
+      rows are factored, then [R; next n rows] each time n more have come;
+      then the near-square [R; rows left] takes the direct SVD.  At most 2n
+      rows are held, and the fold boundaries depend only on the rows in
+      order, so any grouping of the same rows gives the same bits;
     - wide (m < n): the thin SVD of the adjoint a* = U S V*, whose left
       vectors are the right vectors of a, so vh = U*;
-    - tall (m >= 2n): the R of a QR factorization a = Q R first, then the
-      SVD of the n x n R (Chan's R-SVD, ACM TOMS 8, 1982);
     - otherwise a direct thin SVD, which beats QR-first on near-square
       matrices.
 
     The singular values are those of a to backward error in every branch:
-    the adjoint has the same singular values, and Q has orthonormal
-    columns, so a and R share their singular values and right vectors.
+    the adjoint has the same singular values, and each fold multiplies by
+    a unitary, so a and R share their singular values and right vectors.
     Callers take rank cuts with a's own shape, so no rank decision moves.
     A caller may pass a's nonzero columns alone (the support rule of
     orthonormal_rows): a zero column adds only zero singular values and
     zero entries of the right vectors, so the vectors on the support are
     those of a, and the rank cut is still taken with a's full shape.
     """
-    m, n = a.shape
-    if m < n:
+    held = isinstance(a, np.ndarray)
+    pending, count, folded = [], 0, False
+    for block in [a] if held else a:
+        n = block.shape[1]
+        while not held and n and count + len(block) >= (fold := n if folded else 2 * n):
+            pending.append(block[:fold - count])
+            block = block[fold - count:]
+            pending, count, folded = [np.linalg.qr(np.concatenate(pending), mode="r")], 0, True
+        pending.append(block)
+        count += len(block)
+    # what is left, [R; fewer than n rows] once folded, is near-square or
+    # wide; a matrix held whole is factored in one QR when tall
+    a = pending[0] if len(pending) == 1 else np.concatenate(pending)
+    if len(a) >= 2 * a.shape[1] > 0:
+        a = np.linalg.qr(a, mode="r")
+    if len(a) < a.shape[1]:
         u, sigma, _ = np.linalg.svd(a.conj().T, full_matrices=False)
         return sigma, u.conj().T
-    if m >= 2 * n:
-        a = np.linalg.qr(a, mode="r")
     _, sigma, vh = np.linalg.svd(a, full_matrices=False)
     return sigma, vh
 
@@ -202,46 +222,50 @@ def svd_rows(a):
 def orthonormal_rows(rows, tol=DEFAULT_TOL, columns=None, width=None):
     """Orthonormal basis (as rows) of the complex span of the given flat vectors.
 
+    rows is one matrix (a single vector is one row) or a list of row
+    blocks of one width, read as the rows of their stack, which is never
+    formed: the blocks are read for their norms and support, then
+    normalized one at a time into svd_rows' fold.
     Rows are normalized before the rank decision so tolerances are
     scale-free in the generating coefficients; rows more than a tolerance
-    factor smaller than the largest one are noise at the working precision
-    and are dropped rather than amplified.
+    factor smaller than the largest one in any block are noise at the
+    working precision and are dropped rather than amplified.
 
     The rows may come on a subset of the coordinates of vectors of length
     width: columns, increasing, gives the coordinate of each of their
     columns, and they are zero on every other one.  Support rule: the
     exactly zero rows, which the norm filter never keeps, are dropped, the
-    norms are taken on the columns nonzero in some row, and the SVD on
-    those nonzero in some kept row; its right vectors are scattered back
-    to the width coordinates.  The norm filter and the rank cut are those
-    of the full system, kept rows x width, so neither the span nor its
-    rank depends on which zero rows and columns the rows came with, and
-    two stacks with the same nonzero rows, in order, give the same bits.
+    norms are taken on the columns nonzero in some row of some block, and
+    the SVD on those nonzero in some kept row; its right vectors are
+    scattered back to the width coordinates.  The norm filter and the rank
+    cut are those of the full system, kept rows x width, so neither the
+    span nor its rank depends on which zero rows and columns the rows came
+    with, and two inputs with the same nonzero rows, in order, give the
+    same bits, whether as one stack or in blocks.
     """
-    v = np.ascontiguousarray(rows, dtype=complex)
-    if v.ndim == 1:
-        v = v.reshape(1, -1)
+    blocks = [np.atleast_2d(np.ascontiguousarray(b, dtype=complex))
+              for b in ([rows] if isinstance(rows, np.ndarray) else rows)]
     if columns is None:
-        width = v.shape[1]
+        width = blocks[0].shape[1]
         columns = np.arange(width)
-    nonzero = v.any(axis=1)
-    support = np.flatnonzero(v.any(axis=0))
-    if not nonzero.any():
+    support = np.flatnonzero(np.any([b.any(axis=0) for b in blocks], axis=0))
+    full = len(support) == blocks[0].shape[1]
+    nonzero = [np.flatnonzero(b.any(axis=1)) for b in blocks]
+    norms = [np.linalg.norm(b if full and len(i) == len(b) else b[np.ix_(i, support)], axis=1)
+             for b, i in zip(blocks, nonzero)]
+    top = max((float(x.max()) for x in norms if len(x)), default=0.0)
+    if not top:
         return np.zeros((0, width), dtype=complex)
-    if len(support) < v.shape[1] or not nonzero.all():
-        v = v[np.ix_(nonzero, support)]
-    norms = np.linalg.norm(v, axis=1)
-    keep = norms > tol * norms.max()
-    v = v[keep] / norms[keep, None]
-    live = v.any(axis=0)
-    if not live.all():
-        v, support = v[:, live], support[live]
-    sigma, vh = svd_rows(v)
-    rank = rank_from_singular_values(sigma, (len(v), width), tol)
-    if len(support) == width:
+    keep = [x > tol * top for x in norms]
+    picked = [i[k] for i, k in zip(nonzero, keep)]
+    live = np.flatnonzero(np.any([b[i].any(axis=0) for b, i in zip(blocks, picked)], axis=0))
+    sigma, vh = svd_rows(b[np.ix_(i, live)] / x[k, None]
+                         for b, i, x, k in zip(blocks, picked, norms, keep))
+    rank = rank_from_singular_values(sigma, (sum(map(len, picked)), width), tol)
+    if len(live) == width:
         return vh[:rank]
     basis = np.zeros((rank, width), dtype=complex)
-    basis[:, columns[support]] = vh[:rank]
+    basis[:, columns[live]] = vh[:rank]
     return basis
 
 

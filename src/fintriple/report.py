@@ -359,9 +359,13 @@ def _gauge_adjoint_rep(run, rec):
     kernel = [catalog.cover_map(el) for el in catalog.z6_elements()]
     rho = catalog.rho_degenerate_stack([ident, *us, *vs, *uvs, *kernel])
     ru, rv, ruv = rho[1:21], rho[21:41], rho[41:61]
-    defects = [rho[:1] - eye, rho[61:] - eye, ru @ rv - ruv,
-               ru @ ru.conj().transpose(0, 2, 1) - eye]
-    worst = max(float(np.linalg.norm(d, axis=(1, 2)).max()) for d in defects) / scale
+    out = np.empty_like(ru)  # each defect is formed here and measured before the next
+    defects = (lambda: np.subtract(rho[:1], eye, out=out[:1]),
+               lambda: np.subtract(rho[61:], eye, out=out[:len(rho) - 61]),
+               lambda: np.subtract(np.matmul(ru, rv, out=out), ruv, out=out),
+               lambda: np.subtract(np.matmul(ru, ru.conj().transpose(0, 2, 1), out=out),
+                                   eye, out=out))
+    worst = max(float(np.linalg.norm(d(), axis=(1, 2)).max()) for d in defects) / scale
     rec.residuals["defect"] = worst
     rec.status = PASS if worst <= 1e-12 else FAIL
 

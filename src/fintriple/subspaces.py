@@ -42,6 +42,7 @@ test oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cached_property
 
@@ -213,9 +214,10 @@ def product_span(left, right, tol=DEFAULT_TOL, middle=None):
     boolean product of the union nonzero patterns of the three stacks,
     and the rows that are exactly zero are dropped as they come.  The
     rows kept, in product order, are the nonzero rows of the full stack
-    on S, and linalg.orthonormal_rows factors them on their support with
-    the full stack's width, so the rank decision is that of the full
-    stack.
+    on S.  linalg.orthonormal_rows takes them as these per-chunk blocks,
+    never stacked or copied whole, and factors them on their support with
+    the full stack's width, so the rank decision, and the bits, are those
+    of the full stack.
     """
     n = right.shape[-1]
     patterns = [(stack != 0).any(axis=0) for stack in (left, middle, right)
@@ -243,7 +245,7 @@ def product_span(left, right, tol=DEFAULT_TOL, middle=None):
             rows = np.zeros((len(right), len(coords)), dtype=complex)
             rows[:, at[inside]] = block[:, inside]
             kept.append(rows[rows.any(axis=1)])
-    flat = linalg.orthonormal_rows(np.vstack(kept), tol=tol, columns=coords, width=n * n)
+    flat = linalg.orthonormal_rows(kept, tol=tol, columns=coords, width=n * n)
     return OperatorSubspace(flat, n, tol=tol)
 
 
@@ -385,18 +387,25 @@ def _components(power, clusters, tol):
 
 
 def _unit_commutators(h, rows, cols):
-    """Column j is [E_ab, h] flattened row-major, (a, b) = (rows[j], cols[j]).
+    """Row blocks of the system whose column j is [E_ab, h] flattened row-major.
 
+    (a, b) = (rows[j], cols[j]).  The blocks are a few matrix rows of the
+    commutators at a time, all but the last at least as many system rows
+    as units, so linalg.svd_rows folds the s^2-row system without it ever
+    being whole.
     Built by index scatter: [E_ab, h] is row b of h placed in row a, less
     column a of h placed in column b.
     """
-    s = h.shape[0]
-    out = np.zeros((s * s, len(rows)), dtype=complex)
-    j = np.arange(len(rows))
-    k = np.arange(s)[:, None]
-    out[rows * s + k, j] = h[cols].T
-    out[k * s + cols, j] -= h[:, rows]
-    return out
+    s, m = h.shape[0], len(rows)
+    step = -(-m // s)
+    j, k = np.arange(m), np.arange(s)[:, None]
+    for top in range(0, s, step):
+        lines = np.arange(top, min(top + step, s))
+        out = np.zeros((len(lines) * s, m), dtype=complex)
+        here = (rows >= top) & (rows < top + step)
+        out[(rows[here] - top) * s + k, j[here]] = h[cols[here]].T
+        out[(lines[:, None] - top) * s + cols, j] -= h[lines[:, None], rows]
+        yield out
 
 
 def _conjugate(u, mats):
@@ -476,7 +485,8 @@ def commutant(space):
     unit norm, so this is the working tolerance.  Each component Q is
     solved alone: [Z, h2] = 0 for a random element h2 of S, over the units
     E_ab of Q's clusters, by a thin SVD of the unit commutators
-    (_unit_commutators).
+    (_unit_commutators), emitted a few matrix rows at a time into
+    linalg.svd_rows' fold, so no component's s^2-row system is held whole.
     The components' systems are the diagonal blocks of one system of
     n_rows x m, m the units of all of them, so one rank cut,
     singular_value_cut on the union of their singular values with that
@@ -531,10 +541,10 @@ def commutant(space):
             raise RuntimeError("commutant certificate did not close: an imposed "
                                "generator still fails at the rank cut")
         # diag(sigma) Vh keeps the singular values and right vectors of each
-        # system; the failing generators' exact constraints are folded in by QR
-        systems = [np.linalg.qr(np.vstack([sigma[:, None] * vh]
-                                          + [_unit_commutators(blocks[i], rows, cols)
-                                             for i in sorted(failing)]), mode="r")
+        # system; the failing generators' exact constraints are folded into it
+        systems = [itertools.chain([sigma[:, None] * vh],
+                                   *[_unit_commutators(blocks[i], rows, cols)
+                                     for i in sorted(failing)])
                    for (sigma, vh), (_, rows, cols, blocks, _) in zip(factors, parts)]
         n_rows += n * n * len(failing)
         imposed |= failing

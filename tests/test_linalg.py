@@ -240,6 +240,80 @@ def test_svd_rows_matches_the_direct_svd(shape, rank, dtype):
     assert np.linalg.norm(outside, 2) <= 1e-12
 
 
+def _blocks_of(a, rng):
+    """Groupings of a's rows: one-row blocks, random cuts (some blocks
+    empty) and a generator of those."""
+    cuts = np.sort(rng.choice(len(a) + 1, 9))
+    return [[row[None] for row in a], np.split(a, cuts), iter(np.split(a, cuts[::2]))]
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((1024, 72), None),    # tall: folded into R as the rows arrive
+    ((1024, 72), 9),
+    ((300, 150), None),    # ratio exactly 2: one fold
+    ((165, 160), None),    # near-square: direct SVD
+    ((24, 1024), 5),       # wide: SVD of the adjoint
+])
+def test_svd_rows_on_row_blocks_gives_the_bits_of_their_stack(shape, rank):
+    # the fold boundaries depend on the rows in order alone, so every
+    # grouping gives the bits of the stack as one block; the stack held
+    # whole is factored in one QR, to the same singular values
+    rng = np.random.default_rng(sum(shape))
+    a = _svd_case(shape, complex, rank, seed=sum(shape))
+    a[[1, len(a) // 2, len(a) - 1]] = 0.0
+    sigma, vh = linalg.svd_rows([a])
+    held = linalg.svd_rows(a)[0]
+    np.testing.assert_allclose(sigma, held, rtol=0, atol=1e-13 * held[0])
+    for blocks in _blocks_of(a, rng):
+        got_sigma, got_vh = linalg.svd_rows(blocks)
+        assert np.array_equal(got_sigma, sigma) and np.array_equal(got_vh, vh)
+
+
+@pytest.mark.parametrize("shape", [(1024, 72), (600, 150), (165, 160), (24, 1024)])
+def test_svd_rows_on_row_blocks_matches_the_svd_of_the_stack(shape):
+    # zero rows, a block of rank 2 and one-row blocks, on tall,
+    # near-square and wide shapes
+    rng = np.random.default_rng(3 * sum(shape))
+    a = _rand_complex(rng, *shape)
+    m, n = shape
+    a[[2, m // 2]] = 0.0
+    third = m // 3
+    a[third:2 * third] = _rand_complex(rng, third, 2) @ a[:2]
+    blocks = ([row[None] for row in a[:third]] + [a[third:2 * third]]
+              + np.array_split(a[2 * third:], 3))
+    sigma, vh = linalg.svd_rows(blocks)
+    ref = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(sigma, ref, rtol=1e-12, atol=1e-13 * ref[0])
+    np.testing.assert_allclose(vh @ vh.conj().T, np.eye(len(vh)), rtol=0, atol=1e-12)
+    av = a @ vh.conj().T
+    np.testing.assert_allclose(av.conj().T @ av, np.diag(sigma ** 2),
+                               rtol=0, atol=1e-12 * ref[0] ** 2)
+
+
+def test_orthonormal_rows_drops_the_same_noise_rows_from_blocks_as_from_a_stack():
+    # 160 rows of rank 6 on 30 of 200 columns, tall enough to be folded,
+    # with zero rows and two noise rows, 1e-16 and 3e-17 of the largest
+    # norm, each on a column of its own: kept, either would add a rank
+    rng = np.random.default_rng(77)
+    width = 200
+    support = np.sort(rng.choice(width, 32, replace=False))
+    rows = np.zeros((160, width), dtype=complex)
+    rows[:, support[:30]] = _rand_complex(rng, 160, 6) @ _rand_complex(rng, 6, 30)
+    rows[[4, 21, 90]] = 0.0
+    top = np.linalg.norm(rows, axis=1).max()
+    rows[9] = rows[33] = 0.0
+    rows[9, support[30]] = 1e-16 * top
+    rows[33, support[31]] = 3e-17 * top
+    stack = linalg.orthonormal_rows(rows)
+    assert stack.shape == (6, width)
+    assert not stack[:, support[30:]].any()
+    for cuts in ([9, 10], [1, 2, 3, 21, 33, 34, 120], list(range(1, 160))):
+        assert np.array_equal(linalg.orthonormal_rows(np.split(rows, cuts)), stack)
+    # the same blocks on their support alone give the same bits
+    compact = [b[:, support] for b in np.split(rows, [12, 100])]
+    assert np.array_equal(linalg.orthonormal_rows(compact, columns=support, width=width), stack)
+
+
 def _owners(attr):
     """module.function of every place in the package that names attr, as an
     attribute or as the end of an imported name."""
@@ -260,6 +334,12 @@ def _owners(attr):
 def test_thin_svd_only_inside_svd_rows():
     # every SVD of the package goes through the one kernel, linalg.svd_rows
     assert _owners("svd") == {"linalg.svd_rows"}
+
+
+def test_qr_only_in_svd_rows_and_the_haar_draw():
+    # every rank decision's QR is a fold of svd_rows; the Haar draw of the
+    # gauge-group elements keeps its own stacked QR
+    assert _owners("qr") == {"linalg.svd_rows", "catalog._phase_fixed_q"}
 
 
 def test_einsum_only_inside_the_commutator_sweep():

@@ -6,7 +6,7 @@ import pytest
 from fintriple import catalog, config, linalg, morita, report, star_algebra, subspaces, triple
 
 import oracles
-from conftest import BASE, CONFIG_NAMES, ORIGINAL_CC, config_triple
+from conftest import BASE, CONFIG_NAMES, ORIGINAL_CC, config_triple, draw_params
 
 
 def _bimodule(gens, alg_basis):
@@ -97,8 +97,9 @@ def test_one_forms_named_generators_with_gamma(thm2_derived):
 
 def test_one_forms_traced_peak_on_pati_salam():
     # the products a [D, b] enter one basis element a at a time, on their
-    # structural support; the dense 576 x 1024 stack of all of them and its
-    # SVD peaked at 18.8 MB
+    # structural support, and are folded into R block by block; the dense
+    # 576 x 1024 stack of all of them and its SVD peaked at 18.8 MB, their
+    # stack and its normalized copy at 4.7 MB, the fold at 3.4 MB
     _, t = config_triple("pati_salam")
     span = morita.algebra_span(t)
     tracemalloc.start()
@@ -108,7 +109,52 @@ def test_one_forms_traced_peak_on_pati_salam():
     finally:
         tracemalloc.stop()
     assert om.dim == 64
-    assert peak <= 8 * 2 ** 20
+    assert peak <= 6.9 * 2 ** 20
+
+
+def _irreducibility_span(params):
+    """The span of A, D and the grading of a Pati-Salam triple, whose
+    commutant is C0 of the irreducibility check."""
+    t = catalog.build_triple(catalog.TripleConfig(
+        algebra="A_ev", grading="standard", dirac="CC", params=params))
+    extra = [x / np.linalg.norm(x) for x in (t.dirac, t.grading)]
+    return subspaces.span_of([*t.algebra_gens, *extra])
+
+
+def test_irreducibility_commutant_traced_peak_on_pati_salam():
+    # these couplings leave C0 one component of 32 indices: a 1024 x 72
+    # unit-commutator system, which held whole with LAPACK's copy peaked
+    # at 3.4 MB; emitted a few matrix rows at a time into the fold, 1.9 MB
+    span = _irreducibility_span(draw_params(np.random.default_rng(2), delta=0.0))
+    tracemalloc.start()
+    try:
+        c0 = subspaces.commutant(span)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c0.dim == 10 and len(c0.blocks[1]) == 1
+    assert peak <= 3.9 * 2 ** 20
+
+
+def test_tall_rank_decisions_hold_at_most_twice_their_width(monkeypatch):
+    # every QR behind C0's solve and Ω¹ folds at most 2n rows for n
+    # columns: neither the 1024-row system nor the 399 product rows is
+    # stacked whole (matrices held whole elsewhere, such as the tall
+    # systems of intersect, keep their one QR)
+    shapes = []
+    qr = np.linalg.qr
+
+    def recorded(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    span = _irreducibility_span(draw_params(np.random.default_rng(2), delta=0.0))
+    subspaces.commutant(span)
+    _, t = config_triple("pati_salam")
+    morita.one_forms(t, morita.algebra_span(t))
+    assert (144, 72) in shapes and (256, 128) in shapes
+    assert all(m <= 2 * n for m, n in shapes)
 
 
 def test_clifford_closures_traced_memory_on_thm1():

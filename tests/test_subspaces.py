@@ -231,6 +231,23 @@ def test_commutant_certificate_closes_non_star_closed_set(monkeypatch):
         assert subspaces.equals(comm, oracles.dense_commutant(pair))
 
 
+def test_unit_commutator_blocks_are_the_rows_of_the_system():
+    # a few matrix rows of the commutators at a time, each block at least
+    # as many rows as units but the last; stacked, column j is [E_ab, h]
+    # flattened row-major
+    rng = np.random.default_rng(5)
+    rows, cols = subspaces._block_entries(np.split(np.arange(10), [3, 5, 6]))
+    h = _rand_complex(rng, 10, 10)
+    blocks = list(subspaces._unit_commutators(h, rows, cols))
+    assert len(blocks) > 1 and all(len(b) >= len(rows) for b in blocks[:-1])
+    expected = np.zeros((100, len(rows)), dtype=complex)
+    for j, (a, b) in enumerate(zip(rows, cols)):
+        unit = np.zeros((10, 10))
+        unit[a, b] = 1.0
+        expected[:, j] = (unit @ h - h @ unit).ravel()
+    np.testing.assert_allclose(np.vstack(blocks), expected, rtol=0, atol=1e-15)
+
+
 def _recorded_components(monkeypatch):
     """Install a recorder of the component sizes of every eigenblock solve."""
     sizes = []
