@@ -122,31 +122,25 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {_version}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config")
+    common.add_argument("--tol", type=_tol, default=None)
 
-    p_verify = sub.add_parser("verify", help="run every check and emit a report")
-    p_verify.add_argument("config")
+    p_verify = sub.add_parser("verify", parents=[common],
+                              help="run every check and emit a report")
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
-    p_verify.add_argument("--tol", type=_tol, default=None)
     p_verify.add_argument("--expect", default=None,
                           help="JSON manifest of expected statuses")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_comm = sub.add_parser("commutant", help="commutant dimensions only")
-    p_comm.add_argument("config")
-    p_comm.add_argument("--tol", type=_tol, default=None)
-    p_comm.set_defaults(func=_cmd_commutant)
-
-    p_cl = sub.add_parser("clifford", help="Clifford algebra dimensions")
-    p_cl.add_argument("config")
+    sub.add_parser("commutant", parents=[common],
+                   help="commutant dimensions only").set_defaults(func=_cmd_commutant)
+    p_cl = sub.add_parser("clifford", parents=[common], help="Clifford algebra dimensions")
     p_cl.add_argument("--even", action="store_true")
-    p_cl.add_argument("--tol", type=_tol, default=None)
     p_cl.set_defaults(func=_cmd_clifford)
-
-    p_ax = sub.add_parser("axioms", help="axiom residuals and sign table")
-    p_ax.add_argument("config")
-    p_ax.add_argument("--tol", type=_tol, default=None)
-    p_ax.set_defaults(func=_cmd_axioms)
+    sub.add_parser("axioms", parents=[common],
+                   help="axiom residuals and sign table").set_defaults(func=_cmd_axioms)
     return parser
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import linalg, star_algebra, subspaces
 from .linalg import DEFAULT_TOL
-from .triple import (_COMMUTATOR_FLOOR, OrderConditionError, _normalized,
-                     first_order_violation, zeroth_order_violation)
+from .triple import (_normalized, _support_commutator_norms, dirac_commutators,
+                     require_order_conditions)
 
 
 #: Smallest projection norm at which a probe matrix unit selects a witness.
@@ -64,15 +64,12 @@ def one_forms(t, span):
     Computed at span.tol over a basis of span, the algebra's complex span, by
     subspaces.product_span, one basis element a at a time; it is a two-sided
     module over the algebra by the Leibniz identity, which the test-suite
-    verifies rather than assumes.  A form [D, b] of HS norm at most
-    _COMMUTATOR_FLOOR ||D|| is zero, as in first_order_violation.
+    verifies rather than assumes.  The forms [D, b] are those of
+    triple.dirac_commutators, as in first_order_violation: a roundoff form
+    is left out, and with it the products, which are zero.
     """
-    if not span.dim:  # the zero space has no one-forms
-        return span
     basis = span.matrices
-    d = np.asarray(t.dirac, dtype=complex)
-    forms = d @ basis - basis @ d
-    forms[np.linalg.norm(forms, axis=(1, 2)) <= _COMMUTATOR_FLOOR * linalg.hs_norm(d)] = 0.0
+    forms, _ = dirac_commutators(t.dirac, basis)
     return subspaces.product_span(basis, forms, tol=span.tol)
 
 
@@ -192,12 +189,7 @@ def property_m(derived, even=False):
     finite-dimensional *-algebra A has A'' = A + C 1, so it is the
     closure's dimension, plus one when the closure is not unital.
     """
-    t, tol = derived.t, derived.tol
-    z = zeroth_order_violation(t)
-    f = first_order_violation(t)
-    if z > tol or f > tol:
-        raise OrderConditionError(
-            f"order-conditions-violated (zeroth {z:.3e}, first {f:.3e}, tol {tol:g})")
+    require_order_conditions(derived.t, derived.tol)
     cl = derived.clifford_even if even else derived.clifford_odd
     comm = cl.commutant
     opp = derived.opposite_span
@@ -216,16 +208,17 @@ def obstruction_check(x, targets, grading, tol=DEFAULT_TOL):
 
     x must commute with every operator of targets and anticommute with the
     grading: conjugation by such an x fixes the generated algebra pointwise
-    but flips the grading, so the grading cannot belong to it.
+    but flips the grading, so the grading cannot belong to it.  Each target
+    g is met to within tol max(||g||, 1) ||x||.
     """
     x = np.asarray(x, dtype=complex)
     x_norm = linalg.hs_norm(x)
     if x_norm == 0.0:
         return False
-    for g in targets:
-        scale = max(linalg.hs_norm(g), 1.0) * x_norm
-        if linalg.hs_norm(x @ g - g @ x) > tol * scale:
-            return False
+    targets = np.asarray(targets, dtype=complex).reshape(-1, *x.shape)
+    scales = np.maximum(np.linalg.norm(targets, axis=(1, 2)), 1.0) * x_norm
+    if (_support_commutator_norms(targets, x) > tol * scales).any():
+        return False
     g = np.asarray(grading, dtype=complex)
     anti = linalg.hs_norm(x @ g + g @ x)
     return anti <= tol * linalg.hs_norm(g) * x_norm

@@ -308,7 +308,8 @@ def _zero_chain_obstruction(run, rec):
     t = run.t
     x = catalog.witness_catalog()["e15_e11"]
     ok = morita.obstruction_check(x, [*t.algebra_gens, *t.opposite_gens],
-                                  _zero_chain_grading_of(t), tol=max(run.tol, 1e-10))
+                                  _zero_chain_grading_of(t),
+                                  tol=max(run.tol, triple.SIGN_TOL_FLOOR))
     rec.details = "commuting witness anticommutes with the grading"
     rec.status = PASS if ok else FAIL
 

@@ -5,9 +5,10 @@ generators, Dirac operator, real structure, optional grading).  Nothing is
 enforced at construction beyond shapes: the axioms are what this workbench
 *checks*, so order conditions, sign relations and grading compatibility are
 exposed as residual-valued operations.  A residual is zero (up to tolerance)
-exactly when the corresponding axiom holds.  The order conditions take
-every generator pair in one stacked commutator per generator, computed only
-on the rows and columns where the sparse generator has nonzero entries; the
+exactly when the corresponding axiom holds, and each axiom is tested here
+alone.  The order conditions take every generator pair in one stacked
+commutator per generator, computed only on the rows and columns where the
+sparse generator has nonzero entries (_support_commutator_norms); the
 terms skipped are exact zeros, so the violations are those of the dense
 pair-by-pair products.
 """
@@ -36,12 +37,13 @@ KO_TABLE_EVEN = {(1, 1, 1): 0, (-1, 1, -1): 2, (-1, 1, 1): 4, (1, 1, -1): 6}
 #: Odd case: (eps, eps_prime) -> n mod 8.
 KO_TABLE_ODD = {(1, -1): 1, (-1, 1): 3, (-1, -1): 5, (1, 1): 7}
 
-#: Smallest tolerance at which sign_table tests a sign relation; a smaller
-#: tol, as a config near linalg.TOL_FLOOR gives, is raised to it.
+#: Smallest tolerance at which sign_table tests a sign relation, and the
+#: zero-chain obstruction its witness; a smaller tol, as a config near
+#: linalg.TOL_FLOOR gives, is raised to it.
 SIGN_TOL_FLOOR = 1e-10
 
-# Commutators smaller than this multiple of ||D|| are treated as exactly zero
-# when normalizing first-order violations.
+# Commutators [D, a] at most this multiple of ||D|| are roundoff:
+# dirac_commutators leaves them out of the first order and the one-forms.
 _COMMUTATOR_FLOOR = 1e-12
 
 
@@ -66,7 +68,7 @@ class FiniteTriple:
     @cached_property
     def _order_violations(self):
         """(zeroth, first) order-condition violations of this triple."""
-        return _zeroth_order(self), _first_order(self)
+        return _order_conditions(self)
 
 
 @dataclass(frozen=True)
@@ -119,29 +121,27 @@ def _support_commutator_norms(stack, g):
     # the R x C block belongs to both; it is counted once, in on_cols
     on_cols[:, rows] -= on_rows[:, :, cols]
     on_rows[:, :, cols] = 0.0
-    k = len(stack)
-    return np.hypot(np.linalg.norm(on_cols.reshape(k, -1), axis=1),
-                    np.linalg.norm(on_rows.reshape(k, -1), axis=1))
+    k, n = len(stack), len(g)
+    return np.hypot(np.linalg.norm(on_cols.reshape(k, n * len(cols)), axis=1),
+                    np.linalg.norm(on_rows.reshape(k, len(rows) * n), axis=1))
+
+
+def dirac_commutators(dirac, stack):
+    """The commutators [D, a] of a (k, n, n) stack that are not zero, and their norms.
+
+    A commutator of HS norm at most _COMMUTATOR_FLOOR ||D|| is roundoff and
+    is left out.
+    """
+    d = np.asarray(dirac, dtype=complex)
+    forms = d @ stack - stack @ d
+    norms = np.linalg.norm(forms, axis=(1, 2))
+    keep = norms > _COMMUTATOR_FLOOR * linalg.hs_norm(d)
+    return forms[keep], norms[keep]
 
 
 def zeroth_order_violation(t):
     """Largest ||[a, b°]|| over HS-normalized generator pairs."""
     return t._order_violations[0]
-
-
-def _zeroth_order(t):
-    """zeroth_order_violation, one stacked commutator per algebra generator.
-
-    The opposite generators are stacked and each a enters on its support
-    (_support_commutator_norms): catalog generators have 4 to 12 nonzero
-    entries.
-    """
-    left = _normalized(t.algebra_gens)
-    right = _normalized(t.opposite_gens)
-    if not left or not right:
-        return 0.0
-    right = np.array(right)
-    return float(max(_support_commutator_norms(right, a).max() for a in left))
 
 
 def first_order_violation(t):
@@ -156,84 +156,74 @@ def first_order_violation(t):
     return t._order_violations[1]
 
 
-def _first_order(t):
-    """first_order_violation, one stacked commutator per opposite generator.
+def _largest_commutator(stack, gens, scale=1.0):
+    """Largest ||[X, g]|| / scale over X of a (k, n, n) stack and g of gens,
+    each g entering on its support (_support_commutator_norms)."""
+    return float(max((_support_commutator_norms(stack, g) / scale).max(initial=0.0)
+                     for g in gens))
 
-    The one-forms [D, a] above the floor are stacked and each b° enters on
-    its support (_support_commutator_norms), as the sparse side of the pair.
+
+def _order_conditions(t):
+    """(zeroth, first) order violations from generators HS-normalized once.
+
+    The zeroth order stacks the opposite generators; the first stacks the
+    one-forms [D, a] of dirac_commutators, each over its norm.  Each a, or
+    b°, enters on its support: catalog generators have 4 to 12 nonzero
+    entries.
     """
-    d = np.asarray(t.dirac, dtype=complex)
-    d_norm = linalg.hs_norm(d)
-    if d_norm == 0.0:
-        return 0.0
-    left = np.array(_normalized(t.algebra_gens)).reshape(-1, t.n, t.n)
-    right = _normalized(t.opposite_gens)
-    forms = d @ left - left @ d
-    form_norms = np.linalg.norm(forms, axis=(1, 2))
-    keep = form_norms > _COMMUTATOR_FLOOR * d_norm
-    if not keep.any() or not right:
-        return 0.0
-    forms, form_norms = forms[keep], form_norms[keep]
-    return float(max((_support_commutator_norms(forms, b) / form_norms).max()
-                     for b in right))
+    left, right = _normalized(t.algebra_gens), _normalized(t.opposite_gens)
+    if not left or not right:
+        return 0.0, 0.0
+    # the stacks are temporaries: held together, their frees trim the heap
+    zeroth = _largest_commutator(np.array(right), left)
+    forms, norms = dirac_commutators(t.dirac, np.array(left))
+    return zeroth, _largest_commutator(forms, right, norms)
 
 
-def _pick_sign(residual_plus, residual_minus, relation, tol):
-    if residual_plus <= tol and residual_minus <= tol:
-        return 1, residual_plus, True
-    if residual_plus <= tol:
-        return 1, residual_plus, False
-    if residual_minus <= tol:
-        return -1, residual_minus, False
-    raise SignIndeterminateError(
-        f"sign-indeterminate: {relation} residuals "
-        f"(+1: {residual_plus:.3e}, -1: {residual_minus:.3e}) both exceed tol={tol:g}"
-    )
+def require_order_conditions(t, tol):
+    """Raise OrderConditionError unless both order conditions hold within tol."""
+    zeroth, first = zeroth_order_violation(t), first_order_violation(t)
+    if zeroth > tol or first > tol:
+        raise OrderConditionError(f"order-conditions-violated (zeroth {zeroth:.3e}, "
+                                  f"first {first:.3e}, tol {tol:g})")
 
 
 def sign_table(t, tol=SIGN_TOL_FLOOR):
     """Detect (eps, eps', eps'') and look up the KO-dimension.
 
-    Residuals are HS norms normalized by the size of the operators involved,
-    so a clean sign gives ~0 and the opposite sign gives 2.  A sign holds
-    when its residual is at most max(tol, SIGN_TOL_FLOOR).
+    Each relation is one row of the loop, with the residual
+    ||L - s R|| / ||X|| for s = +-1: J^2 = eps has L = K K (K is real),
+    R = 1 and X = 1; J X = s X J has L = K conj(X) and R = X K, for X = D
+    and X = gamma.  A clean sign gives ~0 and the opposite sign 2.  A sign
+    holds when its residual is at most max(tol, SIGN_TOL_FLOOR); a zero X
+    fits both signs, with residual 0, and is listed as vacuous.
     """
     tol = max(tol, SIGN_TOL_FLOOR)
     k = t.real_structure.matrix
     n = t.n
-    eye_norm = np.sqrt(n)
-    jj = k @ k  # J^2 acts linearly since K is real
-    r_eps = {s: float(np.linalg.norm(jj - s * np.eye(n))) / eye_norm for s in (1, -1)}
-    eps, res_eps, vac_eps = _pick_sign(r_eps[1], r_eps[-1], "J^2 = eps", tol)
-
-    d = np.asarray(t.dirac, dtype=complex)
-    d_norm = linalg.hs_norm(d)
-    vacuous = []
-    if vac_eps:
-        vacuous.append("eps")
-    if d_norm == 0.0:
-        eps_prime, res_prime = 1, 0.0
-        vacuous.append("eps_prime")
-    else:
-        r_p = {s: float(np.linalg.norm(k @ np.conj(d) - s * d @ k)) / d_norm for s in (1, -1)}
-        eps_prime, res_prime, vac = _pick_sign(r_p[1], r_p[-1], "J D = eps' D J", tol)
-        if vac:
-            vacuous.append("eps_prime")
-
-    residuals = {"eps": res_eps, "eps_prime": res_prime}
-    if t.grading is None:
-        ko = KO_TABLE_ODD.get((eps, eps_prime))
-        return SignTable(eps, eps_prime, None, ko, residuals, tuple(vacuous))
-
-    g = np.asarray(t.grading, dtype=complex)
-    g_norm = linalg.hs_norm(g)
-    r_pp = {s: float(np.linalg.norm(k @ np.conj(g) - s * g @ k)) / g_norm for s in (1, -1)}
-    eps_dbl, res_dbl, vac = _pick_sign(r_pp[1], r_pp[-1], "J gamma = eps'' gamma J", tol)
-    if vac:
-        vacuous.append("eps_dblprime")
-    residuals["eps_dblprime"] = res_dbl
-    ko = KO_TABLE_EVEN.get((eps, eps_prime, eps_dbl))
-    return SignTable(eps, eps_prime, eps_dbl, ko, residuals, tuple(vacuous))
+    relations = [("eps", "J^2 = eps", k @ k, np.eye(n), np.sqrt(n))]
+    for key, relation, x in (("eps_prime", "J D = eps' D J", t.dirac),
+                             ("eps_dblprime", "J gamma = eps'' gamma J", t.grading)):
+        if x is not None:
+            x = np.asarray(x, dtype=complex)
+            relations.append((key, relation, k @ np.conj(x), x @ k, linalg.hs_norm(x)))
+    signs, residuals, vacuous = {}, {}, []
+    for key, relation, lhs, rhs, norm in relations:
+        plus, minus = (float(np.linalg.norm(lhs - s * rhs)) / norm if norm else 0.0
+                       for s in (1, -1))
+        if plus <= tol and minus <= tol:
+            vacuous.append(key)
+        if plus <= tol:
+            signs[key], residuals[key] = 1, plus
+        elif minus <= tol:
+            signs[key], residuals[key] = -1, minus
+        else:
+            raise SignIndeterminateError(
+                f"sign-indeterminate: {relation} residuals "
+                f"(+1: {plus:.3e}, -1: {minus:.3e}) both exceed tol={tol:g}")
+    ko = (KO_TABLE_ODD if t.grading is None else KO_TABLE_EVEN).get(tuple(signs.values()))
+    return SignTable(signs["eps"], signs["eps_prime"], signs.get("eps_dblprime"), ko,
+                     residuals, tuple(vacuous))
 
 
 @dataclass(frozen=True)
@@ -298,10 +288,7 @@ def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     component bounds the commutant solver; RuntimeError is raised when
     that bound reaches the cut.
     """
-    zeroth, first = zeroth_order_violation(t), first_order_violation(t)
-    if zeroth > tol or first > tol:
-        raise OrderConditionError(f"order-conditions-violated (zeroth {zeroth:.3e}, "
-                                  f"first {first:.3e}, tol {tol:g})")
+    require_order_conditions(t, tol)
     n = t.n
     d = np.asarray(t.dirac, dtype=complex)
     v, parts = algebra_commutant.blocks
@@ -367,9 +354,7 @@ def axiom_residuals(t):
         n = t.n
         out["grading_involution"] = linalg.hs_norm(g @ g - np.eye(n)) / np.sqrt(n)
         out["grading_hermitian"] = linalg.hs_norm(g - g.conj().T) / np.sqrt(n)
-        worst = 0.0
-        for a in _normalized(t.algebra_gens):
-            worst = max(worst, linalg.hs_norm(g @ a - a @ g))
-        out["grading_commutes_algebra"] = worst
+        gens = np.array(_normalized(t.algebra_gens)).reshape(-1, n, n)
+        out["grading_commutes_algebra"] = _largest_commutator(gens, [g])
         out["grading_anticommutes_dirac"] = linalg.hs_norm(g @ d + d @ g) / (2.0 * d_scale)
     return out

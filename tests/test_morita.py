@@ -315,7 +315,7 @@ def test_property_m_even_requires_a_grading(thm2_derived):
 
 
 def test_property_m_requires_order_conditions(pati_salam_triple):
-    with pytest.raises(morita.OrderConditionError):
+    with pytest.raises(triple.OrderConditionError):
         morita.property_m(morita.Derived(pati_salam_triple))
 
 
@@ -452,6 +452,21 @@ def test_obstruction_zero_chain(thm1_triple, original_cc_triple):
     for t in (thm1_triple, original_cc_triple):
         assert morita.obstruction_check(x, [*t.algebra_gens, *t.opposite_gens],
                                         t.grading)
+
+
+@pytest.mark.parametrize("excess, holds", [(1 + 1e-3, False), (1 - 1e-3, True)])
+def test_obstruction_scales_each_target_by_its_norm(excess, holds):
+    # x swaps the two eigenspaces of the grading; the target, of norm 3,
+    # fails to commute with it by excess * tol * 3 * ||x||
+    tol = 1e-9
+    grading = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    x = np.zeros((4, 4), dtype=complex)
+    x[0, 2] = x[2, 0] = x[1, 3] = x[3, 1] = 1.0
+    q = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex) / np.sqrt(2)  # ||[x, q]|| = sqrt 2
+    b = excess * tol * 3 * linalg.hs_norm(x) / np.sqrt(2)
+    target = np.sqrt(9 - b ** 2) * np.eye(4) / 2 + b * q
+    assert linalg.hs_norm(target) == pytest.approx(3, rel=1e-12)
+    assert morita.obstruction_check(x, [np.eye(4), target], grading, tol=tol) is holds
 
 
 def test_obstruction_identity_fails(thm1_triple):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fintriple import catalog, cli, morita, report, star_algebra, subspaces, triple
+from fintriple import catalog, cli, linalg, morita, report, star_algebra, subspaces, triple
 from fintriple.config import parse_config_file
 
 from conftest import BASE, CONFIG_NAMES
@@ -190,14 +190,13 @@ def test_order_violations_computed_once_per_report(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(triple, "_zeroth_order", counted(triple._zeroth_order))
-    monkeypatch.setattr(triple, "_first_order", counted(triple._first_order))
+    monkeypatch.setattr(triple, "_order_conditions", counted(triple._order_conditions))
     for name in ("algebra_span", "opposite_span", "one_forms", "clifford"):
         monkeypatch.setattr(morita, name, counted(getattr(morita, name)))
     monkeypatch.setattr(subspaces, "commutant", counted(subspaces.commutant))
     rep = report.run_all(parse_config_file(CONFIG_DIR / "thm1.cfg"))
     assert rep.check("property_m_with_grading").status == "pass"
-    assert Counter(calls) == {"_zeroth_order": 1, "_first_order": 1,
+    assert Counter(calls) == {"_order_conditions": 1,
                               "algebra_span": 1, "opposite_span": 1, "one_forms": 1,
                               "clifford": 2, "commutant": 4}
 
@@ -219,9 +218,9 @@ def test_degenerate_report_solves_no_commutant_of_a_commutant(monkeypatch):
     assert len(dims) == 5 and 112 not in dims
 
 
-@pytest.mark.parametrize("raising", ["_zeroth_order", "_first_order"])
+@pytest.mark.parametrize("raising", ["dirac_commutators", "_support_commutator_norms"])
 def test_checks_blocked_by_an_order_error_name_it(monkeypatch, raising):
-    def injected(t):
+    def injected(*args):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(triple, raising, injected)
@@ -233,6 +232,33 @@ def test_checks_blocked_by_an_order_error_name_it(monkeypatch, raising):
                  "gamma_in_clifford_odd", "property_m", "property_m_with_grading"):
         assert rep.check(name).status == "skipped"
         assert rep.check(name).details == "blocked: zeroth_order error, first_order error"
+
+
+@pytest.mark.parametrize("name, tol", [
+    pytest.param(name, tol, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: pati_salam's Omega^1 product stack keeps "
+                            "a singular value 0.97 decades below its cut at tol 1e-13"))
+    if (name, tol) == ("pati_salam", 1e-13) else (name, tol)
+    for tol in (1e-9, 1e-13) for name in CONFIG_NAMES])
+def test_rank_decisions_keep_two_decades_from_the_cut(monkeypatch, name, tol):
+    # every rank decision of a report goes through linalg.singular_value_cut;
+    # each kept singular value sits at least 100 times above its cut and
+    # each discarded one at least 100 times below it
+    decisions = []
+    cut_of = linalg.singular_value_cut
+
+    def recorded(sigma, shape, tol):
+        cut = cut_of(sigma, shape, tol)
+        decisions.append((np.asarray(sigma), cut))
+        return cut
+
+    monkeypatch.setattr(linalg, "singular_value_cut", recorded)
+    cfg = dataclasses.replace(parse_config_file(CONFIG_DIR / f"{name}.cfg"), tol=tol)
+    rep = report.run_all(cfg)
+    assert decisions and all(rec.status != "error" for rec in rep.checks)
+    for sigma, cut in decisions:
+        assert sigma[sigma > cut].min(initial=np.inf) >= 1e2 * cut
+        assert sigma[sigma <= cut].max(initial=0.0) <= 1e-2 * cut
 
 
 def test_residuals_below_noise_floor_render_as_zero():

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
+import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,36 @@ def test_sign_table_indeterminate():
         real_structure=k)
     with pytest.raises(triple.SignIndeterminateError):
         triple.sign_table(t)
+
+
+@pytest.mark.parametrize("field, key", [("dirac", "eps_prime"), ("grading", "eps_dblprime")])
+def test_sign_table_reads_a_zero_operator_as_vacuous(thm1_triple, field, key):
+    # a zero D or gamma fits both signs: +1 by convention, residual 0
+    t = dataclasses.replace(thm1_triple, **{field: np.zeros((32, 32), dtype=complex)})
+    st = triple.sign_table(t)
+    assert getattr(st, key) == 1
+    assert st.residuals[key] == 0.0
+    assert st.vacuous == (key,)
+
+
+def _raises_of(tree, name):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and name in ast.unparse(node)]
+
+
+def test_each_order_condition_rule_is_stated_in_triple_alone():
+    # one gate raises OrderConditionError, and only triple names the floor
+    # under which a one-form [D, a] is zero
+    package = Path(triple.__file__).resolve().parent
+    raises, floors = [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        raises += _raises_of(ast.parse(text), "OrderConditionError")
+        if "_COMMUTATOR_FLOOR" in text:
+            floors.append(path.stem)
+    gate = ast.parse(inspect.getsource(triple.require_order_conditions))
+    assert len(raises) == 1 and _raises_of(gate, "OrderConditionError")
+    assert floors == ["triple"]
 
 
 def test_sign_stability_under_rescaling(thm1_triple):
@@ -335,8 +369,8 @@ def test_axiom_residuals_catalog(thm1_triple, thm2_triple, original_cc_triple):
 
 def _assert_matches_pair_loop(t):
     # the violations are taken over HS-normalized generators, so 1 sets their scale
-    for stacked, pairwise in ((triple._zeroth_order, oracles.pairwise_zeroth_order),
-                              (triple._first_order, oracles.pairwise_first_order)):
+    for stacked, pairwise in ((triple.zeroth_order_violation, oracles.pairwise_zeroth_order),
+                              (triple.first_order_violation, oracles.pairwise_first_order)):
         assert stacked(t) == pytest.approx(pairwise(t), rel=1e-14, abs=1e-14)
 
 
@@ -345,7 +379,7 @@ def test_order_conditions_match_the_pair_loop(name):
     _, t = config_triple(name)
     _assert_matches_pair_loop(t)
     if name == "pati_salam":
-        assert triple._first_order(t) == pytest.approx(0.5, rel=1e-14)
+        assert triple.first_order_violation(t) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_order_conditions_match_the_pair_loop_on_dense_generators():
@@ -367,5 +401,5 @@ def test_order_conditions_match_the_pair_loop_on_dense_generators():
             opposite_gens=tuple(rand(n, sparse) for _ in range(3)),
             dirac=d + d.conj().T,
             real_structure=linalg.AntilinearOperator(np.eye(n)))
-        assert triple._zeroth_order(t) > 0.1
+        assert triple.zeroth_order_violation(t) > 0.1
         _assert_matches_pair_loop(t)
