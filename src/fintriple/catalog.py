@@ -26,7 +26,6 @@ GRADING_CHOICES = ("standard", "nonstandard", "none")
 DIRAC_CHOICES = ("zero", "CC", "CC_plus_Gamma", "custom")
 
 _EYE4 = np.eye(RIGHT_DIM, dtype=complex)
-_EYE8 = np.eye(LEFT_DIM, dtype=complex)
 
 #: The couplings of the Dirac family: config key -> value type, in
 #: DiracParams field order; each field name is its key in lower case.
@@ -335,9 +334,9 @@ class GroupElement:
         return defect
 
 
-def _require_unitary(g, tol=1e-9):
+def _require_unitary(g):
     defect = g.unitarity_defect()
-    if defect > tol:
+    if defect > 1e-9:
         raise ValueError(f"group element is not unitary (defect {defect:.3e})")
 
 

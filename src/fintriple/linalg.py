@@ -126,26 +126,17 @@ class AntilinearOperator:
     isometry.  conjugate_operator gives the linear map X -> J X J^{-1}.
     """
 
-    def __init__(self, matrix, tol=1e-12):
+    def __init__(self, matrix):
         k = np.asarray(matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"antilinear matrix must be square, got {k.shape}")
-        if np.linalg.norm(k @ k.T - np.eye(k.shape[0])) > tol * k.shape[0]:
+        if np.linalg.norm(k @ k.T - np.eye(k.shape[0])) > 1e-12 * k.shape[0]:
             raise ValueError("antilinear matrix must be orthogonal")
         self.matrix = k
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def conjugate_operator(self, x):
-        """J X J^{-1} for a linear operator X, again as a matrix."""
+        """J X J^{-1} for a linear operator X, or each of a stack, as matrices."""
         return self.matrix @ np.conj(np.asarray(x, dtype=complex)) @ self.matrix.T
-
-    def commutation_residual(self, x):
-        """HS norm of X J - J X, i.e. of X K - K conj(X)."""
-        x = np.asarray(x, dtype=complex)
-        return float(np.linalg.norm(x @ self.matrix - self.matrix @ np.conj(x)))
 
 
 def singular_value_cut(sigma, shape, tol):

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg, star_algebra, subspaces
 from .linalg import DEFAULT_TOL
 from .triple import (_normalized, _support_commutator_norms, dirac_commutators,
-                     require_order_conditions)
+                     j_signs, require_order_conditions)
 
 
 #: Smallest projection norm at which a probe matrix unit selects a witness.
@@ -250,11 +250,11 @@ def _complexified_real_commutant(t, tol):
     θ(C0), so the real commutant R is the θ-fixed part of M, and M is
     θ-invariant.  R is then a real form of M (Krajewski, J. Geom. Phys. 28
     (1998) 1): dim_R R = dim_C M.
-    Raises ValueError when J^2 is not ±1.
+    Raises ValueError when no sign fits J^2 = ±1 by triple.j_signs.
     """
     n = t.n
     k = t.real_structure.matrix
-    if min(np.linalg.norm(k @ k - s * np.eye(n)) for s in (1, -1)) > tol * np.sqrt(n):
+    if not j_signs(k @ k, np.eye(n), np.sqrt(n), tol)[1]:
         raise ValueError("the real commutant needs J^2 = ±1")
     extra = [t.dirac] + ([] if t.grading is None else [t.grading])
     c0 = subspaces.commutant(subspaces.span_of([*t.algebra_gens, *_normalized(extra)],

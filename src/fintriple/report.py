@@ -213,7 +213,8 @@ def _dirac_decomposition(run, rec):
     ok = ok and d.opposite_commutant.contains(dec.free_part)
     ok = ok and d.algebra_commutant.contains(dec.commuting_part)
     if dec.j_residual is not None:
-        ok = ok and dec.j_residual <= tol * max(linalg.hs_norm(t.dirac), 1.0)
+        ok = ok and dec.j_residual <= (max(tol, triple.SIGN_TOL_FLOOR)
+                                       * linalg.hs_norm(t.dirac))
     rec.status = PASS if ok else FAIL
 
 

@@ -125,8 +125,8 @@ def _wedderburn(z, tol, rng):
     sigma, vh = linalg.svd_rows(system.conj().T)
     cut = linalg.singular_value_cut(sigma, system.shape, tol)
     center = vh[np.count_nonzero(sigma > cut):] @ flat
-    mats = center.reshape(-1, s, s)[:, None]
-    if not len(center) or np.linalg.norm(mats @ z - z @ mats, axis=(2, 3)).max() > cut:
+    if not len(center) or subspaces._commutator_norms(
+            center.reshape(-1, s, s), [(slice(0, s), z)]).max() > cut:
         raise RuntimeError("Wedderburn blocks: C's center is empty or fails to commute")
     w, supports = subspaces._generic_eigenblocks(OperatorSubspace(center, s, tol), rng)
     factors = [linalg.svd_rows((w[:, p].conj().T @ z @ w[:, p]).reshape(d, -1))

@@ -579,5 +579,5 @@ def conjugated(space, real_structure):
         v, parts = space.blocks
         return OperatorSubspace(None, n, tol=space.tol,
                                 blocks=(k @ v.conj(), [(q, z.conj()) for q, z in parts]))
-    mats = k @ space.flat.conj().reshape(-1, n, n) @ k.T
+    mats = real_structure.conjugate_operator(space.flat.reshape(-1, n, n))
     return OperatorSubspace(mats.reshape(-1, n * n), n, tol=space.tol)

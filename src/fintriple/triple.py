@@ -37,7 +37,7 @@ KO_TABLE_EVEN = {(1, 1, 1): 0, (-1, 1, -1): 2, (-1, 1, 1): 4, (1, 1, -1): 6}
 #: Odd case: (eps, eps_prime) -> n mod 8.
 KO_TABLE_ODD = {(1, -1): 1, (-1, 1): 3, (-1, -1): 5, (1, 1): 7}
 
-#: Smallest tolerance at which sign_table tests a sign relation, and the
+#: Smallest tolerance at which j_signs tests a relation of J, and the
 #: zero-chain obstruction its witness; a smaller tol, as a config near
 #: linalg.TOL_FLOOR gives, is raised to it.
 SIGN_TOL_FLOOR = 1e-10
@@ -188,17 +188,28 @@ def require_order_conditions(t, tol):
                                   f"first {first:.3e}, tol {tol:g})")
 
 
+def j_signs(lhs, rhs, norm, tol):
+    """The one rule for a relation lhs = s rhs of the real structure J.
+
+    Returns the residuals {s: ||lhs - s rhs|| / norm} for s = +1, -1, and
+    the signs whose residual is at most max(tol, SIGN_TOL_FLOOR), +1 first.
+    A zero norm (the relation of a zero operator) gives residual 0 to both.
+    """
+    tol = max(tol, SIGN_TOL_FLOOR)
+    residuals = {s: float(np.linalg.norm(lhs - s * rhs)) / norm if norm else 0.0
+                 for s in (1, -1)}
+    return residuals, tuple(s for s, r in residuals.items() if r <= tol)
+
+
 def sign_table(t, tol=SIGN_TOL_FLOOR):
     """Detect (eps, eps', eps'') and look up the KO-dimension.
 
-    Each relation is one row of the loop, with the residual
-    ||L - s R|| / ||X|| for s = +-1: J^2 = eps has L = K K (K is real),
-    R = 1 and X = 1; J X = s X J has L = K conj(X) and R = X K, for X = D
-    and X = gamma.  A clean sign gives ~0 and the opposite sign 2.  A sign
-    holds when its residual is at most max(tol, SIGN_TOL_FLOOR); a zero X
+    Each relation is one row of the loop, decided by j_signs with the
+    residual ||L - s R|| / ||X||: J^2 = eps has L = K K (K is real), R = 1
+    and X = 1; J X = s X J has L = K conj(X) and R = X K, for X = D and
+    X = gamma.  A clean sign gives ~0 and the opposite sign 2.  A zero X
     fits both signs, with residual 0, and is listed as vacuous.
     """
-    tol = max(tol, SIGN_TOL_FLOOR)
     k = t.real_structure.matrix
     n = t.n
     relations = [("eps", "J^2 = eps", k @ k, np.eye(n), np.sqrt(n))]
@@ -209,18 +220,14 @@ def sign_table(t, tol=SIGN_TOL_FLOOR):
             relations.append((key, relation, k @ np.conj(x), x @ k, linalg.hs_norm(x)))
     signs, residuals, vacuous = {}, {}, []
     for key, relation, lhs, rhs, norm in relations:
-        plus, minus = (float(np.linalg.norm(lhs - s * rhs)) / norm if norm else 0.0
-                       for s in (1, -1))
-        if plus <= tol and minus <= tol:
-            vacuous.append(key)
-        if plus <= tol:
-            signs[key], residuals[key] = 1, plus
-        elif minus <= tol:
-            signs[key], residuals[key] = -1, minus
-        else:
+        res, fits = j_signs(lhs, rhs, norm, tol)
+        if not fits:
             raise SignIndeterminateError(
-                f"sign-indeterminate: {relation} residuals "
-                f"(+1: {plus:.3e}, -1: {minus:.3e}) both exceed tol={tol:g}")
+                f"sign-indeterminate: {relation} residuals (+1: {res[1]:.3e}, "
+                f"-1: {res[-1]:.3e}) both exceed tol={max(tol, SIGN_TOL_FLOOR):g}")
+        if len(fits) == 2:
+            vacuous.append(key)
+        signs[key], residuals[key] = fits[0], res[fits[0]]
     ko = (KO_TABLE_ODD if t.grading is None else KO_TABLE_EVEN).get(tuple(signs.values()))
     return SignTable(signs["eps"], signs["eps_prime"], signs.get("eps_dblprime"), ko,
                      residuals, tuple(vacuous))
@@ -233,9 +240,9 @@ class DiracDecomposition:
     D1 is the minimum-norm solution of the part of D outside (A°)', taken
     one central block of A at a time, and D0 the projection of D - D1 onto
     (A°)'; ambiguity_dim records the dimension of A' ∩ (A°)' responsible
-    for the non-uniqueness.  When D commutes with J, j_symmetric_part is a
-    self-adjoint D0' with D = D0' + J D0' J and j_residual the achieved
-    error.
+    for the non-uniqueness.  When J D = D J holds by j_signs,
+    j_symmetric_part is a self-adjoint D0' with D = D0' + J D0' J and
+    j_residual the achieved error.
     """
 
     free_part: np.ndarray
@@ -321,18 +328,14 @@ def decompose_dirac(t, algebra_commutant, opposite_commutant, tol=DEFAULT_TOL):
     residual = linalg.hs_norm(d - d0 - d1)
     ambiguity = algebra_commutant.dim - rank
 
-    j_sym = None
-    j_res = None
-    j = t.real_structure
-    d_norm = max(linalg.hs_norm(d), 1.0)
-    if j.commutation_residual(d) <= tol * d_norm:
+    j, k = t.real_structure, t.real_structure.matrix
+    j_sym = j_res = None
+    if 1 in j_signs(k @ np.conj(d), d @ k, linalg.hs_norm(d), tol)[1]:
         # Constructive route: shift the ambiguity so D1 = J D0 J, then take
         # the self-adjoint part, which absorbs the skew piece.
-        correction = d1 - j.conjugate_operator(d0)
-        shifted = d0 + 0.5 * correction
-        sym = 0.5 * (shifted + shifted.conj().T)
-        j_sym = sym
-        j_res = linalg.hs_norm(d - sym - j.conjugate_operator(sym))
+        shifted = d0 + 0.5 * (d1 - j.conjugate_operator(d0))
+        j_sym = 0.5 * (shifted + shifted.conj().T)
+        j_res = linalg.hs_norm(d - j_sym - j.conjugate_operator(j_sym))
     return DiracDecomposition(d0, d1, residual, ambiguity, j_sym, j_res)
 
 

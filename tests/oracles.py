@@ -19,8 +19,8 @@ the basis of a star_algebra.Closure by a second solve, C' less the common
 kernel's direction, which the closure reads off its blocks instead.
 hs_inner, left_kernel, complement, grading_compatible, pi_sm_direct,
 rho_degenerate, adjoint, antilinear_apply, antilinear_apply_inverse,
-subspace_sum, random_unitary, random_group_element and state are reference
-forms that only the tests call.
+j_commutation_residual, subspace_sum, random_unitary, random_group_element
+and state are reference forms that only the tests call.
 """
 
 import itertools
@@ -548,6 +548,12 @@ def antilinear_apply(j, v):
 def antilinear_apply_inverse(j, v):
     """J^{-1} v = K^T conj(v)."""
     return j.matrix.T @ np.conj(np.asarray(v, dtype=complex))
+
+
+def j_commutation_residual(j, x):
+    """HS norm of X J - J X, i.e. of X K - K conj(X)."""
+    x = np.asarray(x, dtype=complex)
+    return float(np.linalg.norm(x @ j.matrix - j.matrix @ np.conj(x)))
 
 
 def subspace_sum(s, t):

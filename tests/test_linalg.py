@@ -174,7 +174,7 @@ def test_antilinear_operator_validation():
     with pytest.raises(ValueError):
         linalg.AntilinearOperator(np.ones((4, 4)))
     k = catalog.real_structure()
-    assert k.dim == 32
+    assert k.matrix.shape == (32, 32)
     rng = np.random.default_rng(2)
     v = _rand_complex(rng, 32)
     w = _rand_complex(rng, 32)
@@ -316,7 +316,7 @@ def test_orthonormal_rows_drops_the_same_noise_rows_from_blocks_as_from_a_stack(
 
 def _owners(attr):
     """module.function of every place in the package that names attr, as an
-    attribute or as the end of an imported name."""
+    attribute, a bare name, a definition or the end of an imported name."""
     package = Path(linalg.__file__).resolve().parent
     owners = set()
     for path in sorted(package.glob("*.py")):
@@ -324,6 +324,8 @@ def _owners(attr):
         funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
             if ((isinstance(node, ast.Attribute) and node.attr == attr)
+                    or (isinstance(node, ast.Name) and node.id == attr)
+                    or (isinstance(node, ast.FunctionDef) and node.name == attr)
                     or (isinstance(node, ast.alias) and node.name.endswith(attr))):
                 inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 name = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
@@ -346,6 +348,16 @@ def test_einsum_only_inside_the_commutator_sweep():
     # the certificate and every closure's defect and membership measure
     # commutators against a block basis through the one kernel
     assert _owners("einsum") == {"subspaces._commutator_norms"}
+
+
+def test_sign_tol_floor_only_in_the_j_rule_and_its_clamps():
+    # every relation of J is decided by triple.j_signs; besides it, only
+    # sign_table's default and message and the report's two clamps name
+    # the floor, and J's commutation residual is a test oracle alone
+    assert _owners("SIGN_TOL_FLOOR") == {
+        "triple.<module>", "triple.j_signs", "triple.sign_table",
+        "report._dirac_decomposition", "report._zero_chain_obstruction"}
+    assert _owners("commutation_residual") == set()
 
 
 def test_rank_cut_floors_sigma_max_at_one():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -555,6 +556,35 @@ def test_irreducibility_theorems(thm1_triple, thm2_triple):
         assert v.witness is None
 
 
+def test_sign_table_and_irreducible_agree_on_j_squared(thm1_triple):
+    # K = P R, P the catalog permutation and R a rotation by theta in a
+    # plane (a, b) and in its image (P a, P b), so R commutes with P and
+    # K^2 = R^2: ||K^2 - 1|| / sqrt(32) = 4 theta / sqrt(32) ~ 1e-11, above
+    # tol 1e-12 and below SIGN_TOL_FLOOR
+    p = thm1_triple.real_structure.matrix
+    theta = 1.4e-11
+    r = np.eye(32)
+    for a, b in ((0, 1), (int(np.argmax(p[:, 0])), int(np.argmax(p[:, 1])))):
+        r[a, a] = r[b, b] = np.cos(theta)
+        r[b, a], r[a, b] = np.sin(theta), -np.sin(theta)
+    assert np.array_equal(p @ r, r @ p)
+    t = dataclasses.replace(thm1_triple, real_structure=linalg.AntilinearOperator(p @ r))
+    st = triple.sign_table(t, 1e-12)
+    assert st.eps == 1 and 1e-12 < st.residuals["eps"] < triple.SIGN_TOL_FLOOR
+    v = morita.irreducible(morita.Derived(t, 1e-12))
+    assert v.irreducible and v.commutant_dim_real == 1
+
+
+def test_sign_table_and_irreducible_reject_j_squared_far_from_pm_one(thm1_triple):
+    # a cyclic shift K is orthogonal with ||K^2 -+ 1|| / sqrt(32) = sqrt(2)
+    k = np.roll(np.eye(32), 1, axis=0)
+    t = dataclasses.replace(thm1_triple, real_structure=linalg.AntilinearOperator(k))
+    with pytest.raises(triple.SignIndeterminateError, match="J\\^2 = eps"):
+        triple.sign_table(t)
+    with pytest.raises(ValueError, match="needs J\\^2"):
+        morita.irreducible(morita.Derived(t))
+
+
 def test_reducibility_without_lepton_quark_mixing(original_cc_triple):
     v = morita.irreducible(morita.Derived(original_cc_triple))
     assert not v.irreducible
@@ -570,7 +600,7 @@ def test_reducibility_without_lepton_quark_mixing(original_cc_triple):
         assert linalg.hs_norm(w @ g - g @ w) <= 1e-9
     assert linalg.hs_norm(
         w @ original_cc_triple.dirac - original_cc_triple.dirac @ w) <= 1e-9
-    assert original_cc_triple.real_structure.commutation_residual(w) <= 1e-9
+    assert oracles.j_commutation_residual(original_cc_triple.real_structure, w) <= 1e-9
 
 
 def test_pati_salam_full_triple_irreducible(pati_salam_triple):
@@ -610,7 +640,7 @@ def test_pati_salam_chirality_reduces_algebra_with_real_structure(pati_salam_tri
     np.testing.assert_allclose(w @ w, w, atol=1e-10)
     assert max(linalg.hs_norm(w @ g - g @ w)
                for g in pati_salam_triple.algebra_gens) <= 1e-10
-    assert pati_salam_triple.real_structure.commutation_residual(w) <= 1e-10
+    assert oracles.j_commutation_residual(pati_salam_triple.real_structure, w) <= 1e-10
 
 
 def test_weak_orientability():
@@ -652,7 +682,7 @@ def test_real_commutant_with_j_matches_dense_oracle(name, request):
     dense = oracles.dense_real_commutant_with_j(t.algebra_gens, extra, k, t.n)
     assert dense.shape[0] == m.dim
     assert subspaces.equals(subspaces.OperatorSubspace(linalg.orthonormal_rows(dense), t.n), m)
-    assert max(t.real_structure.commutation_residual(linalg.unvec(row, t.n, t.n))
+    assert max(oracles.j_commutation_residual(t.real_structure, linalg.unvec(row, t.n, t.n))
                for row in dense) <= 1e-9
     # the Hermitian part of R has the real dimension selfadjoint_dim counts
     mats = dense.reshape(-1, t.n, t.n)

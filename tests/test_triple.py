@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,36 @@ def test_decompose_random_roundtrip(thm1_triple, af_commutant, af_opposite_commu
         assert dec.residual <= 1e-9 * max(linalg.hs_norm(d), 1.0)
         assert af_opposite_commutant.contains(dec.free_part)
         assert af_commutant.contains(dec.commuting_part)
+
+
+@pytest.mark.parametrize("scale, off, tol", [(0.2, 5e-10, 1e-9), (20.0, 1e-10, 1e-12)])
+def test_j_symmetric_part_exactly_when_sign_table_reads_eps_prime_plus(
+        thm1_triple, af_commutant, scale, off, tol):
+    # D = scale D^ + (off / 2) E, D^ thm1's D at unit norm and E = X - J X J^{-1}
+    # (unit) for a random Hermitian X in A': E is J-odd and keeps both
+    # order conditions, and ||D J - J D|| = off.  The first case sits
+    # between tol ||D|| and tol, the second between tol ||D|| and
+    # SIGN_TOL_FLOOR ||D||: j_signs decides both sides alike
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(af_commutant.dim) + 1j * rng.standard_normal(af_commutant.dim)
+    y = linalg.unvec(c @ af_commutant.flat, 32, 32)
+    x = 0.5 * (y + y.conj().T)
+    e = x - thm1_triple.real_structure.conjugate_operator(x)
+    d_hat = thm1_triple.dirac / linalg.hs_norm(thm1_triple.dirac)
+    t = dataclasses.replace(thm1_triple, dirac=scale * d_hat + 0.5 * off * e / linalg.hs_norm(e))
+    try:
+        plus = triple.sign_table(t, tol).eps_prime == 1
+    except triple.SignIndeterminateError:
+        plus = False
+    derived = morita.Derived(t, tol)
+    dec = triple.decompose_dirac(t, derived.algebra_commutant, derived.opposite_commutant,
+                                 tol=tol)
+    assert plus == (dec.j_symmetric_part is not None) == (scale == 20.0)
+    # the report bounds j_residual on the same scale
+    rec = report.CheckRecord("dirac_decomposition", report.FAIL)
+    report._dirac_decomposition(types.SimpleNamespace(t=t, derived=derived, tol=tol), rec)
+    assert rec.status == report.PASS
+    assert ("j_symmetric_residual" in rec.residuals) == plus
 
 
 @pytest.mark.parametrize("name", ["thm1", "thm2", "degenerate"])
