@@ -86,8 +86,10 @@ def _parse_complex(lineno, value):
         pair = json.loads(value)
     except json.JSONDecodeError as exc:
         raise ConfigError(lineno, f"malformed complex value {value!r}: {exc.msg}") from None
+    # a JSON true or false is a Python bool, which is an int: not a number here
     if (not isinstance(pair, list) or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in pair)):
         raise ConfigError(lineno, f"complex value must be [re, im], got {value!r}")
     return complex(pair[0], pair[1])
 

@@ -125,6 +125,11 @@ def test_malformed_complex():
     text = "[algebra]\nname = A_F\n[dirac]\ntype = CC\nups_nu = (1, 0)\n"
     with pytest.raises(ConfigError, match="malformed complex"):
         parse_config(text)
+    # a JSON boolean is no number, as delta = True is no real number
+    for pair in ("[true, false]", "[1.0, false]"):
+        text = f"[algebra]\nname = A_F\n[dirac]\ntype = CC\nups_nu = {pair}\n"
+        with pytest.raises(ConfigError, match=r"^line 5: complex value must be \[re, im\]"):
+            parse_config(text)
 
 
 def test_malformed_real():

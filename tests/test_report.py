@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import importlib
 import importlib.util
 import json
@@ -434,11 +435,21 @@ def test_cli_non_hermitian_custom_dirac_is_an_error(tmp_path, capsys):
     _assert_cli_error(capsys, ["verify", str(cfg), "--out", str(tmp_path / "r.txt")])
 
 
-def test_cli_malformed_manifest_is_an_error(tmp_path, capsys):
+def test_cli_malformed_manifest_is_an_error(tmp_path, capsys, monkeypatch):
+    # a manifest is read and checked before any check runs: not JSON, not an
+    # object, no "checks" object, an unknown check or status
+    def no_run(cfg):
+        raise AssertionError("run_all ran on a malformed manifest")
+
+    monkeypatch.setattr(report, "run_all", no_run)
     bad = tmp_path / "expect.json"
-    bad.write_text("{not json")
-    _assert_cli_error(capsys, ["verify", str(CONFIG_DIR / "pati_salam.cfg"),
-                               "--expect", str(bad), "--out", str(tmp_path / "r.txt")])
+    for text in ("{not json", "[]", '{"checks": []}', "{}",
+                 '{"checks": {"no_such_check": "pass"}}',
+                 '{"checks": {"first_order": "error"}}',
+                 '{"checks": {"first_order": ["pass"]}}'):
+        bad.write_text(text)
+        _assert_cli_error(capsys, ["verify", str(CONFIG_DIR / "pati_salam.cfg"),
+                                   "--expect", str(bad), "--out", str(tmp_path / "r.txt")])
 
 
 def test_cli_even_clifford_of_an_odd_triple_is_an_error(capsys):
@@ -597,6 +608,80 @@ def test_seed_from_config_is_the_hashlib_sha256_seed(name):
     payload = json.dumps(echo, sort_keys=True).encode() + report._version.encode()
     expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
     assert report._seed_from_config(echo) == expected
+
+
+def _fintriple(*args, unbuffered=False, **popen):
+    """python -m fintriple.cli args in a fresh process, stdout buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(report.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    popen.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "fintriple.cli", *map(str, args)],
+                          env=env, stderr=subprocess.PIPE, text=True, **popen)
+
+
+def test_cli_process_prints_the_whole_report(thm2_report):
+    # the process entry ends with os._exit: a lost flush of the buffered
+    # stdout would cut the report
+    result = _fintriple("verify", CONFIG_DIR / "thm2.cfg", "--report", "text")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == report.render_text(thm2_report)
+    assert result.stderr == ""
+
+
+def test_cli_process_expect_mismatch_exits_1(tmp_path):
+    manifest = json.loads((CONFIG_DIR / "thm2.expect.json").read_text())
+    flipped = {"first_order": "fail", "clifford_odd": "fail", "clifford_even": "pass"}
+    expected = []
+    for name in report.RUN_PLAN:
+        if name in flipped:
+            expected.append(f"expectation mismatch: {name}: expected {flipped[name]}, "
+                            f"got {manifest['checks'][name]}")
+            manifest["checks"][name] = flipped[name]
+    bad = tmp_path / "expect.json"
+    bad.write_text(json.dumps(manifest))
+    result = _fintriple("verify", CONFIG_DIR / "thm2.cfg", "--expect", bad,
+                        "--out", tmp_path / "r.txt")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == expected
+    assert (tmp_path / "r.txt").read_text().startswith("fintriple")
+
+
+def test_cli_process_bad_config_exits_2(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[algebra]\nname = Q_F\n")
+    result = _fintriple("verify", bad)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_process_failed_stdout_write_exits_2(unbuffered):
+    # stdout is a pipe whose reader has gone; buffered or not, the failed
+    # write is the one-line error and exit 2, with nothing at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _fintriple("verify", CONFIG_DIR / "thm2.cfg", unbuffered=unbuffered,
+                            stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def test_cli_process_with_stdout_closed_writes_its_out_file(tmp_path):
+    # with file descriptor 1 closed sys.stdout is None, and --out needs no stdout
+    out = tmp_path / "r.txt"
+    result = _fintriple("verify", CONFIG_DIR / "thm2.cfg", "--out", out,
+                        stdout=None, preexec_fn=lambda: os.close(1))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert out.read_text().startswith("fintriple")
 
 
 def test_cli_subprocess_smoke():
